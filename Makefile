@@ -70,13 +70,16 @@ test:
 race:
 	$(GO) test -race ./...
 
+# gate and batchgate set REPRO_TIMING_GATES=1, the opt-in for the wall-clock
+# halves of the speedup gates; plain `go test ./...` runs only their
+# deterministic halves (bit-identity), so it passes on any machine.
 gate:
-	$(GO) test -run TestSweepWorkersGate -count 1 -v .
+	REPRO_TIMING_GATES=1 $(GO) test -run TestSweepWorkersGate -count 1 -v .
 
 # batchgate pins the SoA batch kernel's speedup over the scalar path (and
 # their bit-identity) — see batch_gate_test.go.
 batchgate:
-	$(GO) test -run TestGridBatchSpeedupGate -count 1 -v .
+	REPRO_TIMING_GATES=1 $(GO) test -run TestGridBatchSpeedupGate -count 1 -v .
 
 # convcheck is the sampler-API smoke: the CONV convergence experiment on a
 # small deterministic axis must show the stratified estimator at or below
@@ -180,7 +183,8 @@ shardcheck:
 
 # Short fuzz passes over the property-based targets (grid-spec, shard-spec
 # and sampler-name parsing, τ-decomposition, Lambert W, the batch-vs-scalar
-# kernel differential, and journal crash recovery — arbitrary journal bytes
+# kernel differential, the equal-ω arc×arc closed form against the
+# safe-advance fallback, and journal crash recovery — arbitrary journal bytes
 # must load without error and yield exactly the CRC-valid clean prefix).
 # Override FUZZTIME for shorter/longer passes, e.g. `make fuzz FUZZTIME=5s`.
 fuzz:
@@ -189,4 +193,5 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseSampler -fuzztime $(FUZZTIME) ./internal/sampler
 	$(GO) test -run NONE -fuzz FuzzDecomposeTau -fuzztime $(FUZZTIME) ./internal/bounds
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache

@@ -15,6 +15,15 @@
 // does; two different programs sharing an identity would alias each other's
 // results.
 //
+// # Result version
+//
+// Every key also carries ResultVersion, the version of the simulator's
+// arithmetic. A change that moves result bits — a new closed form in
+// internal/motion, say — bumps it, so records written by the older code
+// (cache files, journals, shard caches, warm files) become misses instead
+// of answering queries with results the current code would not produce.
+// They still load, and age out of the LRU.
+//
 // # Float quantization
 //
 // Float parameters enter the key through Quantize, which clears the
@@ -54,6 +63,12 @@ import (
 // key buckets are 2^QuantBits ulps ≈ 9.1e−13 wide in relative terms.
 const QuantBits = 12
 
+// ResultVersion is the version of the simulator's arithmetic stamped into
+// every key by the key constructors. Version 2: motion.Contact resolves
+// equal-ω arc×arc intervals in closed form rather than by safe advance,
+// which changes the low bits of those contact times.
+const ResultVersion = 2
+
 // DefaultCapacity is the LRU capacity selected by New(0): at ~100 bytes an
 // entry, about 6 MB of results.
 const DefaultCapacity = 1 << 16
@@ -69,6 +84,7 @@ func Quantize(x float64) uint64 {
 // fields stay zero (e.g. attributes for a plain search). Keys are value
 // types and valid map keys.
 type Key struct {
+	Version int    // ResultVersion of the code that computed the result
 	Kind    string // "search", "rendezvous", "asym", "meeting"
 	Program string // program identity; for two-program kinds "a|b"
 	V       uint64 // quantized attribute bits of R′
@@ -85,6 +101,7 @@ type Key struct {
 // SearchKey fingerprints a sim.Search call.
 func SearchKey(program string, target geom.Vec, r float64, opt sim.Options) Key {
 	return Key{
+		Version: ResultVersion,
 		Kind:    "search",
 		Program: program,
 		DX:      Quantize(target.X),
@@ -116,6 +133,7 @@ func AsymmetricKey(programA, programB string, in sim.Instance, opt sim.Options) 
 // key carries only the visibility radius and options beside it.
 func MeetingKey(id string, r float64, opt sim.Options) Key {
 	return Key{
+		Version: ResultVersion,
 		Kind:    "meeting",
 		Program: id,
 		R:       Quantize(r),
@@ -127,6 +145,7 @@ func MeetingKey(id string, r float64, opt sim.Options) Key {
 
 func instanceKey(in sim.Instance, opt sim.Options) Key {
 	return Key{
+		Version: ResultVersion,
 		V:       Quantize(in.Attrs.V),
 		Tau:     Quantize(in.Attrs.Tau),
 		Phi:     Quantize(in.Attrs.Phi),

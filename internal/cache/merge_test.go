@@ -1,11 +1,13 @@
 package cache
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/sim"
 )
 
@@ -171,5 +173,64 @@ func TestOpenWarm(t *testing.T) {
 	wcheck := New(0)
 	if n, err := wcheck.Merge(w1); err != nil || n != 2 {
 		t.Errorf("warm file w1 changed: %d entries, err %v", n, err)
+	}
+}
+
+// TestPreVersionRecordMisses: a record written before keys carried
+// ResultVersion — the same fingerprint without the Version field — loads
+// but never answers a query, so results of the older arithmetic cannot be
+// served as current ones. A record written with the current key hits.
+func TestPreVersionRecordMisses(t *testing.T) {
+	// legacyKey is the Key layout before the Version field existed.
+	type legacyKey struct {
+		Kind    string
+		Program string
+		V       uint64
+		Tau     uint64
+		Phi     uint64
+		Chi     int
+		DX, DY  uint64
+		R       uint64
+		Horizon uint64
+		Slack   uint64
+		Iters   int
+	}
+	opt := sim.Options{Horizon: 1e4}
+	cur := SearchKey("alg4", geom.V(1, 0), 0.25, opt)
+	old := legacyKey{Kind: cur.Kind, Program: cur.Program, DX: cur.DX, DY: cur.DY,
+		R: cur.R, Horizon: cur.Horizon, Slack: cur.Slack, Iters: cur.Iters}
+	payload, err := json.Marshal(struct {
+		K legacyKey  `json:"k"`
+		R sim.Result `json:"r"`
+	}{old, sim.Result{Met: true, Time: 24.093337274203726}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.cache.jsonl")
+	if err := os.WriteFile(path, appendRecord(nil, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(0)
+	if n, err := c.Merge(path); err != nil || n != 1 {
+		t.Fatalf("Merge = (%d, %v), want the old record loaded", n, err)
+	}
+	if res, ok := c.Get(cur); ok {
+		t.Fatalf("pre-version record answered a current query: %+v", res)
+	}
+	if cur.Version != ResultVersion || RendezvousKey("alg4", sim.Instance{}, opt).Version != ResultVersion ||
+		AsymmetricKey("a", "b", sim.Instance{}, opt).Version != ResultVersion ||
+		MeetingKey("m", 0.25, opt).Version != ResultVersion {
+		t.Fatal("a key constructor does not stamp ResultVersion")
+	}
+
+	fresh := filepath.Join(t.TempDir(), "new.cache.jsonl")
+	saveEntries(t, fresh, []diskEntry{{K: cur, R: sim.Result{Met: true, Time: 24.09333727413376}}})
+	c = New(0)
+	if _, err := c.Merge(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(cur); !ok || res.Time != 24.09333727413376 {
+		t.Fatalf("current record: got (%+v, %v), want a hit", res, ok)
 	}
 }

@@ -29,8 +29,11 @@ import (
 // call of one experiment deterministically.
 
 // ShardFormat identifies the shard-file layout this package writes and
-// accepts.
-const ShardFormat = "repro-shard-v1"
+// accepts. It also versions the records' arithmetic: v2 marks results
+// computed with the equal-ω arc×arc closed form in internal/motion (see
+// cache.ResultVersion), so LoadShards refuses to merge a v1 shard, whose
+// records carry the older low bits, into a v2 run.
+const ShardFormat = "repro-shard-v2"
 
 // ShardMeta is the first line of a shard file: the fingerprint of the run
 // that produced it. Merging files whose fingerprints disagree (different

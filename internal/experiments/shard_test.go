@@ -240,6 +240,7 @@ func TestLoadShardsValidation(t *testing.T) {
 		"scope.jsonl":  {Format: ShardFormat, Shard: "1/2", Seed: 1, Samples: 2, Scope: "grid:search:v=1"},
 		"count.jsonl":  {Format: ShardFormat, Shard: "1/3", Seed: 1, Samples: 2, Scope: "suite"},
 		"format.jsonl": {Format: "other", Shard: "1/2", Seed: 1, Samples: 2, Scope: "suite"},
+		"v1.jsonl":     {Format: "repro-shard-v1", Shard: "1/2", Seed: 1, Samples: 2, Scope: "suite"},
 		"spec.jsonl":   {Format: ShardFormat, Shard: "9/2", Seed: 1, Samples: 2, Scope: "suite"},
 	} {
 		b := write(name, meta)

@@ -3,18 +3,25 @@
 // primitive behind both problems of the paper — search (robot vs. static
 // target, contact radius = visibility r) and rendezvous (robot vs. robot).
 //
-// Motions are exact closed forms over absolute time. Three kinds are
+// Motions are exact closed forms over absolute time. Four kinds are
 // distinguished because they admit different detection algorithms:
 //
 //   - Linear (includes static): relative motion is linear, first contact is
 //     a quadratic equation.
 //   - Arc vs. static point: the squared distance is sinusoidal in the arc
 //     angle, first contact is an arccos.
-//   - Anything else (arc vs. arc, arc vs. moving line): a conservative
-//     "safe advance" iteration. If the current gap is g and the relative
-//     speed is at most u, no contact can occur for g/u time, so advancing
-//     by g/u is always sound; the iteration converges to the true first
-//     contact from below and cannot skip one.
+//   - Arc vs. arc with the same angular velocity ω: the paper's reduction of
+//     rendezvous to search. Two robots that agree on clock and orientation
+//     run similarity images of one program on one clock, so their arcs
+//     share ω and the relative position (Cₐ − C_b) + K·e^{iωt} is itself a
+//     point on a circle; first contact is the arc-vs-static arccos against
+//     the origin (see equalOmega).
+//   - Anything else (arcs with different ω, arc vs. moving line, modulated
+//     segments, Func): a conservative "safe advance" iteration. If the
+//     current gap is g and the relative speed is at most u, no contact can
+//     occur for g/u time, so advancing by g/u is always sound; the
+//     iteration converges to the true first contact from below and cannot
+//     skip one.
 package motion
 
 import (
@@ -90,7 +97,9 @@ func (f Func) SpeedBound() float64 { return f.Bound }
 type Options struct {
 	// Slack is the absolute gap at which the fallback declares contact:
 	// it reports a hit when |Δp| ≤ r + Slack. Must be > 0 for the fallback
-	// to terminate. Closed-form paths solve |Δp| = r exactly and ignore it.
+	// to terminate. The equal-ω arc×arc closed form solves |Δp| = r + Slack
+	// exactly, the same hit test; the other closed forms solve |Δp| = r
+	// and ignore it.
 	Slack float64
 	// MaxIters bounds the number of safe-advance steps per interval.
 	MaxIters int
@@ -108,9 +117,12 @@ func DefaultOptions(r float64) Options {
 var ErrIterationBudget = errors.New("motion: safe-advance iteration budget exhausted")
 
 // FirstContact returns the earliest t in [t0, t1] at which |a(t) − b(t)| ≤ r.
-// found is false when no such time exists in the interval. The simulator hot
-// path uses the equivalent Contact over value-typed Movers; FirstContact
-// remains the general interface-level entry point.
+// found is false when no such time exists in the interval. Linear pairs,
+// circular vs. static, and circular pairs sharing one ω (equalOmega, at
+// radius r + opt.Slack) are solved in closed form; everything else runs the
+// safe-advance fallback. The simulator hot path uses the equivalent Contact
+// over value-typed Movers; FirstContact remains the general interface-level
+// entry point.
 func FirstContact(a, b Motion, r, t0, t1 float64, opt Options) (t float64, found bool, err error) {
 	if t1 < t0 {
 		return 0, false, nil
@@ -129,8 +141,48 @@ func FirstContact(a, b Motion, r, t0, t1 float64, opt Options) (t float64, found
 			t, found = circularStatic(am, bm.P0, r, t0, t1)
 			return t, found, nil
 		}
+		if bm, ok := b.(Circular); ok {
+			if t, found, ok := equalOmega(am, bm, r, t0, t1, opt); ok {
+				return t, found, nil
+			}
+		}
 	}
 	return conservative(a, b, r, t0, t1, opt)
+}
+
+// equalOmega solves first contact between two arcs that turn at the same
+// angular velocity ω, exactly. It is the paper's reduction of rendezvous to
+// search (Theorem 2) applied to one interval: a robot whose clock
+// and orientation match its peer's (τ = 1, χ = +1) runs a similarity image
+// of the same program on the same clock, so wherever both robots are on
+// arcs the arcs share ω, and the relative position
+//
+//	a(t) − b(t) = (Cₐ − C_b) + K·e^{iω(t − t0)},  K = a(t0)−Cₐ − (b(t0)−C_b)
+//
+// is itself a point on uniform circular motion. Its first contact with the
+// origin is the arc-vs-static arccos of circularStatic.
+//
+// The contact radius is r + opt.Slack, the conservative fallback's own hit
+// test, so the closed form answers the question the fallback would have
+// answered, at the exact crossing instead of from below. ok is false when
+// the pair does not qualify — ω not bit-equal, or opt.Slack ≤ 0, where the
+// fallback's ErrIterationBudget contract is kept — and the caller falls
+// back to safe advance.
+func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found, ok bool) {
+	if a.Omega != b.Omega || opt.Slack <= 0 {
+		return 0, false, false
+	}
+	k := geom.Polar(a.Radius, a.Theta0+a.Omega*(t0-a.T0)).
+		Sub(geom.Polar(b.Radius, b.Theta0+b.Omega*(t0-b.T0)))
+	rel := Circular{
+		T0:     t0,
+		Center: a.Center.Sub(b.Center),
+		Radius: k.Norm(),
+		Theta0: k.Angle(),
+		Omega:  a.Omega,
+	}
+	t, found = circularStatic(rel, geom.Vec{}, r+opt.Slack, t0, t1)
+	return t, found, true
 }
 
 // linearLinear solves |Δp0 + Δv·(t−t0)| = r on [t0, t1] exactly.

@@ -385,3 +385,84 @@ func TestFromSegmentTransformedMotionAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// circularMover returns a Mover holding the uniform circular motion c.
+func circularMover(c Circular) Mover {
+	return Mover{kind: moverCircular, circ: c}
+}
+
+// equalOmegaCases are arc pairs sharing one angular velocity: approaches
+// from both rotation senses, a pair already in contact, a pair whose
+// relative orbit never enters the contact disk, and one with a constant
+// relative position (same phase, so the relative radius is zero).
+var equalOmegaCases = []struct {
+	name string
+	a, b Circular
+	r    float64
+}{
+	{"ccw approach", Circular{Center: geom.V(-2, 0), Radius: 1, Theta0: math.Pi, Omega: 1},
+		Circular{T0: 3, Center: geom.V(2, 0), Radius: 1, Theta0: 3, Omega: 1}, 2.5},
+	{"cw approach", Circular{T0: 1, Center: geom.V(0, 3), Radius: 2, Theta0: math.Pi / 2, Omega: -0.7},
+		Circular{Center: geom.V(0, -1), Radius: 0.5, Theta0: math.Pi/2 + 0.7, Omega: -0.7}, 2.75},
+	{"in contact", Circular{Center: geom.V(0, 0), Radius: 1, Theta0: 0, Omega: 2},
+		Circular{Center: geom.V(0.1, 0), Radius: 1, Theta0: 0.05, Omega: 2}, 0.3},
+	{"never", Circular{Center: geom.V(-5, 0), Radius: 1, Theta0: 0, Omega: 1},
+		Circular{Center: geom.V(5, 0), Radius: 1, Theta0: 1, Omega: 1}, 1},
+	{"rigid", Circular{Center: geom.V(0, 0), Radius: 1, Theta0: 0.3, Omega: 1.5},
+		Circular{Center: geom.V(4, 0), Radius: 1, Theta0: 0.3, Omega: 1.5}, 3},
+}
+
+// TestEqualOmegaNeverFallsBack pins that arc pairs with equal ω are solved
+// in closed form: with MaxIters 0 the safe-advance fallback would return
+// ErrIterationBudget on any pair not in contact at t0, so a clean answer
+// proves the pair never reached it. The answers match the sampled
+// reference at the fallback's contact radius r + Slack.
+func TestEqualOmegaNeverFallsBack(t *testing.T) {
+	opt := Options{Slack: 1e-9, MaxIters: 0}
+	const t0, t1 = 0.5, 40.0
+	for _, tc := range equalOmegaCases {
+		ma, mb := circularMover(tc.a), circularMover(tc.b)
+		got, found, err := Contact(&ma, &mb, tc.r, t0, t1, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, wantFound := referenceFirstContact(tc.a, tc.b, tc.r+opt.Slack, t0, t1, 400000)
+		if found != wantFound {
+			t.Fatalf("%s: found=%v, reference %v", tc.name, found, wantFound)
+		}
+		if found && math.Abs(got-want) > 1e-4 {
+			t.Errorf("%s: contact at %v, reference %v", tc.name, got, want)
+		}
+		// FirstContact's Circular×Circular case runs the same arithmetic.
+		ft, ffound, ferr := FirstContact(tc.a, tc.b, tc.r, t0, t1, opt)
+		if ferr != nil || ffound != found || math.Float64bits(ft) != math.Float64bits(got) {
+			t.Errorf("%s: FirstContact (%v,%v,%v) != Contact (%v,%v,nil)", tc.name, ft, ffound, ferr, got, found)
+		}
+	}
+}
+
+// TestEqualOmegaDispatch pins which arc pairs still take the fallback:
+// unequal ω, and any pair under a non-positive slack, where the fallback's
+// ErrIterationBudget contract is kept.
+func TestEqualOmegaDispatch(t *testing.T) {
+	a := Circular{Center: geom.V(-2, 0), Radius: 1, Theta0: 0, Omega: 1}
+	b := Circular{Center: geom.V(2, 0), Radius: 1, Theta0: 0, Omega: 1}
+	bFaster := b
+	bFaster.Omega = math.Nextafter(1, 2)
+	for _, tc := range []struct {
+		name string
+		b    Circular
+		opt  Options
+	}{
+		{"unequal omega", bFaster, Options{Slack: 1e-9, MaxIters: 0}},
+		{"zero slack", b, Options{Slack: 0, MaxIters: 1_000_000}},
+	} {
+		ma, mb := circularMover(a), circularMover(tc.b)
+		if _, _, err := Contact(&ma, &mb, 1, 0, 40, tc.opt); err != ErrIterationBudget {
+			t.Errorf("%s: Contact err = %v, want ErrIterationBudget from the fallback", tc.name, err)
+		}
+		if _, _, err := FirstContact(a, tc.b, 1, 0, 40, tc.opt); err != ErrIterationBudget {
+			t.Errorf("%s: FirstContact err = %v, want ErrIterationBudget from the fallback", tc.name, err)
+		}
+	}
+}

@@ -99,8 +99,9 @@ func (m *Mover) SpeedBound() float64 {
 
 // Contact returns the earliest t in [t0, t1] at which |a(t) − b(t)| ≤ r.
 // It is FirstContact over value-typed Movers: the dispatch, the closed
-// forms, and the conservative fallback perform the same arithmetic, without
-// interface boxing or dynamic calls.
+// forms — including the equal-ω arc×arc reduction to a circle against the
+// origin (equalOmega) — and the conservative fallback perform the same
+// arithmetic, without interface boxing or dynamic calls.
 func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool, err error) {
 	if t1 < t0 {
 		return 0, false, nil
@@ -118,6 +119,11 @@ func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool
 		if b.kind == moverLinear && b.lin.Vel == (geom.Vec{}) {
 			t, found = circularStatic(a.circ, b.lin.P0, r, t0, t1)
 			return t, found, nil
+		}
+		if b.kind == moverCircular {
+			if t, found, ok := equalOmega(a.circ, b.circ, r, t0, t1, opt); ok {
+				return t, found, nil
+			}
 		}
 	}
 	return conservative(a, b, r, t0, t1, opt)

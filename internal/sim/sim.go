@@ -4,9 +4,15 @@
 //
 // The simulator walks the two trajectories' merged segment timeline. Within
 // an interval where both robots stay on single segments, first contact is
-// resolved by internal/motion — in closed form where possible, otherwise by
-// conservative safe advancement. Durations are exact, so measured meeting
-// times are directly comparable with the paper's closed-form analysis.
+// resolved by internal/motion in closed form where possible: line or wait
+// against anything linear, an arc against a waiting robot, and two arcs
+// turning at the same ω — every arc×arc interval of a robot pair with
+// τ = 1, χ = +1, whose relative motion is itself circular (the paper's
+// reduction of rendezvous to search). Only the remaining intervals iterate
+// by conservative safe advancement: arcs with different ω (τ ≠ 1 or
+// χ = −1), an arc against a moving line, and modulated segments. Durations
+// are exact, so measured meeting times are directly comparable with the
+// paper's closed-form analysis.
 //
 // Both walks are allocation-free per segment: Search drives the program
 // generator directly with a callback, and the two-stream FirstMeeting merge
@@ -46,7 +52,7 @@ type Options struct {
 	Horizon float64
 	// Slack is the contact-detection slack passed to the motion package;
 	// contact is declared at distance ≤ r (+Slack on the conservative
-	// path). Zero selects 1e-9·r.
+	// path and the equal-ω arc×arc closed form). Zero selects 1e-9·r.
 	Slack float64
 	// MaxIters bounds conservative detection work per segment interval.
 	// Zero selects a generous default.
