@@ -184,7 +184,8 @@ shardcheck:
 # Short fuzz passes over the property-based targets (grid-spec, shard-spec
 # and sampler-name parsing, τ-decomposition, Lambert W, the batch-vs-scalar
 # kernel differential, the equal-ω arc×arc closed form against the
-# safe-advance fallback, and journal crash recovery — arbitrary journal bytes
+# safe-advance fallback, the shared-clock gathering walk against the frozen
+# per-robot walk, and journal crash recovery — arbitrary journal bytes
 # must load without error and yield exactly the CRC-valid clean prefix).
 # Override FUZZTIME for shorter/longer passes, e.g. `make fuzz FUZZTIME=5s`.
 fuzz:
@@ -194,4 +195,5 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzDecomposeTau -fuzztime $(FUZZTIME) ./internal/bounds
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
+	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache

@@ -24,7 +24,6 @@ import (
 	"repro/internal/motion"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trajectory"
 )
 
 // benchExperiment runs one experiment table per iteration.
@@ -299,20 +298,6 @@ func BenchmarkTrajectoryGeneration(b *testing.B) {
 		}
 	}
 	b.ReportMetric(100_000, "segments/op")
-}
-
-// BenchmarkWalker measures the forward cursor over a frame-transformed
-// trajectory — the trajectory.Cursor machinery (window restarts, then the
-// batched streaming escape) that the merged two-stream walk sits on.
-func BenchmarkWalker(b *testing.B) {
-	attrs := Attributes{V: 0.5, Tau: 1.5, Phi: 1.1, Chi: CW}
-	for b.Loop() {
-		w := trajectory.NewWalker(attrs.Apply(algo.CumulativeSearch(), geom.V(1, 0)))
-		if _, _, ok := w.SegmentAt(5e4); !ok {
-			b.Fatal("walker exhausted unexpectedly")
-		}
-		w.Close()
-	}
 }
 
 // --- batched SoA kernel benchmarks -------------------------------------

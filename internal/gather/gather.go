@@ -17,17 +17,29 @@
 // function g(t) = max pairwise distance − r: with per-robot speed bounds
 // v_i, g can decrease at rate at most the two largest speeds combined, so
 // advancing by g divided by that rate can never skip the gathering instant.
+//
+// The detector walks the shared program, not n copies of it. A robot's
+// global segment is its local segment under its frame, and its duration is
+// the local duration × τ; speed, orientation and chirality move the
+// geometry but never the time grid. Robots with bit-equal τ therefore cross
+// segment boundaries at bit-identical times, so each distinct clock pulls
+// the local program through one trajectory.Cursor and computes each
+// segment's duration once, and every robot on it applies its own frame
+// (segment.Frame, bit-identical to the per-robot Transformed stream). A
+// robot's motion is refilled only when its clock moves to a new segment.
+// An instance with one τ — every E10 instance — generates the program once;
+// n distinct clocks cost what n per-robot walks did.
 package gather
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/motion"
+	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/trajectory"
 )
@@ -92,7 +104,12 @@ type Result struct {
 type Options = sim.Options
 
 // Simulate runs all robots on the same program and measures pairwise
-// meetings and the gathering time.
+// meetings and the gathering time. Each pair's first meeting is the
+// two-robot sim.FirstMeeting of their framed programs. Gathering is found
+// by the safe advance on the diameter over one walk of program per
+// distinct clock τ (see the package doc), which visits the same segment
+// boundaries, with the same motions, as walking each robot's framed program
+// separately.
 func Simulate(program trajectory.Source, in Instance, opt Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
@@ -126,45 +143,145 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	return res, nil
 }
 
+// clock is one distinct clock rate τ: the walk of the local program that
+// every robot with that τ shares (see the package doc).
+type clock struct {
+	tau   float64
+	cur   trajectory.Cursor
+	seg   segment.Seg // current local-frame segment
+	dur   float64     // its global duration: seg.Duration() × τ
+	start float64     // absolute start time of seg
+	has   bool
+	moved bool // seg changed (or the program ended) since robots last took it
+}
+
+// next pulls the following local segment, accumulating absolute start
+// times as a running sum of durations.
+func (c *clock) next() {
+	if c.has {
+		c.start += c.dur
+	}
+	c.moved = true
+	seg, ok := c.cur.Next()
+	if !ok {
+		c.has = false // c.seg keeps the last segment for the final positions
+		return
+	}
+	c.seg = seg
+	c.dur = seg.Duration() * c.tau
+	c.has = true
+}
+
+// body is one robot's walk state: its frame over its clock's segment, the
+// motion that frame gives it, and that motion's speed bound.
+type body struct {
+	clock int // index into diameterWalk.clocks
+	frame segment.Frame
+	mov   motion.Mover
+	speed float64 // mov.SpeedBound(), cached per Set
+}
+
+// diameterWalk is the gathering detector's walk state, hoisted out of the
+// interval loop: one clock per distinct τ, one body per robot and the
+// position scratch of the diameter.
+type diameterWalk struct {
+	clocks []clock
+	bodies []body
+	pos    []geom.Vec
+}
+
+// newDiameterWalk groups the robots by bit-equal τ and opens one cursor per
+// group over the local program.
+func newDiameterWalk(program trajectory.Source, robots []Robot) *diameterWalk {
+	w := &diameterWalk{
+		// Full capacity up front: the cursors' collectors point into the
+		// slice, so it must never move.
+		clocks: make([]clock, 0, len(robots)),
+		bodies: make([]body, len(robots)),
+		pos:    make([]geom.Vec, len(robots)),
+	}
+	for i, r := range robots {
+		k := 0
+		for k < len(w.clocks) && w.clocks[k].tau != r.Attrs.Tau {
+			k++
+		}
+		if k == len(w.clocks) {
+			w.clocks = append(w.clocks, clock{tau: r.Attrs.Tau})
+			w.clocks[k].cur.Init(program)
+			w.clocks[k].next()
+		}
+		w.bodies[i] = body{clock: k, frame: segment.NewFrame(r.Attrs.Affine(r.Origin), r.Attrs.Tau)}
+	}
+	return w
+}
+
+func (w *diameterWalk) close() {
+	for k := range w.clocks {
+		w.clocks[k].cur.Close()
+	}
+}
+
+// advance moves every clock to the segment containing now (zero-duration
+// segments never surface), refreshes the motions of the robots whose clock
+// moved, and returns the end of the earliest-ending segment, capped at
+// horizon. allHalted reports that every clock's program has ended.
+func (w *diameterWalk) advance(now, horizon float64) (intervalEnd float64, allHalted bool) {
+	intervalEnd, allHalted = horizon, true
+	for k := range w.clocks {
+		c := &w.clocks[k]
+		for c.has && c.start+c.dur <= now {
+			c.next()
+		}
+		if c.has {
+			allHalted = false
+			if end := c.start + c.dur; end < intervalEnd {
+				intervalEnd = end
+			}
+		}
+	}
+	for i := range w.bodies {
+		b := &w.bodies[i]
+		c := &w.clocks[b.clock]
+		if !c.moved {
+			continue
+		}
+		if c.has {
+			seg := b.frame.Apply(&c.seg)
+			b.mov.Set(&seg, c.start, c.dur)
+		} else {
+			// A halted robot parks at the end of its last segment (the
+			// origin of the global frame if the program was empty).
+			var final geom.Vec
+			if c.cur.Consumed() > 0 {
+				seg := b.frame.Apply(&c.seg)
+				final = seg.End()
+			}
+			b.mov.SetStatic(final)
+		}
+		b.speed = b.mov.SpeedBound()
+	}
+	for k := range w.clocks {
+		w.clocks[k].moved = false
+	}
+	return intervalEnd, allHalted
+}
+
 // firstDiameterDrop finds the first time the robots' diameter is ≤ R, by
 // safe advancement over the merged segment timeline.
 func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t float64, ok bool, diamAtHorizon float64, err error) {
-	n := len(in.Robots)
-	walkers := make([]*trajectory.Walker, n)
-	for i, r := range in.Robots {
-		walkers[i] = trajectory.NewWalker(r.Attrs.Apply(program, r.Origin))
-		defer walkers[i].Close()
-	}
+	w := newDiameterWalk(program, in.Robots)
+	defer w.close()
 	slack := opt.Slack
 	if slack <= 0 {
 		slack = 1e-9 * in.R
 	}
 
-	movers := make([]motion.Mover, n)
-	ends := make([]float64, n)
 	now := 0.0
 	for now < opt.Horizon {
-		intervalEnd := opt.Horizon
-		allHalted := true
-		for i, w := range walkers {
-			seg, start, alive := w.SegmentAt(now)
-			if !alive {
-				movers[i].SetStatic(w.FinalPosition())
-				ends[i] = math.Inf(1)
-				continue
-			}
-			allHalted = false
-			dur := seg.Duration()
-			movers[i].Set(&seg, start, dur)
-			ends[i] = start + dur
-			if ends[i] < intervalEnd {
-				intervalEnd = ends[i]
-			}
-		}
-
+		intervalEnd, allHalted := w.advance(now, opt.Horizon)
 		if allHalted {
 			// Diameter is constant forever.
-			diam, _ := diameterAndRate(movers, now)
+			diam, _ := w.diameterAndRate(now)
 			if diam-in.R <= slack {
 				return now, true, 0, nil
 			}
@@ -174,7 +291,7 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 		// Safe advance on g(t) = diameter − R within [now, intervalEnd].
 		t := now
 		for t < intervalEnd {
-			diam, closeRate := diameterAndRate(movers, t)
+			diam, closeRate := w.diameterAndRate(t)
 			g := diam - in.R
 			if g <= slack {
 				return t, true, 0, nil
@@ -186,33 +303,32 @@ func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t f
 		}
 		now = intervalEnd
 	}
-	diam, _ := diameterAndRate(movers, opt.Horizon)
+	diam, _ := w.diameterAndRate(opt.Horizon)
 	return 0, false, diam, nil
 }
 
 // diameterAndRate returns the robots' diameter at time t and an upper bound
-// on the rate at which the diameter can decrease (the sum of the two
-// largest speed bounds).
-func diameterAndRate(movers []motion.Mover, t float64) (diam, rate float64) {
-	pos := make([]geom.Vec, len(movers))
-	speeds := make([]float64, len(movers))
-	for i := range movers {
-		pos[i] = movers[i].At(t)
-		speeds[i] = movers[i].SpeedBound()
+// on the rate at which the diameter can decrease: the sum of the two
+// largest speed bounds, kept as a running top two.
+func (w *diameterWalk) diameterAndRate(t float64) (diam, rate float64) {
+	top1, top2 := math.Inf(-1), math.Inf(-1)
+	for i := range w.bodies {
+		b := &w.bodies[i]
+		w.pos[i] = b.mov.At(t)
+		if s := b.speed; s > top1 {
+			top1, top2 = s, top1
+		} else if s > top2 {
+			top2 = s
+		}
 	}
-	for i := range pos {
-		for j := i + 1; j < len(pos); j++ {
-			if d := pos[i].Dist(pos[j]); d > diam {
+	for i := range w.pos {
+		for j := i + 1; j < len(w.pos); j++ {
+			if d := w.pos[i].Dist(w.pos[j]); d > diam {
 				diam = d
 			}
 		}
 	}
-	sort.Float64s(speeds)
-	n := len(speeds)
-	if n >= 2 {
-		rate = speeds[n-1] + speeds[n-2]
-	}
-	return diam, rate
+	return diam, top1 + top2
 }
 
 // AllPairsFeasible reports whether every robot pair has a symmetry-breaking

@@ -12,11 +12,16 @@ import (
 // stays amortised O(1) per segment; past streamThreshold the cursor stops
 // restarting and spawns a batching producer instead, so a to-horizon walk
 // over hundreds of thousands of segments is generated exactly once more and
-// streamed with two channel operations per batch.
+// streamed with two channel operations per batch. The stream circulates a
+// fixed set of cursorStreamBatches batches between producer and consumer:
+// at most cursorStreamQueue full batches wait in the channel, one is being
+// filled and one is being read, so the set never runs dry.
 const (
 	cursorInitialBuf    = 64
 	cursorStreamBatch   = 256
 	cursorStreamAtLeast = 8192 // consumed count at which refills switch to streaming
+	cursorStreamQueue   = 2
+	cursorStreamBatches = cursorStreamQueue + 2
 )
 
 // bufPool recycles the initial-size cursor buffers so the hot path performs
@@ -43,11 +48,16 @@ var bufPool = sync.Pool{
 // restarting would dominate (streamThreshold), the cursor switches to a
 // single background producer goroutine that streams the remainder in
 // batches, bounding both memory and re-generation for unbounded walks.
+// Stream batches are recycled: Next hands each read-out batch back to the
+// producer, which refills it, so a stream allocates its
+// cursorStreamBatches batches once, at the switch, and a walk of any length
+// holds no more than that.
 //
 // The restart strategy requires the Source to be pure: re-invoking it must
 // yield the same segments (see the Source contract). Close releases the
 // pooled buffer and stops the producer, if any; it is safe to call at most
-// once, and using the cursor after Close is invalid.
+// once, and using the cursor after Close is invalid. Close returns only once
+// the producer has stopped.
 type Cursor struct {
 	src      Source
 	buf      []segment.Seg // current window (pooled at initial size, or a stream batch)
@@ -60,7 +70,8 @@ type Cursor struct {
 	collect  func(segment.Seg) bool // cached refill collector (one closure per cursor)
 
 	streaming bool
-	batches   chan []segment.Seg
+	batches   chan []segment.Seg // filled batches, producer → consumer
+	free      chan []segment.Seg // read-out batches, consumer → producer
 	stop      chan struct{}
 }
 
@@ -90,12 +101,18 @@ func (c *Cursor) Next() (seg segment.Seg, ok bool) {
 			return segment.Seg{}, false
 		}
 		if c.streaming {
+			// c.buf is a read-out stream batch (nil right after the
+			// switch): return it before waiting for the next one. The
+			// send never blocks — free holds every batch there is.
+			if c.buf != nil {
+				c.free <- c.buf[:0]
+				c.buf = nil
+			}
 			batch, open := <-c.batches
 			if !open {
 				c.srcEnded = true
 				return segment.Seg{}, false
 			}
-			c.releaseBuf()
 			c.buf, c.head, c.fill = batch, 0, len(batch)
 			continue
 		}
@@ -144,37 +161,52 @@ func (c *Cursor) refill() {
 	}
 }
 
-// startStream hands generation to a producer goroutine that skips the
-// consumed prefix once and then streams batches until stopped.
+// startStream drops the restart window and hands generation to a producer
+// goroutine that skips the consumed prefix once and then streams batches
+// until stopped. All stream batches are carved from one backing array and
+// start out in the free channel.
 func (c *Cursor) startStream() {
+	c.releaseBuf()
 	c.streaming = true
-	c.batches = make(chan []segment.Seg, 2)
+	c.batches = make(chan []segment.Seg, cursorStreamQueue)
+	c.free = make(chan []segment.Seg, cursorStreamBatches)
 	c.stop = make(chan struct{})
-	go produce(c.src, c.consumed, c.batches, c.stop)
+	backing := make([]segment.Seg, cursorStreamBatches*cursorStreamBatch)
+	for i := range cursorStreamBatches {
+		lo, hi := i*cursorStreamBatch, (i+1)*cursorStreamBatch
+		c.free <- backing[lo:lo:hi]
+	}
+	go produce(c.src, c.consumed, c.batches, c.free, c.stop)
 }
 
 // produce generates src once, skipping the first skip segments, and sends
-// the rest in batches. It returns — unwinding the generator — when the
-// consumer signals stop, and closes the batch channel when the source ends.
-func produce(src Source, skip int, batches chan<- []segment.Seg, stop <-chan struct{}) {
+// the rest in batches, each refilled from the free channel. It returns —
+// unwinding the generator — when the consumer signals stop, and closes the
+// batch channel on return.
+func produce(src Source, skip int, batches chan<- []segment.Seg, free <-chan []segment.Seg, stop <-chan struct{}) {
 	defer close(batches)
+	batch := <-free // free starts out holding every batch
 	n := 0
-	batch := make([]segment.Seg, 0, cursorStreamBatch)
 	src(func(s segment.Seg) bool {
 		if n < skip {
 			n++
 			return true
 		}
 		batch = append(batch, s)
-		if len(batch) == cursorStreamBatch {
-			select {
-			case batches <- batch:
-			case <-stop:
-				return false
-			}
-			batch = make([]segment.Seg, 0, cursorStreamBatch)
+		if len(batch) < cursorStreamBatch {
+			return true
 		}
-		return true
+		select {
+		case batches <- batch:
+		case <-stop:
+			return false
+		}
+		select {
+		case batch = <-free:
+			return true
+		case <-stop:
+			return false
+		}
 	})
 	if len(batch) > 0 {
 		select {
@@ -194,10 +226,13 @@ func (c *Cursor) releaseBuf() {
 }
 
 // Close releases the cursor's buffer and stops its producer goroutine, if
-// one was started.
+// one was started, waiting for it to return: the producer closes the batch
+// channel on its way out, so draining it until closed is the wait.
 func (c *Cursor) Close() {
 	if c.streaming {
 		close(c.stop)
+		for range c.batches {
+		}
 		c.streaming = false
 	}
 	c.releaseBuf()

@@ -1,6 +1,7 @@
 package trajectory
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -124,5 +125,39 @@ func TestCursorEmptySource(t *testing.T) {
 	defer c.Close()
 	if _, ok := c.Next(); ok {
 		t.Error("empty source reported a segment")
+	}
+}
+
+// walkAndClose pulls n segments from a fresh cursor over an infinite source
+// and closes it mid-stream.
+func walkAndClose(t *testing.T, n int) {
+	invocations := 0
+	c := NewCursor(counting(&invocations))
+	for i := range n {
+		if _, ok := c.Next(); !ok {
+			t.Fatalf("Next %d: exhausted", i)
+		}
+	}
+	c.Close()
+}
+
+// TestCursorStreamAllocsIndependentOfLength: once streaming, a walk
+// allocates nothing per batch — the stream recycles a fixed set of batches —
+// so a 2×10⁵-segment and a 5×10⁵-segment walk allocate the same number of
+// objects. Each walk ends with a Close in the middle of the stream. The
+// count is the fewest over several walks: under the race detector sync.Pool
+// drops a random quarter of its puts, so a walk may reallocate its pooled
+// first window.
+func TestCursorStreamAllocsIndependentOfLength(t *testing.T) {
+	fewest := func(n int) float64 {
+		best := math.Inf(1)
+		for range 8 {
+			best = min(best, testing.AllocsPerRun(1, func() { walkAndClose(t, n) }))
+		}
+		return best
+	}
+	short, long := fewest(200_000), fewest(500_000)
+	if short != long {
+		t.Errorf("streaming walk allocs grow with length: %v for 2e5 segments, %v for 5e5", short, long)
 	}
 }

@@ -6,10 +6,10 @@
 // segment.Seg through a callback moves a struct — no per-segment interface
 // boxing, no heap allocation — which is what lets the simulator walk
 // millions of segments allocation-free. Pull-style consumption (the
-// simulator's merged two-stream walk, Walker, Path) is built on Cursor, an
-// explicit resumable cursor that buffers a window of upcoming segments and
-// re-invokes or streams the generator as needed — no iter.Pull, no
-// per-segment coroutine switches.
+// simulator's merged two-stream walk, the gathering walk, Path) is built on
+// Cursor, an explicit resumable cursor that buffers a window of upcoming
+// segments and re-invokes or streams the generator as needed — no
+// iter.Pull, no per-segment coroutine switches.
 package trajectory
 
 import (
