@@ -181,19 +181,32 @@ shardcheck:
 	grep -q "retrying" "$$tmp/straggler.log"; \
 	echo "shard/merge output is byte-identical to the single-process run (incl. streaming merge with a retried straggler)"
 
-# Short fuzz passes over the property-based targets (grid-spec, shard-spec
-# and sampler-name parsing, τ-decomposition, Lambert W, the batch-vs-scalar
-# kernel differential, the equal-ω arc×arc closed form against the
-# safe-advance fallback, the shared-clock gathering walk against the frozen
-# per-robot walk, and journal crash recovery — arbitrary journal bytes
-# must load without error and yield exactly the CRC-valid clean prefix).
-# Override FUZZTIME for shorter/longer passes, e.g. `make fuzz FUZZTIME=5s`.
+# Short fuzz passes over the property-based targets: grid-spec, shard-spec
+# and sampler-name parsing; τ-decomposition, Lambert W and the round bound
+# of Theorem 4; QR decomposition and the μ/frame identity; the linear×linear
+# and arc×static closed forms against a dense reference; the equal-ω arc×arc
+# closed form against the safe-advance fallback; placement under a cached
+# frame (Mover.SetFramed) against Set on the framed segment; the scalar
+# rendezvous walks against FirstMeeting over Transform-framed programs; the
+# batch-vs-scalar kernel differential; the shared-clock gathering walk
+# against the frozen per-robot walk; and journal crash recovery — arbitrary
+# journal bytes must load without error and yield exactly the CRC-valid
+# clean prefix. Override FUZZTIME for shorter/longer passes, e.g.
+# `make fuzz FUZZTIME=5s`.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseAxis -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzParseShard -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzParseSampler -fuzztime $(FUZZTIME) ./internal/sampler
 	$(GO) test -run NONE -fuzz FuzzDecomposeTau -fuzztime $(FUZZTIME) ./internal/bounds
-	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzLambertW0 -fuzztime $(FUZZTIME) ./internal/bounds
+	$(GO) test -run NONE -fuzz FuzzRendezvousRoundBound -fuzztime $(FUZZTIME) ./internal/bounds
+	$(GO) test -run NONE -fuzz FuzzQRDecompose -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run NONE -fuzz FuzzMuFrameConsistency -fuzztime $(FUZZTIME) ./internal/geom
+	$(GO) test -run NONE -fuzz FuzzLinearLinear -fuzztime $(FUZZTIME) ./internal/motion
+	$(GO) test -run NONE -fuzz FuzzCircularStatic -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
+	$(GO) test -run NONE -fuzz FuzzSetFramedMatchesSet -fuzztime $(FUZZTIME) ./internal/motion
+	$(GO) test -run NONE -fuzz FuzzRendezvousMatchesComposed -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache

@@ -10,8 +10,10 @@ import (
 // cursor allocations, without needing a benchmark run.
 //
 // The ceilings are the PR-5 acceptance numbers (≤10 allocs per simulated
-// instance; measured: 7 for rendezvous, 3 for search, from one walk-state
-// struct, two cursor collector closures, and two frame-transform closures).
+// instance). Measured: 3 for rendezvous, from one walk-state struct and two
+// cursor collector closures (the walk applies the frames at placement, so
+// the two frame-transform closures it once needed are gone), and 3 for
+// search.
 // They are deliberately exact, not relative: a regression to even 15
 // allocs/op means a hot-path structure changed and must be justified by
 // re-pinning the number here.

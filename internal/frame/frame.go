@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
@@ -113,6 +114,13 @@ func (a Attributes) Affine(origin geom.Vec) geom.Affine {
 // instantaneous global speed of unit-speed local motion is V.
 func (a Attributes) Apply(src trajectory.Source, origin geom.Vec) trajectory.Source {
 	return trajectory.Transform(src, a.Affine(origin), a.Tau)
+}
+
+// Frame returns the same map and clock as a segment.Frame, with its
+// per-frame constants computed once: walks over a local program apply it at
+// placement instead of transforming every segment (see segment.Frame).
+func (a Attributes) Frame(origin geom.Vec) segment.Frame {
+	return segment.NewFrame(a.Affine(origin), a.Tau)
 }
 
 // Mu returns μ = sqrt(v² − 2v·cosφ + 1) for these attributes (Theorem 2).

@@ -24,9 +24,12 @@
 // geometry but never the time grid. Robots with bit-equal τ therefore cross
 // segment boundaries at bit-identical times, so each distinct clock pulls
 // the local program through one trajectory.Cursor and computes each
-// segment's duration once, and every robot on it applies its own frame
-// (segment.Frame, bit-identical to the per-robot Transformed stream). A
-// robot's motion is refilled only when its clock moves to a new segment.
+// segment's duration once, and every robot on it places the raw segment
+// under its own frame (segment.Frame with motion.Mover.SetFramed,
+// bit-identical to the per-robot Transformed stream). A robot's motion is
+// refilled only when its clock moves to a new segment. The pairwise
+// meetings walk the local program under the two robots' frames too
+// (sim.FirstMeetingFramed).
 // An instance with one τ — every E10 instance — generates the program once;
 // n distinct clocks cost what n per-robot walks did.
 package gather
@@ -105,7 +108,8 @@ type Options = sim.Options
 
 // Simulate runs all robots on the same program and measures pairwise
 // meetings and the gathering time. Each pair's first meeting is the
-// two-robot sim.FirstMeeting of their framed programs. Gathering is found
+// two-robot walk of the program under their frames, bit-identical to
+// sim.FirstMeeting of their framed programs. Gathering is found
 // by the safe advance on the diameter over one walk of program per
 // distinct clock τ (see the package doc), which visits the same segment
 // boundaries, with the same motions, as walking each robot's framed program
@@ -119,12 +123,16 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	}
 	var res Result
 
-	// Pairwise meetings via the two-robot engine (exact closed forms).
+	frames := make([]segment.Frame, len(in.Robots))
+	for i, r := range in.Robots {
+		frames[i] = r.Attrs.Frame(r.Origin)
+	}
+
+	// Pairwise meetings via the two-robot engine (exact closed forms), each
+	// robot walking the local program under its own frame.
 	for i := range in.Robots {
 		for j := i + 1; j < len(in.Robots); j++ {
-			a := in.Robots[i].Attrs.Apply(program, in.Robots[i].Origin)
-			b := in.Robots[j].Attrs.Apply(program, in.Robots[j].Origin)
-			r, err := sim.FirstMeeting(a, b, in.R, opt)
+			r, err := sim.FirstMeetingFramed(program, frames[i], program, frames[j], in.R, opt)
 			if err != nil {
 				return Result{}, fmt.Errorf("pair (%d,%d): %w", i, j, err)
 			}
@@ -133,7 +141,7 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	}
 
 	// Gathering: conservative diameter tracking across all robots.
-	gt, ok, diam, err := firstDiameterDrop(program, in, opt)
+	gt, ok, diam, err := firstDiameterDrop(program, in, frames, opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -176,7 +184,7 @@ func (c *clock) next() {
 // motion that frame gives it, and that motion's speed bound.
 type body struct {
 	clock int // index into diameterWalk.clocks
-	frame segment.Frame
+	frame *segment.Frame
 	mov   motion.Mover
 	speed float64 // mov.SpeedBound(), cached per Set
 }
@@ -191,8 +199,8 @@ type diameterWalk struct {
 }
 
 // newDiameterWalk groups the robots by bit-equal τ and opens one cursor per
-// group over the local program.
-func newDiameterWalk(program trajectory.Source, robots []Robot) *diameterWalk {
+// group over the local program; frames[i] is robot i's frame.
+func newDiameterWalk(program trajectory.Source, robots []Robot, frames []segment.Frame) *diameterWalk {
 	w := &diameterWalk{
 		// Full capacity up front: the cursors' collectors point into the
 		// slice, so it must never move.
@@ -210,7 +218,7 @@ func newDiameterWalk(program trajectory.Source, robots []Robot) *diameterWalk {
 			w.clocks[k].cur.Init(program)
 			w.clocks[k].next()
 		}
-		w.bodies[i] = body{clock: k, frame: segment.NewFrame(r.Attrs.Affine(r.Origin), r.Attrs.Tau)}
+		w.bodies[i] = body{clock: k, frame: &frames[i]}
 	}
 	return w
 }
@@ -246,8 +254,7 @@ func (w *diameterWalk) advance(now, horizon float64) (intervalEnd float64, allHa
 			continue
 		}
 		if c.has {
-			seg := b.frame.Apply(&c.seg)
-			b.mov.Set(&seg, c.start, c.dur)
+			b.mov.SetFramed(&c.seg, b.frame, c.start, c.dur)
 		} else {
 			// A halted robot parks at the end of its last segment (the
 			// origin of the global frame if the program was empty).
@@ -268,8 +275,8 @@ func (w *diameterWalk) advance(now, horizon float64) (intervalEnd float64, allHa
 
 // firstDiameterDrop finds the first time the robots' diameter is ≤ R, by
 // safe advancement over the merged segment timeline.
-func firstDiameterDrop(program trajectory.Source, in Instance, opt Options) (t float64, ok bool, diamAtHorizon float64, err error) {
-	w := newDiameterWalk(program, in.Robots)
+func firstDiameterDrop(program trajectory.Source, in Instance, frames []segment.Frame, opt Options) (t float64, ok bool, diamAtHorizon float64, err error) {
+	w := newDiameterWalk(program, in.Robots, frames)
 	defer w.close()
 	slack := opt.Slack
 	if slack <= 0 {

@@ -51,20 +51,55 @@ func (m *Mover) Set(seg *segment.Seg, absStart, dur float64) {
 		return
 	}
 	if g, ok := segment.ArcAtDur(seg, dur); ok {
-		m.kind = moverCircular
-		m.circ = Circular{
-			T0:     absStart,
-			Center: g.Center,
-			Radius: g.Radius,
-			Theta0: g.StartAngle,
-			Omega:  g.Omega,
-		}
+		m.setCircular(g, absStart)
 		return
 	}
 	m.kind = moverSeg
 	m.seg = *seg
 	m.t0 = absStart
 	m.bound = seg.MaxSpeed()
+}
+
+// SetFramed fills the Mover with the motion of the raw local segment raw
+// placed under the frame f, starting at absolute time absStart. It is
+// bit-identical to Set(f.Apply(raw), absStart, dur) but builds no framed
+// segment: waits and lines map their two endpoints through f, and arcs
+// take f's cached similarity constants (segment.Frame.ArcAtDur). Anything
+// else — an arc under a non-similarity map, or a raw segment that already
+// carries a frame or a time dilation (on which Apply panics) — materialises
+// the framed segment and calls Set.
+//
+// dur must equal the framed duration, f.Scale of the raw one; walks over a
+// local program compute it once per segment.
+func (m *Mover) SetFramed(raw *segment.Seg, f *segment.Frame, absStart, dur float64) {
+	if !raw.Framed() && !raw.Modulated() {
+		switch raw.Kind() {
+		case segment.KindWait, segment.KindLine:
+			start, end := f.Endpoints(raw)
+			m.kind = moverLinear
+			m.lin = linearFromEndpoints(start, end, dur, absStart)
+			return
+		case segment.KindArc:
+			if g, ok := f.ArcAtDur(raw, dur); ok {
+				m.setCircular(g, absStart)
+				return
+			}
+		}
+	}
+	seg := f.Apply(raw)
+	m.Set(&seg, absStart, dur)
+}
+
+// setCircular fills the Mover with the circular motion g from absStart.
+func (m *Mover) setCircular(g segment.ArcGeometry, absStart float64) {
+	m.kind = moverCircular
+	m.circ = Circular{
+		T0:     absStart,
+		Center: g.Center,
+		Radius: g.Radius,
+		Theta0: g.StartAngle,
+		Omega:  g.Omega,
+	}
 }
 
 // SetStatic fills the Mover with a point fixed at p.

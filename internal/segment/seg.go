@@ -111,23 +111,12 @@ func (s *Seg) arc() Arc {
 // Transformed returns the segment under the affine map m and time dilation
 // timeScale — the local→global frame shift of the paper. It panics on a
 // non-positive time scale or when a frame transform is already present
-// (frames are applied exactly once, at the outermost trajectory layer).
+// (frames are applied exactly once, at the outermost trajectory layer). It is
+// NewFrame(m, timeScale).Apply(s); walks that apply one frame to many
+// segments build the Frame once instead.
 func (s *Seg) Transformed(m geom.Affine, timeScale float64) Seg {
-	if timeScale <= 0 {
-		panic(fmt.Sprintf("segment: Transformed with non-positive time scale %v", timeScale))
-	}
-	if s.framed {
-		panic("segment: Seg already carries a frame transform")
-	}
-	if s.mod != 0 {
-		panic("segment: frame transform under an existing time dilation")
-	}
-	out := *s
-	out.framed = true
-	out.m = m
-	out.tau = timeScale
-	out.opNorm = m.M.OperatorNorm()
-	return out
+	f := NewFrame(m, timeScale)
+	return f.Apply(s)
 }
 
 // Dilated rescales the segment's time unit by timeScale (geometry

@@ -62,45 +62,72 @@ func ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 	if !s.framed {
 		m, ts = geom.IdentityAffine, s.mod
 	}
-	// Similarity test: columns of the linear part orthogonal with equal
-	// norms.
-	c1 := geom.V(m.M.A, m.M.C)
-	c2 := geom.V(m.M.B, m.M.D)
+	k := newArcFrame(m.M)
+	if !k.similar {
+		return ArcGeometry{}, false
+	}
+	return k.place(arc, m, ts, dur, s.framed), true
+}
+
+// arcFrame holds the constants of placing circular arcs under one affine
+// map: whether its linear part is a similarity (columns orthogonal with
+// equal norms), its scale and its handedness (the sign of its determinant).
+// ArcAtDur computes them per segment; Frame caches them per frame.
+type arcFrame struct {
+	similar    bool
+	scale      float64
+	handedness float64
+}
+
+// newArcFrame runs the similarity test on the linear part m.
+func newArcFrame(m geom.Mat) arcFrame {
+	c1 := geom.V(m.A, m.C)
+	c2 := geom.V(m.B, m.D)
 	n1, n2 := c1.Norm(), c2.Norm()
 	const eps = 1e-12
 	avg := (n1 + n2) / 2
 	if avg == 0 {
-		return ArcGeometry{}, false
+		return arcFrame{}
 	}
 	if diff := n1 - n2; diff > eps*avg || diff < -eps*avg {
-		return ArcGeometry{}, false
+		return arcFrame{}
 	}
 	if dot := c1.Dot(c2); dot > eps*avg*avg || dot < -eps*avg*avg {
-		return ArcGeometry{}, false
+		return arcFrame{}
 	}
+	k := arcFrame{similar: true, scale: n1, handedness: 1}
+	if m.Det() < 0 {
+		k.handedness = -1
+	}
+	return k
+}
+
+// place returns the outer-frame geometry of arc under the similarity m,
+// whose constants are k, and the time dilation ts, over duration dur.
+// mapStart says whether m applies to the arc's start point: it does under a
+// frame; under a pure dilation m is the identity and the start point is
+// taken as it is, exactly as Seg.Position(0) evaluates it.
+func (k arcFrame) place(arc Arc, m geom.Affine, ts, dur float64, mapStart bool) ArcGeometry {
 	// Under x ↦ M x + b with M = s·Rot(α)·Diag(1, ±1), the circle
 	// C + ρ·e^{iθ} maps to (M C + b) + sρ·e^{i(±θ+α)}: again a circular arc
 	// with radius s·ρ, traversed at angular velocity ±ω/τ.
 	center := m.Apply(arc.Center)
-	scale := c1.Norm()
-	radius := arc.Radius * scale
+	radius := arc.Radius * k.scale
 	if radius == 0 || dur == 0 {
-		return ArcGeometry{Center: center, Radius: radius, StartAngle: 0, Omega: 0, Duration: dur}, true
+		return ArcGeometry{Center: center, Radius: radius, StartAngle: 0, Omega: 0, Duration: dur}
 	}
-	// Recover start angle and handedness from exact endpoint images.
-	start := s.Position(0).Sub(center)
-	omegaInner := arc.AngularVelocity()
-	handedness := 1.0
-	if m.M.Det() < 0 {
-		handedness = -1
+	// Recover the start angle from the exact image of the start point.
+	start := arc.Position(0 / ts)
+	if mapStart {
+		start = m.Apply(start)
 	}
 	return ArcGeometry{
 		Center:     center,
 		Radius:     radius,
-		StartAngle: start.Angle(),
-		Omega:      handedness * omegaInner / ts,
+		StartAngle: start.Sub(center).Angle(),
+		Omega:      k.handedness * arc.AngularVelocity() / ts,
 		Duration:   dur,
-	}, true
+	}
 }
 
 // Position returns the point on the arc at local time t (clamped).

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/batch"
-	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/segment"
@@ -28,10 +27,11 @@ import (
 //   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
 //     independently — but over one shared tape of raw segments with the raw
-//     duration/length computed once, and with each lane's frame operator
-//     norm computed once per lane instead of once per segment
-//     (segment.Frame). Generation, trig, and cursor overhead amortize across
-//     the batch.
+//     duration/length computed once, and with each lane's frame constants
+//     computed once per lane (segment.Frame): a lane places raw tape
+//     segments under its frame (Mover.SetFramed) and never builds a framed
+//     segment. Generation, trig, and cursor overhead amortize across the
+//     batch.
 
 // SearchBatch runs Search for every lane of ln (target TX/TY, radius R,
 // horizon Horizon) against one shared program. Results and errors are
@@ -241,12 +241,13 @@ func (tp *tape) get(i int) bool {
 
 // tapeStream is one robot's half of a per-lane merged walk over a shared
 // tape: the exact state machine of stream (see sim.go), with the cursor pull
-// replaced by a tape index plus a per-lane frame application.
+// replaced by a tape index and the lane's frame applied at placement. The
+// current segment is tp.segs[idx-1], addressed by index rather than held by
+// pointer or copied, because the tape's slice moves when it grows.
 type tapeStream struct {
 	tp       *tape
 	fr       segment.Frame
 	idx      int
-	seg      segment.Seg
 	segDur   float64
 	segLen   float64
 	start    float64
@@ -258,8 +259,8 @@ type tapeStream struct {
 }
 
 // reset re-aims the stream at the tape under fr and pulls its first segment.
-func (s *tapeStream) reset(tp *tape, fr segment.Frame) {
-	*s = tapeStream{tp: tp, fr: fr}
+func (s *tapeStream) reset(tp *tape, fr *segment.Frame) {
+	*s = tapeStream{tp: tp, fr: *fr}
 	s.next()
 }
 
@@ -269,12 +270,12 @@ func (s *tapeStream) next() {
 	}
 	if !s.tp.get(s.idx) {
 		if s.has {
-			s.finalPos = s.seg.End()
+			last := s.fr.Apply(&s.tp.segs[s.idx-1])
+			s.finalPos = last.End()
 		}
 		s.has = false
 		return
 	}
-	s.seg = s.fr.Apply(&s.tp.segs[s.idx])
 	s.segDur, s.segLen = s.fr.Scale(s.tp.durs[s.idx], s.tp.lens[s.idx])
 	s.idx++
 	s.has = true
@@ -297,7 +298,7 @@ func (s *tapeStream) motionAt(t float64) {
 	}
 	s.odo.observe(s.start, s.segDur, s.segLen)
 	if advanced || s.end == 0 {
-		s.mov.Set(&s.seg, s.start, s.segDur)
+		s.mov.SetFramed(&s.tp.segs[s.idx-1], &s.fr, s.start, s.segDur)
 		s.end = s.start + s.segDur
 	}
 }
@@ -369,10 +370,6 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 	tp.init(program)
 	defer tp.close()
 
-	// The reference frame is lane-independent; its operator norm is exactly
-	// 1, so stream A's framed durations and lengths equal the raw tape's.
-	refFrame := segment.NewFrame(frame.Reference().Affine(geom.Zero), frame.Reference().Tau)
-
 	// Both walk states are reused across lanes: the batch adds no per-lane
 	// heap allocations beyond the shared tape.
 	var w struct{ sa, sb tapeStream }
@@ -390,8 +387,9 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 			errs[i] = ErrBadOptions
 			continue
 		}
-		w.sa.reset(&tp, refFrame)
-		w.sb.reset(&tp, segment.NewFrame(in.Attrs.Affine(in.D), in.Attrs.Tau))
+		fb := in.Attrs.Frame(in.D)
+		w.sa.reset(&tp, &referenceFrame)
+		w.sb.reset(&tp, &fb)
 		results[i], errs[i] = firstMeetingTape(&w.sa, &w.sb, in.R, lopt)
 	}
 	return results, errs

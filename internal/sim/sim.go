@@ -20,6 +20,17 @@
 // resumable cursor over each stream — instead of iter.Pull coroutines. The
 // per-segment motions live in caller-owned motion.Mover storage.
 //
+// A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
+// whole walk, so the rendezvous walks apply it at placement rather than per
+// segment: Rendezvous and RendezvousAsymmetric (through FirstMeetingFramed)
+// pull each robot's *local* program and place every raw segment under the
+// robot's segment.Frame, whose constants — operator norm, similarity
+// verdict, scale, handedness — are computed once. Durations and lengths go
+// through Frame.Scale and motions through motion.Mover.SetFramed; both run
+// the arithmetic of the framed segment in the same order, so the results
+// are bit-identical to FirstMeeting over the Transform-framed programs.
+// FirstMeeting itself walks opaque global sources as they are.
+//
 // For whole grid rows of instances sharing one algorithm shape, the batched
 // SoA kernels (SearchBatch, RendezvousBatch, FirstMeetingBatch over
 // batch.Lanes) amortize segment generation across all lanes: SearchBatch
@@ -139,12 +150,20 @@ func detectOptions(opt Options, r float64) motion.Options {
 // stream is one robot's half of the merged two-source walk: a resumable
 // cursor over its segment stream, the current segment placed on the
 // absolute time axis, the odometer, and the reusable motion storage.
+//
+// With a frame, the cursor yields the robot's local program and the frame
+// is applied at placement: durations and lengths go through Frame.Scale and
+// the motion through Mover.SetFramed, both bit-identical to walking the
+// Transform-framed program. Without one the cursor yields global segments,
+// placed as they are.
 type stream struct {
 	cur      trajectory.Cursor
-	seg      segment.Seg
-	segDur   float64 // seg.Duration(), computed once per segment
-	segLen   float64 // seg.PathLength(), computed once per segment
-	start    float64 // absolute start time of seg
+	fr       segment.Frame // the robot's frame, when framed
+	framed   bool
+	seg      segment.Seg // current segment (raw local when framed)
+	segDur   float64     // its global duration, computed once per segment
+	segLen   float64     // its global path length, computed once per segment
+	start    float64     // absolute start time of seg
 	has      bool
 	finalPos geom.Vec
 	odo      odometer
@@ -152,9 +171,13 @@ type stream struct {
 	end      float64 // absolute end of the current motion (+Inf when halted)
 }
 
-// init readies the stream and pulls its first segment.
-func (s *stream) init(src trajectory.Source) {
+// init readies the stream over src under fr (nil: src is global) and pulls
+// its first segment.
+func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 	s.cur.Init(src)
+	if fr != nil {
+		s.fr, s.framed = *fr, true
+	}
 	s.next()
 }
 
@@ -170,13 +193,20 @@ func (s *stream) next() {
 		// (End() costs a sincos for arcs, so it is not computed per
 		// segment). s.seg still holds the last segment.
 		if s.has {
-			s.finalPos = s.seg.End()
+			last := s.seg
+			if s.framed {
+				last = s.fr.Apply(&s.seg)
+			}
+			s.finalPos = last.End()
 		}
 		s.has = false
 		return
 	}
 	s.seg = seg
 	s.segDur, s.segLen = s.seg.DurationAndLength()
+	if s.framed {
+		s.segDur, s.segLen = s.fr.Scale(s.segDur, s.segLen)
+	}
 	s.has = true
 }
 
@@ -200,7 +230,11 @@ func (s *stream) motionAt(t float64) {
 	}
 	s.odo.observe(s.start, s.segDur, s.segLen)
 	if advanced || s.end == 0 {
-		s.mov.Set(&s.seg, s.start, s.segDur)
+		if s.framed {
+			s.mov.SetFramed(&s.seg, &s.fr, s.start, s.segDur)
+		} else {
+			s.mov.Set(&s.seg, s.start, s.segDur)
+		}
 		s.end = s.start + s.segDur
 	}
 }
@@ -218,6 +252,21 @@ func (s *stream) close() { s.cur.Close() }
 // boxed and no pull coroutine runs; see trajectory.Cursor for how the push
 // generators are suspended and resumed.
 func FirstMeeting(a, b trajectory.Source, r float64, opt Options) (Result, error) {
+	return firstMeeting(a, nil, b, nil, r, opt)
+}
+
+// FirstMeetingFramed is FirstMeeting of the local programs programA and
+// programB placed under the frames fa and fb:
+// FirstMeeting(Transform(programA, fa), Transform(programB, fb), r, opt),
+// bit for bit. The frames are applied at placement (Mover.SetFramed), so
+// the walk builds no framed segment.
+func FirstMeetingFramed(programA trajectory.Source, fa segment.Frame, programB trajectory.Source, fb segment.Frame, r float64, opt Options) (Result, error) {
+	return firstMeeting(programA, &fa, programB, &fb, r, opt)
+}
+
+// firstMeeting is the merged walk behind FirstMeeting and
+// FirstMeetingFramed; a nil frame marks a global source.
+func firstMeeting(a trajectory.Source, fa *segment.Frame, b trajectory.Source, fb *segment.Frame, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
 	}
@@ -227,9 +276,9 @@ func FirstMeeting(a, b trajectory.Source, r float64, opt Options) (Result, error
 	// closures capture pointers into it, so it escapes as a single object.
 	var w struct{ sa, sb stream }
 	sa, sb := &w.sa, &w.sb
-	sa.init(a)
+	sa.init(a, fa)
 	defer sa.close()
-	sb.init(b)
+	sb.init(b, fb)
 	defer sb.close()
 
 	var res Result
@@ -453,17 +502,20 @@ func (in Instance) Validate() error {
 	return nil
 }
 
+// referenceFrame is the reference robot R's frame: the identity map from the
+// origin, at unit clock.
+var referenceFrame = frame.Reference().Frame(geom.Zero)
+
 // Rendezvous simulates both robots executing the same local-frame program:
 // the reference robot R from the origin in the reference frame, and R′ from
 // displacement in.D under in.Attrs. Rendezvous is declared when their
 // distance first drops to in.R.
+//
+// Each robot walks the local program through its own cursor and applies its
+// frame at placement (FirstMeetingFramed); the result is bit-identical to
+// FirstMeeting(Reference().Apply(program, 0), Attrs.Apply(program, D)).
 func Rendezvous(program trajectory.Source, in Instance, opt Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	a := frame.Reference().Apply(program, geom.Zero)
-	b := in.Attrs.Apply(program, in.D)
-	return FirstMeeting(a, b, in.R, opt)
+	return RendezvousAsymmetric(program, program, in, opt)
 }
 
 // RendezvousAsymmetric simulates two robots running *different* local-frame
@@ -473,7 +525,5 @@ func RendezvousAsymmetric(programA, programB trajectory.Source, in Instance, opt
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	a := frame.Reference().Apply(programA, geom.Zero)
-	b := in.Attrs.Apply(programB, in.D)
-	return FirstMeeting(a, b, in.R, opt)
+	return FirstMeetingFramed(programA, referenceFrame, programB, in.Attrs.Frame(in.D), in.R, opt)
 }

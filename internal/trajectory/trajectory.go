@@ -70,16 +70,26 @@ func Repeat(gen func(round int) Source) Source {
 
 // Transform returns a Source applying the affine map m and time dilation
 // timeScale to every segment of src. This is how a reference frame is
-// applied to a whole trajectory. The transform is folded into each yielded
-// Seg value rather than wrapping it, so frame application allocates
-// nothing.
+// applied to a whole trajectory. Each generator invocation builds one
+// segment.Frame and folds it into every yielded Seg value rather than
+// wrapping it, so frame application allocates nothing per segment.
 func Transform(src Source, m geom.Affine, timeScale float64) Source {
 	return func(yield func(segment.Seg) bool) {
+		if timeScale <= 0 {
+			// NewFrame would panic; leave the panic to the first segment,
+			// so an empty source stays valid under any frame.
+			src(func(s segment.Seg) bool {
+				return yield(s.Transformed(m, timeScale))
+			})
+			return
+		}
+		f := segment.NewFrame(m, timeScale)
 		// Direct nested callback, not `for s := range src`: the range sugar
 		// compiles to a fresh loop-body closure plus boxed loop state per
 		// invocation, which this (one closure per invocation) avoids.
 		src(func(s segment.Seg) bool {
-			return yield(s.Transformed(m, timeScale))
+			fc := f // a copy: taking f's own address would move it to the heap
+			return yield(fc.Apply(&s))
 		})
 	}
 }

@@ -84,6 +84,20 @@ func TestTransform(t *testing.T) {
 	}
 }
 
+// TestTransformNonPositiveScale: a non-positive time scale panics at the
+// first segment, as Seg.Transformed does, so an empty source stays valid.
+func TestTransformNonPositiveScale(t *testing.T) {
+	if n := len(Collect(Transform(FromSlice(nil), geom.IdentityAffine, 0))); n != 0 {
+		t.Fatalf("empty source yielded %d segments", n)
+	}
+	defer func() {
+		if p := recover(); p != "segment: Transformed with non-positive time scale 0" {
+			t.Fatalf("panic %v, want Transformed's non-positive time scale panic", p)
+		}
+	}()
+	Collect(Transform(FromSlice([]segment.Seg{line(0, 0, 1, 0)}), geom.IdentityAffine, 0))
+}
+
 func TestTruncate(t *testing.T) {
 	src := Repeat(func(int) Source {
 		return FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 0, 0)})
