@@ -189,14 +189,19 @@ shardcheck:
 # frame (Mover.SetFramed) against Set on the framed segment; the scalar
 # rendezvous walks against FirstMeeting over Transform-framed programs; the
 # batch-vs-scalar kernel differential; the shared-clock gathering walk
-# against the frozen per-robot walk; and journal crash recovery — arbitrary
+# against the frozen per-robot walk; journal crash recovery — arbitrary
 # journal bytes must load without error and yield exactly the CRC-valid
-# clean prefix. Override FUZZTIME for shorter/longer passes, e.g.
-# `make fuzz FUZZTIME=5s`.
+# clean prefix; the lazy pseudo stream against math/rand's rngSource for
+# an arbitrary seed and stream length, raw and through every rand.Rand
+# method; and rvserved's HTTP boundary — arbitrary bodies to every POST
+# endpoint answer only 200/400/429/503, and every 200 rendezvous or sweep
+# equals an in-process recomputation. Override FUZZTIME for shorter/longer
+# passes, e.g. `make fuzz FUZZTIME=5s`.
 fuzz:
 	$(GO) test -run NONE -fuzz FuzzParseAxis -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzParseShard -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run NONE -fuzz FuzzParseSampler -fuzztime $(FUZZTIME) ./internal/sampler
+	$(GO) test -run NONE -fuzz FuzzPseudoMatchesMathRand -fuzztime $(FUZZTIME) ./internal/sampler
 	$(GO) test -run NONE -fuzz FuzzDecomposeTau -fuzztime $(FUZZTIME) ./internal/bounds
 	$(GO) test -run NONE -fuzz FuzzLambertW0 -fuzztime $(FUZZTIME) ./internal/bounds
 	$(GO) test -run NONE -fuzz FuzzRendezvousRoundBound -fuzztime $(FUZZTIME) ./internal/bounds
@@ -210,3 +215,4 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run NONE -fuzz FuzzHandlers -fuzztime $(FUZZTIME) ./cmd/rvserved

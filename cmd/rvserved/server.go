@@ -290,19 +290,22 @@ func toSimResponse(res sim.Result, horizon float64, programID string, elapsed ti
 	}
 }
 
+// rendezvousRequest is the POST /v1/rendezvous body.
+type rendezvousRequest struct {
+	pointParams
+	Algo    string   `json:"algo,omitempty"`
+	Horizon *float64 `json:"horizon,omitempty"`
+	// Sampler is accepted for parity with /v1/sweep and validated the
+	// same way; a single exact instance draws nothing, so a valid name
+	// changes no bytes here.
+	Sampler string `json:"sampler,omitempty"`
+}
+
 // handleRendezvous serves POST /v1/rendezvous: one exact rendezvous
 // simulation, read through the singleflight cache (concurrent identical
 // queries simulate once; repeats are served from memory).
 func (s *server) handleRendezvous(w http.ResponseWriter, r *http.Request) error {
-	var req struct {
-		pointParams
-		Algo    string   `json:"algo,omitempty"`
-		Horizon *float64 `json:"horizon,omitempty"`
-		// Sampler is accepted for parity with /v1/sweep and validated the
-		// same way; a single exact instance draws nothing, so a valid name
-		// changes no bytes here.
-		Sampler string `json:"sampler,omitempty"`
-	}
+	var req rendezvousRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
@@ -400,19 +403,22 @@ func (s *server) handleFeasibility(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
+// sweepRequest is the POST /v1/sweep body.
+type sweepRequest struct {
+	Axes    []string `json:"axes"`
+	Algo    string   `json:"algo,omitempty"`
+	Samples int      `json:"samples,omitempty"`
+	Seed    int64    `json:"seed,omitempty"`
+	Sampler string   `json:"sampler,omitempty"`
+	Workers int      `json:"workers,omitempty"`
+}
+
 // handleSweep serves POST /v1/sweep: a whole grid of rendezvous instances
 // through the shared process-wide sweep pool (or, when the request carries
 // its own worker budget, through private goroutines capped at that budget).
 // Admission is bounded: a full sweep house answers 429 + Retry-After.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	var req struct {
-		Axes    []string `json:"axes"`
-		Algo    string   `json:"algo,omitempty"`
-		Samples int      `json:"samples,omitempty"`
-		Seed    int64    `json:"seed,omitempty"`
-		Sampler string   `json:"sampler,omitempty"`
-		Workers int      `json:"workers,omitempty"`
-	}
+	var req sweepRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
@@ -434,8 +440,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if samples < 1 {
 		samples = 1
 	}
-	if jobs := grid.Size() * samples; jobs > s.maxSweepJobs {
-		return badRequest("sweep of %d jobs exceeds the per-request budget of %d (points × samples)", jobs, s.maxSweepJobs)
+	// Compare by division: points × samples may overflow int, and a
+	// wrapped product must not slip under the budget.
+	if points := grid.Size(); points < 0 || points > 0 && samples > s.maxSweepJobs/points {
+		return badRequest("sweep of %d points × %d samples exceeds the per-request budget of %d jobs", points, samples, s.maxSweepJobs)
 	}
 
 	select {

@@ -160,6 +160,9 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 	if samples < 1 {
 		samples = 1
 	}
+	if points := grid.Size(); points < 0 || samples > math.MaxInt/points {
+		return nil, fmt.Errorf("experiments: grid of %d points × %d samples is too large", points, samples)
+	}
 	if cfg.sweepNames == nil {
 		cfg.sweepNames = &batchCounter{prefix: "GRID"}
 	}

@@ -7,15 +7,18 @@
 // A sweep of n jobs asks its Source for one Draws handle per dense job
 // index i ∈ [0, n); the job then reads its random coordinates one dimension
 // at a time — Float64(0) for the first coordinate, Float64(1) for the
-// second, and so on, each dimension exactly once, in increasing order.
-// Because the value of (seed, i, dim) never depends on which process,
-// worker, or batch row evaluates job i, any sampler splits across a K-way
-// stride-sharded fleet (see sweep.Shard) and recombines byte-identically:
-// shard safety is a corollary of the addressing, not a property each
-// sampler must re-establish. This is why Sources must be dimension-
-// addressed — a sampler that handed out draws from shared sequential
-// state would make job i's values depend on which jobs ran before it in
-// the same process, and a sharded run could never reproduce them.
+// second, and so on. Every kind computes Float64(dim) as a pure function
+// of (seed, i, dim): a job may read its dimensions in any order, any number
+// of times. Because the value of (seed, i, dim) never depends on which
+// process, worker, or batch row evaluates job i, any sampler splits across
+// a K-way stride-sharded fleet (see sweep.Shard) and recombines
+// byte-identically: shard safety is a corollary of the addressing, not a
+// property each sampler must re-establish. This is why Sources must be
+// dimension-addressed — a sampler that handed out draws from shared
+// sequential state would make job i's values depend on which jobs ran
+// before it in the same process, and a sharded run could never reproduce
+// them. The one sequential view is Draws.Rand, the legacy *rand.Rand,
+// whose values follow the order of its calls like any rand.Rand.
 //
 // # Blocks
 //
@@ -32,8 +35,9 @@
 //
 //   - pseudo: the job's private math/rand stream seeded from
 //     SeedAt(seed, i) — bit-identical to the pre-sampler sweep engine
-//     (sweep.Rand). Float64 ignores the dimension and draws sequentially,
-//     which under the in-order contract is the same thing. The default.
+//     (sweep.Rand). Float64(dim) is the dim-th rand.Rand.Float64 of that
+//     stream, computed from the two register words each draw reads rather
+//     than by seeding the 607-word register (see pseudo.go). The default.
 //   - sobol: a digitally shifted Sobol' sequence (Joe–Kuo direction
 //     numbers, 16 dimensions; higher dimensions fall back to hashed
 //     draws) over the block position.
@@ -112,7 +116,8 @@ func ParseKind(name string) (Kind, error) {
 // streams (base+index alone would make neighbouring jobs near-identical
 // under math/rand's lagged-Fibonacci state). This is the derivation the
 // sweep engine has always used — sweep.Seed delegates here — and the
-// pseudo sampler's stream is rand.New(rand.NewSource(SeedAt(seed, i))).
+// pseudo sampler's stream is the one rand.New(rand.NewSource(SeedAt(seed, i)))
+// yields.
 func SeedAt(base int64, index int) int64 {
 	z := uint64(base) + uint64(index)*0x9e3779b97f4a7c15 + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -156,31 +161,25 @@ func (s *Source) Kind() Kind { return s.kind }
 func (s *Source) Name() string { return s.kind.String() }
 
 // Draws returns the handle of dense job index under the given base seed.
-// The handle is cheap value state; for the pseudo kind it owns the job's
-// private *rand.Rand (the allocation the pre-sampler engine made per job).
+// The handle is plain value state for every kind; nothing is seeded or
+// allocated until a draw is read.
 func (s *Source) Draws(seed int64, index int) Draws {
-	d := Draws{kind: s.kind, seed: seed, index: index, block: s.block}
-	if s.kind == Pseudo {
-		d.rng = rand.New(rand.NewSource(SeedAt(seed, index)))
-	}
-	return d
+	return Draws{kind: s.kind, seed: seed, index: index, block: s.block}
 }
 
 // Draws is one job's dimension-addressed view of its Source: Float64(dim)
-// is the job's uniform [0,1) coordinate in dimension dim. Callers must
-// read each dimension exactly once, in increasing order — the pseudo kind
-// draws sequentially from the job's rand stream (that is what makes it
-// bit-identical to the legacy engine), so out-of-order access would
-// silently permute its values.
+// is the job's uniform [0,1) coordinate in dimension dim, a pure function
+// of (seed, index, dim) for every kind.
 type Draws struct {
 	kind  Kind
 	seed  int64
 	index int
 	block int
-	rng   *rand.Rand // pseudo: the job's sequential stream
 }
 
-// Float64 returns the draw of the given dimension.
+// Float64 returns the draw of the given dimension. For the pseudo kind it
+// is the dim-th Float64 of the job's math/rand stream, so reading
+// dimensions 0, 1, … in order yields exactly that stream.
 func (d Draws) Float64(dim int) float64 {
 	switch d.kind {
 	case Stratified:
@@ -190,23 +189,23 @@ func (d Draws) Float64(dim int) float64 {
 	case Sobol:
 		return sobolAt(d.seed, d.block, d.index, dim)
 	}
-	return d.rng.Float64()
+	return pseudoFloat64(SeedAt(d.seed, d.index), dim)
 }
 
 // Index returns the dense job index this handle addresses.
 func (d Draws) Index() int { return d.index }
 
-// Rand returns the job's private pseudo stream — the exact generator the
-// pre-sampler engine handed to job index, regardless of the source's
-// kind. It exists for the legacy rand-signature adapters (sweep.Run and
-// friends): a callback that has not been ported to Draws keeps its
-// pseudo-random behavior byte-for-byte even when the sweep carries a QMC
-// sampler, which only migrated callbacks observe.
+// Rand returns a fresh copy of the job's private pseudo stream — a
+// *rand.Rand whose every method returns what the pre-sampler engine's
+// rand.New(rand.NewSource(SeedAt(seed, index))) returns, regardless of the
+// source's kind. Unlike Float64 it is sequential state: its values follow
+// the order of the calls made on it. It exists for the legacy
+// rand-signature adapters (sweep.Run and friends): a callback that has not
+// been ported to Draws keeps its pseudo-random behavior byte-for-byte even
+// when the sweep carries a QMC sampler, which only migrated callbacks
+// observe.
 func (d Draws) Rand() *rand.Rand {
-	if d.rng != nil {
-		return d.rng
-	}
-	return rand.New(rand.NewSource(SeedAt(d.seed, d.index)))
+	return rand.New(&lazySource{x0: seedState(SeedAt(d.seed, d.index))})
 }
 
 // Hash salts keep the scramble streams of the kinds (and their internal

@@ -77,7 +77,7 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 	drawsAt := func(i int) sampler.Draws { return src.Draws(opt.BaseSeed, i) }
 
 	rows := (n + rowSize - 1) / rowSize
-	rowFn := func(ri int, _ *rand.Rand) (struct{}, error) {
+	rowFn := func(ri int, _ sampler.Draws) (struct{}, error) {
 		lo := ri * rowSize
 		hi := lo + rowSize
 		if hi > n {
@@ -135,10 +135,10 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 		return struct{}{}, nil
 	}
 
-	// The inner Run handles only scheduling: shard, exchange, and monitor
-	// accounting happened above at lane granularity, and the row-level RNG
-	// is ignored (lanes draw theirs through the accessor).
-	_, err := Run(rows, rowFn, Options{Workers: opt.Workers, Pool: opt.Pool})
+	// The inner run handles only scheduling: shard, exchange, and monitor
+	// accounting happened above at lane granularity, and the row-level
+	// draws are ignored (lanes draw theirs through the accessor).
+	_, err := RunSampled(rows, rowFn, Options{Workers: opt.Workers, Pool: opt.Pool})
 	if err != nil {
 		var je *JobError
 		var le *LaneError

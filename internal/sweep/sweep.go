@@ -182,8 +182,8 @@ func RunContext[T any](ctx context.Context, n int, fn func(i int, rng *rand.Rand
 
 // RunSampled is Run for sampler-aware jobs: job i receives the
 // opt.Sampler draw handle addressed by (opt.BaseSeed, i) instead of a raw
-// *rand.Rand. With the default pseudo sampler and in-order dimension
-// access the draws are bit-identical to the Run path.
+// *rand.Rand. With the default pseudo sampler, dimensions 0, 1, … are the
+// successive Float64 values of the Run path's stream, bit for bit.
 func RunSampled[T any](n int, fn JobFunc[T], opt Options) ([]T, error) {
 	return RunSampledContext(context.Background(), n, fn, opt)
 }
