@@ -12,7 +12,6 @@ package rendezvous
 import (
 	"io"
 	"math"
-	"math/rand"
 	"runtime"
 	"testing"
 
@@ -22,6 +21,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/motion"
+	"repro/internal/sampler"
+	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -83,7 +84,7 @@ func benchSweep(b *testing.B, workers int) {
 	phis := []float64{math.Pi / 4, math.Pi / 2, 3 * math.Pi / 4, math.Pi}
 	n := len(vs) * len(phis)
 	for b.Loop() {
-		_, err := sweep.Run(n, func(i int, _ *rand.Rand) (float64, error) {
+		_, err := sweep.RunSampled(n, func(i int, _ sampler.Draws) (float64, error) {
 			in := Instance{
 				Attrs: Attributes{V: vs[i/len(phis)], Tau: 1, Phi: phis[i%len(phis)], Chi: CCW},
 				D:     XY(1, 0),
@@ -244,42 +245,48 @@ func BenchmarkSearchDeepRound(b *testing.B) {
 	}
 }
 
-// BenchmarkFirstContactLinear measures the closed-form linear-linear
-// detector.
+// contactMover returns the production Mover of seg placed at time 0.
+func contactMover(seg segment.Seg) *motion.Mover {
+	var m motion.Mover
+	m.Set(&seg, 0, seg.Duration())
+	return &m
+}
+
+// BenchmarkFirstContactLinear measures motion.Contact's closed-form
+// linear-linear case.
 func BenchmarkFirstContactLinear(b *testing.B) {
-	a := motion.Linear{P0: geom.V(0, 0), Vel: geom.V(1, 0)}
-	c := motion.Linear{P0: geom.V(10, 0.25), Vel: geom.V(-1, 0)}
+	a := contactMover(segment.NewLine(geom.V(0, 0), geom.V(100, 0), 1).Seg())
+	c := contactMover(segment.NewLine(geom.V(10, 0.25), geom.V(-90, 0.25), 1).Seg())
 	opt := motion.DefaultOptions(0.5)
 	for b.Loop() {
-		if _, found, err := motion.FirstContact(a, c, 0.5, 0, 100, opt); !found || err != nil {
+		if _, found, err := motion.Contact(a, c, 0.5, 0, 100, opt); !found || err != nil {
 			b.Fatal("no contact")
 		}
 	}
 }
 
-// BenchmarkFirstContactArcStatic measures the closed-form circular-static
-// detector (the hot path of every SearchCircle pass).
+// BenchmarkFirstContactArcStatic measures motion.Contact's closed-form
+// circular-static case (the hot path of every SearchCircle pass).
 func BenchmarkFirstContactArcStatic(b *testing.B) {
-	c := motion.Circular{Center: geom.Zero, Radius: 1, Theta0: 0, Omega: 1}
-	p := motion.Static(geom.V(0, 1.8))
+	c := contactMover(segment.NewArc(geom.Zero, 1, 0, 10, 1).Seg())
+	var p motion.Mover
+	p.SetStatic(geom.V(0, 1.8))
 	opt := motion.DefaultOptions(1)
 	for b.Loop() {
-		if _, found, err := motion.FirstContact(c, p, 1, 0, 10, opt); !found || err != nil {
+		if _, found, err := motion.Contact(c, &p, 1, 0, 10, opt); !found || err != nil {
 			b.Fatal("no contact")
 		}
 	}
 }
 
-// BenchmarkFirstContactConservative measures the safe-advance fallback on an
-// arc-arc encounter.
+// BenchmarkFirstContactConservative measures the safe-advance fallback,
+// motion.SafeAdvance, on an arc-arc encounter with unequal ω.
 func BenchmarkFirstContactConservative(b *testing.B) {
-	x := motion.Circular{Center: geom.V(-2, 0), Radius: 1, Theta0: math.Pi, Omega: 1}
-	y := motion.Circular{Center: geom.V(2, 0), Radius: 1, Theta0: 0, Omega: 1.7}
-	xf := motion.Func{F: x.At, Bound: x.SpeedBound()}
-	yf := motion.Func{F: y.At, Bound: y.SpeedBound()}
+	x := contactMover(segment.NewArc(geom.V(-2, 0), 1, math.Pi, 60, 1).Seg())
+	y := contactMover(segment.NewArc(geom.V(2, 0), 1, 0, 102, 1.7).Seg())
 	opt := motion.Options{Slack: 1e-9, MaxIters: 10_000_000}
 	for b.Loop() {
-		if _, found, err := motion.FirstContact(xf, yf, 2.1, 0, 60, opt); !found || err != nil {
+		if _, found, err := motion.SafeAdvance(x, y, 2.1, 0, 60, opt); !found || err != nil {
 			b.Fatal("no contact")
 		}
 	}

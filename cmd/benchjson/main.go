@@ -6,7 +6,6 @@
 // Usage:
 //
 //	go test -run NONE -bench . -benchmem . | benchjson -merge BENCH_sim.json > new.json
-//	go test -run NONE -bench . -benchmem . | benchjson -compare BENCH_sim.json
 //	go test -run NONE -bench . -benchmem . | benchjson -compare-history BENCH_history.jsonl
 //	benchjson -append BENCH_history.jsonl < BENCH_sim.json
 //
@@ -37,15 +36,6 @@
 // three entries the gate self-skips with exit status 0; it arms
 // automatically as committed history accumulates.
 //
-// -compare FILE switches to regression-gate mode (`make benchcheck`):
-// instead of emitting JSON, the run on stdin is compared against the
-// benchmarks recorded in FILE, and the exit status is non-zero when any
-// tracked benchmark regressed by more than -threshold (default 0.25, i.e.
-// 25%) in ns/op or allocs/op. allocs/op is stable across machines; ns/op
-// on shared CI hardware is noisy, which is why the CI job wiring this gate
-// is advisory. Benchmarks present on only one side are reported but never
-// fail the gate.
-//
 // Output shape:
 //
 //	{
@@ -68,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -77,11 +66,10 @@ import (
 
 func main() {
 	mergePath := flag.String("merge", "", "carry forward unknown top-level keys from this existing JSON document")
-	comparePath := flag.String("compare", "", "compare the run on stdin against this baseline document and fail on regressions")
 	compareHistoryPath := flag.String("compare-history", "", "compare the run on stdin against the windowed history at this JSON-lines file and fail on regressions")
 	appendPath := flag.String("append", "", "append the JSON document on stdin as one line of this JSON-lines history file")
 	force := flag.Bool("force", false, "allow -append to record a benchmark set that differs from the history's last entry")
-	threshold := flag.Float64("threshold", 0.25, "relative ns/op regression that fails -compare / -compare-history (0.25 = 25%)")
+	threshold := flag.Float64("threshold", 0.25, "relative ns/op regression that fails -compare-history (0.25 = 25%)")
 	window := flag.Int("window", 5, "number of trailing history entries -compare-history takes the median over")
 	benchtime := flag.String("benchtime", "1s", "the -benchtime the run on stdin used; stamped into recordings, and -compare-history gates ns/op only against entries recorded at the same benchtime")
 	flag.Parse()
@@ -141,9 +129,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *comparePath != "" {
-		os.Exit(compare(*comparePath, benches, *threshold))
-	}
 	if *compareHistoryPath != "" {
 		os.Exit(compareHistory(*compareHistoryPath, benches, *threshold, *window, *benchtime))
 	}
@@ -167,87 +152,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-}
-
-// compare reports the current run against the baseline document at path
-// and returns the process exit status: 1 when any benchmark tracked by the
-// baseline regressed by more than threshold in ns/op or allocs/op, 0
-// otherwise. Improvements and within-threshold drift are listed as "ok";
-// benchmarks on only one side are noted but never fail the gate (renames
-// and new benchmarks should not break CI).
-func compare(path string, current map[string]map[string]float64, threshold float64) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		return 1
-	}
-	var baseline struct {
-		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(data, &baseline); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: compare %s: %v\n", path, err)
-		return 1
-	}
-	if len(baseline.Benchmarks) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: compare %s: no recorded benchmarks\n", path)
-		return 1
-	}
-	if len(current) == 0 {
-		// Refuse to pass vacuously: zero parsed benchmarks means the bench
-		// invocation broke, not that nothing regressed.
-		fmt.Fprintln(os.Stderr, "benchjson: compare: no benchmark results on stdin")
-		return 1
-	}
-
-	names := make([]string, 0, len(baseline.Benchmarks))
-	for name := range baseline.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	regressions := 0
-	for _, name := range names {
-		cur, ok := current[name]
-		if !ok {
-			fmt.Printf("?  %s: in baseline but not in this run\n", name)
-			continue
-		}
-		for _, metric := range []string{"ns_per_op", "allocs_per_op"} {
-			old, haveOld := baseline.Benchmarks[name][metric]
-			now, haveNow := cur[metric]
-			if !haveOld || !haveNow {
-				continue
-			}
-			delta := 0.0
-			if old != 0 {
-				delta = (now - old) / old
-			} else if now != 0 {
-				delta = math.Inf(1) // e.g. allocs/op going 0 -> n
-			}
-			if delta > threshold {
-				regressions++
-				fmt.Printf("REGRESSION %s %s: %g -> %g (%+.1f%%, gate %+.0f%%)\n",
-					name, metric, old, now, 100*delta, 100*threshold)
-			} else {
-				fmt.Printf("ok %s %s: %g -> %g (%+.1f%%)\n", name, metric, old, now, 100*delta)
-			}
-		}
-	}
-	fresh := make([]string, 0, len(current))
-	for name := range current {
-		if _, ok := baseline.Benchmarks[name]; !ok {
-			fresh = append(fresh, name)
-		}
-	}
-	sort.Strings(fresh)
-	for _, name := range fresh {
-		fmt.Printf("?  %s: new benchmark, no baseline\n", name)
-	}
-	if regressions > 0 {
-		fmt.Printf("benchjson: %d metric(s) regressed more than %.0f%% vs %s\n", regressions, 100*threshold, path)
-		return 1
-	}
-	fmt.Printf("benchjson: no regressions beyond %.0f%% vs %s\n", 100*threshold, path)
-	return 0
 }
 
 // appendHistory validates the JSON document on r and appends it, compacted

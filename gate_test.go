@@ -2,7 +2,6 @@ package rendezvous
 
 import (
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sampler"
 	"repro/internal/sweep"
 )
 
@@ -119,7 +119,7 @@ var (
 // times.
 func gateSweep(t *testing.T, n, workers int) []float64 {
 	t.Helper()
-	times, err := sweep.Run(n, func(i int, _ *rand.Rand) (float64, error) {
+	times, err := sweep.RunSampled(n, func(i int, _ sampler.Draws) (float64, error) {
 		c := i % gateCells
 		in := Instance{
 			Attrs: Attributes{V: gateVs[c/len(gatePhis)], Tau: 1, Phi: gatePhis[c%len(gatePhis)], Chi: CCW},

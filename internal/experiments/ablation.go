@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
@@ -37,7 +36,7 @@ func A1FixedStepDetectorCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	// Fixed-step sampling at several resolutions.
 	for _, step := range []float64{5, 1, 0.25} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			hit, n := math.NaN(), 0
 			found := false
 			for x := t0; x <= t1; x += step {
@@ -52,12 +51,11 @@ func A1FixedStepDetectorCfg(cfg Config) (Table, error) {
 		})
 	}
 	// Safe advance (production path, forced through the conservative code).
-	jobs = append(jobs, func(*rand.Rand) ([]any, error) {
-		af := motion.Func{F: a.At, Bound: a.SpeedBound()}
+	jobs = append(jobs, func() ([]any, error) {
 		steps := 0
-		counting := motion.Func{F: func(x float64) geom.Vec { steps++; return b.At(x) }, Bound: 0}
-		hit, found, err := motion.FirstContact(af, counting, r, t0, t1,
-			motion.Options{Slack: 1e-9, MaxIters: 10_000_000})
+		counting := func(x float64) geom.Vec { steps++; return b.At(x) }
+		hit, found, err := motion.SafeAdvance(a1Motion{a.At, a.SpeedBound()}, a1Motion{counting, 0},
+			r, t0, t1, motion.Options{Slack: 1e-9, MaxIters: 10_000_000})
 		if err != nil {
 			return nil, fmt.Errorf("A1: %w", err)
 		}
@@ -71,6 +69,15 @@ func A1FixedStepDetectorCfg(cfg Config) (Table, error) {
 		"safe advance always detects it, spending steps only near the close approach")
 	return t, nil
 }
+
+// a1Motion is a motion given by its position function and speed bound.
+type a1Motion struct {
+	at    func(float64) geom.Vec
+	bound float64
+}
+
+func (m a1Motion) At(t float64) geom.Vec { return m.at(t) }
+func (m a1Motion) SpeedBound() float64   { return m.bound }
 
 // A2NoFinalWait ablates the final wait with the default config.
 func A2NoFinalWait() (Table, error) { return A2NoFinalWaitCfg(Config{}) }
@@ -87,7 +94,7 @@ func A2NoFinalWaitCfg(cfg Config) (Table, error) {
 	}
 	var jobs []rowJob
 	for k := 1; k <= 6; k++ {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			with := trajectory.Duration(algo.SearchRound(k))
 			without := trajectory.Duration(algo.SearchRoundNoWait(k))
 			closed := bounds.SearchRoundTime(k)
@@ -129,7 +136,7 @@ func A3NoReversePassCfg(cfg Config) (Table, error) {
 	}
 	var jobs []rowJob
 	for _, tau := range []float64{0.5, 0.7, 0.9} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			in := sim.Instance{
 				Attrs: frame.Attributes{V: 1, Tau: tau, Phi: 0, Chi: frame.CCW},
 				D:     geom.V(d, 0),

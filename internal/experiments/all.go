@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
+	"repro/internal/sampler"
 	"repro/internal/sweep"
 )
 
@@ -53,18 +53,17 @@ func Extras() []Runner {
 	}
 }
 
-// rowJob computes the formatted cells of one table row. The rng is the
-// job's private generator (see internal/sweep); deterministic grids ignore
-// it.
-type rowJob func(rng *rand.Rand) ([]any, error)
+// rowJob computes the formatted cells of one table row. Rows are
+// deterministic: none reads a random draw.
+type rowJob func() ([]any, error)
 
 // runRows executes one job per prospective row through the sweep pool and
 // appends the rows to t in job order, so the table is identical for every
 // worker count. Cells are formatted inside the job: the sweep result is the
 // final []string row, which a shard/merge exchange carries byte-exactly.
 func runRows(t *Table, cfg Config, jobs []rowJob) error {
-	rows, err := sweep.Run(len(jobs), func(i int, rng *rand.Rand) ([]string, error) {
-		cells, err := jobs[i](rng)
+	rows, err := sweep.RunSampled(len(jobs), func(i int, _ sampler.Draws) ([]string, error) {
+		cells, err := jobs[i]()
 		if err != nil {
 			return nil, err
 		}

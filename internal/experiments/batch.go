@@ -16,7 +16,7 @@ import (
 )
 
 // This file holds the batched row evaluators behind Config.Batch: one
-// sweep.RunBatched row — a contiguous slice of the dense job index space
+// sweep.RunBatchedSampled row — a contiguous slice of the dense job index space
 // whose lanes share an algorithm program shape — is gathered into a
 // batch.Lanes vector, evaluated by one SoA kernel call, and scattered back
 // into per-lane results with exactly the scalar path's cache keys, RNG

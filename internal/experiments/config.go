@@ -64,7 +64,7 @@ type Config struct {
 	// Batch, when true, routes the batch-eligible sweeps — the -grid
 	// rendezvous sweeps and E1's per-cell direction fans — through the SoA
 	// batch kernels (sim.SearchBatch / sim.RendezvousBatch via
-	// sweep.RunBatched), which evaluate a whole row of lanes over one
+	// sweep.RunBatchedSampled), which evaluate a whole row of lanes over one
 	// shared program stream. Tables are byte-identical to the scalar path;
 	// this is purely a throughput switch. Experiments without a batch
 	// kernel ignore it.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/analysis"
@@ -31,7 +30,7 @@ func E12CoverageCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for k := 1; k <= 3; k++ {
 		for j := 0; j <= 2*k-1; j++ {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				delta, rho := algo.RoundAnnulus(j, k)
 				rep, err := analysis.CoverAnnulus(func() trajectory.Source {
 					return algo.SearchRound(k)
@@ -75,7 +74,7 @@ func E13CompetitiveRatioCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for _, d := range []float64{1, 2, 4} {
 		for _, r := range []float64{0.25, 0.0625} {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				target := geom.Polar(d, 1.9)
 				bound := bounds.SearchTimeBound(d, r)
 				res, err := cfg.Cache.Search("alg4", algo.CumulativeSearch, target, r,

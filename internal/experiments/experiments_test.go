@@ -45,6 +45,17 @@ func TestE1SearchScaling(t *testing.T) {
 	}
 }
 
+// TestE1RejectsOverflowingSamples: 8 cells × 2⁶¹ samples wraps int to 0;
+// E1 must reject the sample count on both paths instead of slicing an
+// empty result.
+func TestE1RejectsOverflowingSamples(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		if _, err := E1SearchScalingCfg(Config{Samples: 1 << 61, Batch: batch}); err == nil {
+			t.Errorf("batch=%v: 2⁶¹ samples accepted", batch)
+		}
+	}
+}
+
 func TestE2Durations(t *testing.T) {
 	table := mustRun(t, E2Durations)
 	for _, row := range table.Rows {

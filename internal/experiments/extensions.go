@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/frame"
@@ -58,7 +57,7 @@ func E10GatheringCfg(cfg Config) (Table, error) {
 	}
 	var jobs []rowJob
 	for _, c := range cases {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			in := gather.Instance{Robots: c.robots, R: c.r}
 			res, err := gather.Simulate(algo.CumulativeSearch(), in, gather.Options{Horizon: 2e4})
 			if err != nil {
@@ -147,7 +146,7 @@ func E11LineVsPlaneCfg(cfg Config) (Table, error) {
 		{"clock (τ=1/2)", line.Attributes{V: 1, Tau: 0.5, Dir: +1}, 1, 0.5, 0},
 		{"direction/orientation", line.Attributes{V: 1, Tau: 1, Dir: -1}, 1, 1, 2.0},
 	} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			return []any{d.name,
 				lineRun(d.lineAttrs),
 				planeRun(frame.Attributes{V: d.v, Tau: d.tau, Phi: d.phi, Chi: frame.CCW}),

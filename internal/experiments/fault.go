@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/frame"
@@ -43,7 +42,7 @@ func E14FaultInjectionCfg(cfg Config) (Table, error) {
 	// The cache id fully determines both trajectories: an identical alg4
 	// twin displaced by (1,0), with the named fault applied to R′.
 	job := func(id, name string, faulty func() trajectory.Source, note string, mustMeet bool) rowJob {
-		return func(*rand.Rand) ([]any, error) {
+		return func() ([]any, error) {
 			res, err := cfg.Cache.FirstMeeting("e14:alg4-twin:d=1,0:"+id, a, faulty, r,
 				sim.Options{Horizon: horizon})
 			if err != nil {

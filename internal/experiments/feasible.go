@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/feasibility"
@@ -58,7 +57,7 @@ func E8FeasibilityCfg(cfg Config) (Table, error) {
 		for _, tau := range []float64{0.5, 1} {
 			for _, phi := range []float64{0, 2.0} {
 				for _, chi := range []frame.Chirality{frame.CCW, frame.CW} {
-					jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+					jobs = append(jobs, func() ([]any, error) {
 						a := frame.Attributes{V: v, Tau: tau, Phi: phi, Chi: chi}
 						verdict := feasibility.Classify(a)
 						in := sim.Instance{Attrs: a, D: AdversarialDisplacement(a, 1), R: r}

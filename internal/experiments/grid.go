@@ -156,12 +156,10 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 		return nil, err
 	}
 
-	samples := cfg.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	if points := grid.Size(); points < 0 || samples > math.MaxInt/points {
-		return nil, fmt.Errorf("experiments: grid of %d points × %d samples is too large", points, samples)
+	samples := max(cfg.Samples, 1)
+	jobs, err := grid.Jobs(samples)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.sweepNames == nil {
 		cfg.sweepNames = &batchCounter{prefix: "GRID"}
@@ -176,7 +174,7 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 		// program shape, so whole rows (one grid point, all its samples)
 		// run through the SoA rendezvous kernel. Bytes are identical to the
 		// scalar path below.
-		raw, err = sweep.RunBatchedSampled(grid.Size()*samples, samples,
+		raw, err = sweep.RunBatchedSampled(jobs, samples,
 			func(indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
 				return gridBatchRow(grid, names, samples, programID, program, cfg, indices, at)
 			}, sopt)

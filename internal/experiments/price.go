@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/frame"
@@ -35,7 +34,7 @@ func E15PriceOfSymmetryCfg(cfg Config) (Table, error) {
 	for _, c := range []struct{ v, phi float64 }{
 		{0.5, 0}, {0.75, 0}, {1, 1.0}, {1, 2.5}, {0.5, 1.5},
 	} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			in := sim.Instance{
 				Attrs: frame.Attributes{V: c.v, Tau: 1, Phi: c.phi, Chi: frame.CCW},
 				D:     d,
@@ -91,7 +90,7 @@ func E16VariableSpeedCfg(cfg Config) (Table, error) {
 	const horizon = 5e4
 
 	job := func(name string, attrs frame.Attributes, factors []float64, mustMeet bool) rowJob {
-		return func(*rand.Rand) ([]any, error) {
+		return func() ([]any, error) {
 			a := func() trajectory.Source {
 				return frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
 			}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
@@ -30,7 +29,7 @@ func E3SameChiralityCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for _, v := range []float64{0.25, 0.5, 0.75, 1} {
 		for _, phi := range []float64{0, math.Pi / 3, 2 * math.Pi / 3, math.Pi} {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				mu := geom.Mu(v, phi)
 				bound := bounds.RendezvousBoundSameChirality(d, r, v, phi)
 				if mu == 0 {
@@ -87,7 +86,7 @@ func E4OppositeChiralityCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for _, v := range []float64{0.25, 0.5, 0.75, 0.875} {
 		for _, phi := range []float64{0, math.Pi / 2, math.Pi} {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				bound := bounds.RendezvousBoundOppositeChirality(d, r, v)
 				in := sim.Instance{
 					Attrs: frame.Attributes{V: v, Tau: 1, Phi: phi, Chi: frame.CW},

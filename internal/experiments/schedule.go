@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
+	"repro/internal/sampler"
 	"repro/internal/sweep"
 )
 
@@ -34,7 +34,7 @@ func E5PhaseScheduleCfg(maxN int, cfg Config) (Table, error) {
 		Source:  "Lemma 8, Figures 1-2",
 		Columns: []string{"n", "I(n) measured", "I(n) closed", "A(n) measured", "A(n) closed", "max rel. err"},
 	}
-	meas, err := sweep.Run(maxN, func(i int, _ *rand.Rand) ([2]float64, error) {
+	meas, err := sweep.RunSampled(maxN, func(i int, _ sampler.Draws) ([2]float64, error) {
 		inactive, active := algo.UniversalPhaseStart(i + 1)
 		return [2]float64{inactive, active}, nil
 	}, cfg.sweepOptions())
@@ -74,7 +74,7 @@ func E6OverlapCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for _, re := range []regime{{0.5, 0}, {0.25, 1}, {0.62, 0}, {0.9, 0}} {
 		for k := 2 * (re.a + 1); k <= 2*(re.a+1)+8; k += 2 {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				var (
 					lemma   string
 					overlap float64

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/analysis"
@@ -44,16 +43,19 @@ func E1SearchScalingCfg(cfg Config) (Table, error) {
 	if mc {
 		dirs = cfg.Samples
 	}
+	jobs, err := grid.Jobs(dirs)
+	if err != nil {
+		return t, err
+	}
 	// Each cell's direction fan is one sampler block, so a QMC sampler
 	// stratifies the per-cell angle draws independently.
 	sopt := cfg.sweepOptions()
 	sopt.Sampler = cfg.samplerSource(dirs)
 	var times []float64
-	var err error
 	if cfg.Batch {
 		// Batched path: each (d, r) cell's direction fan shares the alg4
 		// program, so the whole row runs through one sim.SearchBatch call.
-		times, err = sweep.RunBatchedSampled(grid.Size()*dirs, dirs,
+		times, err = sweep.RunBatchedSampled(jobs, dirs,
 			func(indices []int, at func(int) sampler.Draws) ([]float64, error) {
 				return e1BatchRow(grid, dirs, mc, cfg, indices, at)
 			}, sopt)
@@ -128,13 +130,13 @@ func E2DurationsCfg(cfg Config) (Table, error) {
 	}
 	var jobs []rowJob
 	for _, delta := range []float64{0.5, 2} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			return row("SearchCircle", "δ="+FormatFloat(delta),
 				bounds.SearchCircleTime(delta), trajectory.Duration(algo.SearchCircle(delta)))
 		})
 	}
 	for _, c := range []struct{ d1, d2, rho float64 }{{0.5, 1, 0.0625}, {1, 2, 0.125}} {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			return row("SearchAnnulus", fmt.Sprintf("δ1=%s δ2=%s ρ=%s",
 				FormatFloat(c.d1), FormatFloat(c.d2), FormatFloat(c.rho)),
 				bounds.SearchAnnulusTime(c.d1, c.d2, c.rho),
@@ -142,13 +144,13 @@ func E2DurationsCfg(cfg Config) (Table, error) {
 		})
 	}
 	for k := 1; k <= 6; k++ {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			return row("Search(k)", fmt.Sprintf("k=%d", k),
 				bounds.SearchRoundTime(k), trajectory.Duration(algo.SearchRound(k)))
 		})
 	}
 	for k := 1; k <= 6; k++ {
-		jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+		jobs = append(jobs, func() ([]any, error) {
 			var simulated float64
 			for j := 1; j <= k; j++ {
 				simulated += trajectory.Duration(algo.SearchRound(j))
@@ -202,7 +204,7 @@ func E9BaselinesCfg(cfg Config) (Table, error) {
 			func(float64) trajectory.Source { return algo.ExpandingRings() }},
 	}
 	// The strategy index rides as the per-point "sample".
-	cells, err := sweep.RunGrid(grid, len(strategies), func(point []float64, si int, _ *rand.Rand) (string, error) {
+	cells, err := sweep.RunGridSampled(grid, len(strategies), func(point []float64, si int, _ sampler.Draws) (string, error) {
 		d, r := point[0], point[1]
 		s := strategies[si]
 		target := geom.Polar(d, 0.7)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/algo"
 	"repro/internal/bounds"
@@ -33,7 +32,7 @@ func E7UniversalRoundsCfg(cfg Config) (Table, error) {
 	var jobs []rowJob
 	for _, r := range []float64{0.25, 1.0 / 64} {
 		for _, tau := range []float64{0.5, 0.375, 0.6, 0.7, 0.75, 2.0} {
-			jobs = append(jobs, func(*rand.Rand) ([]any, error) {
+			jobs = append(jobs, func() ([]any, error) {
 				n := bounds.GuaranteedSearchRound(d, r)
 				norm, ok := bounds.NormalizeTau(tau)
 				if !ok {

@@ -173,14 +173,14 @@ func (s *StaticSweep) CircularAt(p geom.Vec, r, t1 float64) (float64, bool) {
 	return 0, false
 }
 
-// FallbackAt runs the conservative safe-advance iteration against the static
-// point p within [t0, t1] — the identical generic instantiation the scalar
-// Contact path uses, so results (and iteration budgets) match bit for bit.
+// FallbackAt runs SafeAdvance against the static point p within [t0, t1] —
+// the identical generic instantiation the scalar Contact path uses, so
+// results (and iteration budgets) match bit for bit.
 func (s *StaticSweep) FallbackAt(p geom.Vec, r, t1 float64, opt Options) (float64, bool, error) {
 	if t1 < s.t0 {
 		return 0, false, nil
 	}
 	var st Mover
 	st.SetStatic(p)
-	return conservative(s.m, &st, r, s.t0, t1, opt)
+	return SafeAdvance(s.m, &st, r, s.t0, t1, opt)
 }

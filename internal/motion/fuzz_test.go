@@ -38,7 +38,7 @@ func FuzzLinearLinear(f *testing.F) {
 		a := Linear{P0: geom.V(ax, ay), Vel: geom.V(avx, avy)}
 		b := Linear{P0: geom.V(bx, by), Vel: geom.V(bvx, bvy)}
 		const t1 = 30.0
-		got, found, err := FirstContact(a, b, rr, 0, t1, DefaultOptions(rr))
+		got, found, err := contact(a, b, rr, 0, t1, DefaultOptions(rr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func FuzzCircularStatic(f *testing.F) {
 		c := Circular{Center: geom.V(cx, cy), Radius: rad, Theta0: theta0, Omega: om}
 		p := Static(geom.V(px, py))
 		const t1 = 40.0
-		got, found, err := FirstContact(c, p, rr, 0, t1, DefaultOptions(rr))
+		got, found, err := contact(c, p, rr, 0, t1, DefaultOptions(rr))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func FuzzEqualOmegaContact(f *testing.F) {
 		if err != nil {
 			t.Fatalf("closed form returned %v", err)
 		}
-		want, wantFound, err := conservative(&ma, &mb, rr, t0, t1, opt)
+		want, wantFound, err := SafeAdvance(&ma, &mb, rr, t0, t1, opt)
 		if err != nil {
 			return // fallback budget exhausted: no reference answer
 		}
@@ -187,7 +187,7 @@ func FuzzEqualOmegaContact(f *testing.F) {
 				t.Fatalf("closed form missed the fallback's contact at %v (gap %v, threshold %v)", want, gap(want), thr)
 			}
 		case found:
-			if late, lateFound, err := conservative(&ma, &mb, rr, t0, math.Inf(1), opt); err == nil && lateFound && late > t1 {
+			if late, lateFound, err := SafeAdvance(&ma, &mb, rr, t0, math.Inf(1), opt); err == nil && lateFound && late > t1 {
 				break // the fallback's last step overshot t1
 			}
 			if !grazing {

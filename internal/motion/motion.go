@@ -3,8 +3,10 @@
 // primitive behind both problems of the paper — search (robot vs. static
 // target, contact radius = visibility r) and rendezvous (robot vs. robot).
 //
-// Motions are exact closed forms over absolute time. Four kinds are
-// distinguished because they admit different detection algorithms:
+// A motion is one trajectory segment placed on absolute time, held in a
+// value-typed Mover (see Mover.Set for the conversion rules), and Contact
+// is the one first-contact entry point. Four cases are distinguished
+// because they admit different detection algorithms:
 //
 //   - Linear (includes static): relative motion is linear, first contact is
 //     a quadratic equation.
@@ -17,11 +19,10 @@
 //     point on a circle; first contact is the arc-vs-static arccos against
 //     the origin (see equalOmega).
 //   - Anything else (arcs with different ω, arc vs. moving line, modulated
-//     segments, Func): a conservative "safe advance" iteration. If the
-//     current gap is g and the relative speed is at most u, no contact can
-//     occur for g/u time, so advancing by g/u is always sound; the
-//     iteration converges to the true first contact from below and cannot
-//     skip one.
+//     segments): SafeAdvance, a conservative iteration. If the current gap
+//     is g and the relative speed is at most u, no contact can occur for
+//     g/u time, so advancing by g/u is always sound; the iteration
+//     converges to the true first contact from below and cannot skip one.
 package motion
 
 import (
@@ -31,14 +32,6 @@ import (
 	"repro/internal/geom"
 )
 
-// Motion is a point moving along an exactly-parameterised path.
-type Motion interface {
-	// At returns the position at absolute time t.
-	At(t float64) geom.Vec
-	// SpeedBound returns an upper bound on the instantaneous speed.
-	SpeedBound() float64
-}
-
 // Linear is uniform linear motion: position P0 + Vel·(t − T0). Vel may be
 // zero (a static point or a waiting robot).
 type Linear struct {
@@ -47,12 +40,10 @@ type Linear struct {
 	Vel geom.Vec
 }
 
-var _ Motion = Linear{}
-
-// At implements Motion.
+// At returns the position at absolute time t.
 func (l Linear) At(t float64) geom.Vec { return l.P0.Add(l.Vel.Scale(t - l.T0)) }
 
-// SpeedBound implements Motion.
+// SpeedBound returns the speed.
 func (l Linear) SpeedBound() float64 { return l.Vel.Norm() }
 
 // Static returns the Linear motion of a point fixed at p.
@@ -68,32 +59,15 @@ type Circular struct {
 	Omega  float64 // signed angular velocity
 }
 
-var _ Motion = Circular{}
-
-// At implements Motion.
+// At returns the position at absolute time t.
 func (c Circular) At(t float64) geom.Vec {
 	return c.Center.Add(geom.Polar(c.Radius, c.Theta0+c.Omega*(t-c.T0)))
 }
 
-// SpeedBound implements Motion.
+// SpeedBound returns the speed.
 func (c Circular) SpeedBound() float64 { return c.Radius * math.Abs(c.Omega) }
 
-// Func is an arbitrary exact motion with a declared speed bound; the
-// detector falls back to safe advancement for it.
-type Func struct {
-	F     func(t float64) geom.Vec
-	Bound float64
-}
-
-var _ Motion = Func{}
-
-// At implements Motion.
-func (f Func) At(t float64) geom.Vec { return f.F(t) }
-
-// SpeedBound implements Motion.
-func (f Func) SpeedBound() float64 { return f.Bound }
-
-// Options tune the conservative fallback.
+// Options tune the safe-advance fallback.
 type Options struct {
 	// Slack is the absolute gap at which the fallback declares contact:
 	// it reports a hit when |Δp| ≤ r + Slack. Must be > 0 for the fallback
@@ -115,40 +89,6 @@ func DefaultOptions(r float64) Options {
 // Options.MaxIters before resolving the interval. With a positive slack this
 // indicates an extremely long grazing approach; enlarge Slack or MaxIters.
 var ErrIterationBudget = errors.New("motion: safe-advance iteration budget exhausted")
-
-// FirstContact returns the earliest t in [t0, t1] at which |a(t) − b(t)| ≤ r.
-// found is false when no such time exists in the interval. Linear pairs,
-// circular vs. static, and circular pairs sharing one ω (equalOmega, at
-// radius r + opt.Slack) are solved in closed form; everything else runs the
-// safe-advance fallback. The simulator hot path uses the equivalent Contact
-// over value-typed Movers; FirstContact remains the general interface-level
-// entry point.
-func FirstContact(a, b Motion, r, t0, t1 float64, opt Options) (t float64, found bool, err error) {
-	if t1 < t0 {
-		return 0, false, nil
-	}
-	if am, ok := a.(Linear); ok {
-		if bm, ok := b.(Linear); ok {
-			t, found = linearLinear(am, bm, r, t0, t1)
-			return t, found, nil
-		}
-		if bm, ok := b.(Circular); ok && am.Vel == (geom.Vec{}) {
-			t, found = circularStatic(bm, am.P0, r, t0, t1)
-			return t, found, nil
-		}
-	} else if am, ok := a.(Circular); ok {
-		if bm, ok := b.(Linear); ok && bm.Vel == (geom.Vec{}) {
-			t, found = circularStatic(am, bm.P0, r, t0, t1)
-			return t, found, nil
-		}
-		if bm, ok := b.(Circular); ok {
-			if t, found, ok := equalOmega(am, bm, r, t0, t1, opt); ok {
-				return t, found, nil
-			}
-		}
-	}
-	return conservative(a, b, r, t0, t1, opt)
-}
 
 // equalOmega solves first contact between two arcs that turn at the same
 // angular velocity ω, exactly. It is the paper's reduction of rendezvous to
@@ -291,16 +231,16 @@ func forwardDelta(from, to float64) float64 {
 	return normAngle(to - from)
 }
 
-// conservative is the safe-advance fallback: sound for any pair of motions
-// with valid speed bounds. It reports contact when the gap is ≤ slack above
-// r; it never advances past a true contact because the gap closes at most
-// at the combined speed bound.
+// SafeAdvance is the safe-advance fallback: the earliest t in [t0, t1]
+// at which |a(t) − b(t)| ≤ r + opt.Slack, sound for any pair of motions
+// with valid speed bounds. It never advances past a true contact because
+// the gap closes at most at the combined speed bound.
 //
-// It is generic over the motion representation so the one copy of the
-// algorithm serves both the interface entry point (FirstContact, M =
-// Motion) and the value-typed hot path (Contact, M = *Mover): a fix to the
-// iteration can never diverge between the two.
-func conservative[M interface {
+// It is generic over the motion representation, so one copy of the
+// iteration serves the value-typed hot path (Contact and
+// StaticSweep.FallbackAt, M = *Mover) and callers that supply their own
+// position function, such as the detector ablation.
+func SafeAdvance[M interface {
 	At(t float64) geom.Vec
 	SpeedBound() float64
 }](a, b M, r, t0, t1 float64, opt Options) (float64, bool, error) {
@@ -328,40 +268,4 @@ func conservative[M interface {
 		}
 	}
 	return 0, false, ErrIterationBudget
-}
-
-// MinDistance estimates the minimum of |a(t) − b(t)| over [t0, t1] together
-// with its argmin, by dense sampling followed by golden-section refinement.
-// It is an analysis helper (closest-approach diagnostics), not part of the
-// detection fast path.
-func MinDistance(a, b Motion, t0, t1 float64, samples int) (tMin, dMin float64) {
-	if samples < 2 {
-		samples = 2
-	}
-	gap := func(t float64) float64 { return a.At(t).Dist(b.At(t)) }
-	tMin, dMin = t0, gap(t0)
-	for i := 1; i <= samples; i++ {
-		t := t0 + (t1-t0)*float64(i)/float64(samples)
-		if d := gap(t); d < dMin {
-			tMin, dMin = t, d
-		}
-	}
-	// Golden-section refinement around the best sample.
-	h := (t1 - t0) / float64(samples)
-	lo, hi := math.Max(t0, tMin-h), math.Min(t1, tMin+h)
-	const phi = 0.6180339887498949
-	for range 80 {
-		m1 := hi - phi*(hi-lo)
-		m2 := lo + phi*(hi-lo)
-		if gap(m1) <= gap(m2) {
-			hi = m2
-		} else {
-			lo = m1
-		}
-	}
-	tRef := (lo + hi) / 2
-	if d := gap(tRef); d < dMin {
-		tMin, dMin = tRef, d
-	}
-	return tMin, dMin
 }

@@ -8,10 +8,13 @@ import (
 	"repro/internal/segment"
 )
 
+// positioner is anything with a position at absolute time t.
+type positioner interface{ At(t float64) geom.Vec }
+
 // referenceFirstContact is a brute-force sampled detector used to validate
 // the closed forms: it scans [t0, t1] at a fine step and bisects the first
 // bracketing step. Slow but independent of the production code paths.
-func referenceFirstContact(a, b Motion, r, t0, t1 float64, steps int) (float64, bool) {
+func referenceFirstContact(a, b positioner, r, t0, t1 float64, steps int) (float64, bool) {
 	gap := func(t float64) float64 { return a.At(t).Dist(b.At(t)) - r }
 	h := (t1 - t0) / float64(steps)
 	prev := gap(t0)
@@ -39,12 +42,39 @@ func referenceFirstContact(a, b Motion, r, t0, t1 float64, steps int) (float64, 
 	return 0, false
 }
 
+// mover returns a Mover holding the Linear or Circular motion m.
+func mover(m positioner) Mover {
+	switch m := m.(type) {
+	case Linear:
+		return Mover{kind: moverLinear, lin: m}
+	case Circular:
+		return circularMover(m)
+	}
+	panic("mover: not a Linear or Circular motion")
+}
+
+// contact is Contact over Movers holding the motions a and b.
+func contact(a, b positioner, r, t0, t1 float64, opt Options) (float64, bool, error) {
+	ma, mb := mover(a), mover(b)
+	return Contact(&ma, &mb, r, t0, t1, opt)
+}
+
+// fn is a motion given by its position function and speed bound, for
+// driving SafeAdvance directly.
+type fn struct {
+	at    func(float64) geom.Vec
+	bound float64
+}
+
+func (m fn) At(t float64) geom.Vec { return m.at(t) }
+func (m fn) SpeedBound() float64   { return m.bound }
+
 func TestLinearLinearHeadOn(t *testing.T) {
 	// Two points approaching head-on at combined speed 2, starting 10 apart,
 	// contact radius 1: contact at t = 4.5.
 	a := Linear{P0: geom.V(0, 0), Vel: geom.V(1, 0)}
 	b := Linear{P0: geom.V(10, 0), Vel: geom.V(-1, 0)}
-	got, found, err := FirstContact(a, b, 1, 0, 100, DefaultOptions(1))
+	got, found, err := contact(a, b, 1, 0, 100, DefaultOptions(1))
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -57,7 +87,7 @@ func TestLinearLinearMiss(t *testing.T) {
 	// Parallel tracks 3 apart never reach radius 1.
 	a := Linear{P0: geom.V(0, 0), Vel: geom.V(1, 0)}
 	b := Linear{P0: geom.V(0, 3), Vel: geom.V(1, 0)}
-	if _, found, _ := FirstContact(a, b, 1, 0, 1e6, DefaultOptions(1)); found {
+	if _, found, _ := contact(a, b, 1, 0, 1e6, DefaultOptions(1)); found {
 		t.Error("parallel motions reported contact")
 	}
 }
@@ -67,7 +97,7 @@ func TestLinearLinearGrazing(t *testing.T) {
 	// contact at the closest-approach instant.
 	a := Linear{P0: geom.V(-10, 1), Vel: geom.V(1, 0)}
 	b := Static(geom.V(0, 0))
-	got, found, err := FirstContact(a, b, 1, 0, 100, DefaultOptions(1))
+	got, found, err := contact(a, b, 1, 0, 100, DefaultOptions(1))
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -79,7 +109,7 @@ func TestLinearLinearGrazing(t *testing.T) {
 func TestLinearLinearAlreadyInContact(t *testing.T) {
 	a := Static(geom.V(0, 0))
 	b := Static(geom.V(0.5, 0))
-	got, found, _ := FirstContact(a, b, 1, 3, 100, DefaultOptions(1))
+	got, found, _ := contact(a, b, 1, 3, 100, DefaultOptions(1))
 	if !found || got != 3 {
 		t.Errorf("got (%v, %v), want (3, true)", got, found)
 	}
@@ -89,10 +119,10 @@ func TestLinearLinearIntervalCutoff(t *testing.T) {
 	a := Linear{P0: geom.V(0, 0), Vel: geom.V(1, 0)}
 	b := Static(geom.V(10, 0))
 	// Contact would be at t=9 with r=1, but the interval ends at 8.
-	if _, found, _ := FirstContact(a, b, 1, 0, 8, DefaultOptions(1)); found {
+	if _, found, _ := contact(a, b, 1, 0, 8, DefaultOptions(1)); found {
 		t.Error("contact reported before interval end")
 	}
-	got, found, _ := FirstContact(a, b, 1, 0, 9.5, DefaultOptions(1))
+	got, found, _ := contact(a, b, 1, 0, 9.5, DefaultOptions(1))
 	if !found || math.Abs(got-9) > 1e-9 {
 		t.Errorf("got (%v, %v), want (9, true)", got, found)
 	}
@@ -109,7 +139,7 @@ func TestLinearLinearAgainstReference(t *testing.T) {
 	}
 	for i, c := range cases {
 		want, wantFound := referenceFirstContact(c.a, c.b, c.r, 0, 50, 200000)
-		got, found, err := FirstContact(c.a, c.b, c.r, 0, 50, DefaultOptions(c.r))
+		got, found, err := contact(c.a, c.b, c.r, 0, 50, DefaultOptions(c.r))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -129,7 +159,7 @@ func TestCircularStaticBasic(t *testing.T) {
 	// (0, 1), i.e. after a quarter turn, t = π/2.
 	c := Circular{Center: geom.Zero, Radius: 1, Theta0: 0, Omega: 1}
 	p := Static(geom.V(0, 2))
-	got, found, err := FirstContact(c, p, 1, 0, 10, DefaultOptions(1))
+	got, found, err := contact(c, p, 1, 0, 10, DefaultOptions(1))
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -137,7 +167,7 @@ func TestCircularStaticBasic(t *testing.T) {
 		t.Errorf("contact at %v, want π/2", got)
 	}
 	// Same with the operands swapped (dispatch must handle both orders).
-	got2, found2, err := FirstContact(p, c, 1, 0, 10, DefaultOptions(1))
+	got2, found2, err := contact(p, c, 1, 0, 10, DefaultOptions(1))
 	if err != nil || !found2 || math.Abs(got2-got) > 1e-12 {
 		t.Errorf("swapped operands: (%v, %v), want (%v, true)", got2, found2, got)
 	}
@@ -147,7 +177,7 @@ func TestCircularStaticClockwise(t *testing.T) {
 	// Clockwise motion reaches (0, -1) after a quarter turn.
 	c := Circular{Center: geom.Zero, Radius: 1, Theta0: 0, Omega: -1}
 	p := Static(geom.V(0, -2))
-	got, found, err := FirstContact(c, p, 1, 0, 10, DefaultOptions(1))
+	got, found, err := contact(c, p, 1, 0, 10, DefaultOptions(1))
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
 	}
@@ -160,7 +190,7 @@ func TestCircularStaticNever(t *testing.T) {
 	// Target 5 away from the circle's nearest point, r = 1: never.
 	c := Circular{Center: geom.Zero, Radius: 1, Theta0: 0, Omega: 2}
 	p := Static(geom.V(7, 0))
-	if _, found, _ := FirstContact(c, p, 1, 0, 1e6, DefaultOptions(1)); found {
+	if _, found, _ := contact(c, p, 1, 0, 1e6, DefaultOptions(1)); found {
 		t.Error("unreachable target reported contact")
 	}
 }
@@ -169,7 +199,7 @@ func TestCircularStaticAlways(t *testing.T) {
 	// Target at the circle center with r > radius: contact at t0.
 	c := Circular{Center: geom.V(1, 1), Radius: 0.5, Omega: 3}
 	p := Static(geom.V(1, 1))
-	got, found, _ := FirstContact(c, p, 1, 2, 10, DefaultOptions(1))
+	got, found, _ := contact(c, p, 1, 2, 10, DefaultOptions(1))
 	if !found || got != 2 {
 		t.Errorf("got (%v, %v), want (2, true)", got, found)
 	}
@@ -179,11 +209,11 @@ func TestCircularStaticDegenerate(t *testing.T) {
 	// Zero angular velocity: static-on-circle vs static point.
 	c := Circular{Center: geom.Zero, Radius: 2, Theta0: 0, Omega: 0}
 	near := Static(geom.V(2.5, 0))
-	if _, found, _ := FirstContact(c, near, 1, 0, 10, DefaultOptions(1)); !found {
+	if _, found, _ := contact(c, near, 1, 0, 10, DefaultOptions(1)); !found {
 		t.Error("static pair within radius not detected")
 	}
 	far := Static(geom.V(5, 0))
-	if _, found, _ := FirstContact(c, far, 1, 0, 10, DefaultOptions(1)); found {
+	if _, found, _ := contact(c, far, 1, 0, 10, DefaultOptions(1)); found {
 		t.Error("static pair beyond radius detected")
 	}
 }
@@ -201,7 +231,7 @@ func TestCircularStaticAgainstReference(t *testing.T) {
 	}
 	for i, c := range cases {
 		want, wantFound := referenceFirstContact(c.c, Static(c.p), c.r, 0, 80, 400000)
-		got, found, err := FirstContact(c.c, Static(c.p), c.r, 0, 80, DefaultOptions(c.r))
+		got, found, err := contact(c.c, Static(c.p), c.r, 0, 80, DefaultOptions(c.r))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -220,13 +250,12 @@ func TestConservativeArcArc(t *testing.T) {
 	// their angular positions align near the gap between the circles.
 	a := Circular{Center: geom.V(-2, 0), Radius: 1, Theta0: math.Pi, Omega: 1}
 	b := Circular{Center: geom.V(2, 0), Radius: 1, Theta0: 0, Omega: 1.7}
-	// Force the conservative path by wrapping in Func.
-	af := Func{F: a.At, Bound: a.SpeedBound()}
-	bf := Func{F: b.At, Bound: b.SpeedBound()}
+	af := fn{a.At, a.SpeedBound()}
+	bf := fn{b.At, b.SpeedBound()}
 	r := 2.1 // gap between circles is 2; contact when both near the middle
 
 	want, wantFound := referenceFirstContact(a, b, r, 0, 60, 600000)
-	got, found, err := FirstContact(af, bf, r, 0, 60, Options{Slack: 1e-9, MaxIters: 10_000_000})
+	got, found, err := SafeAdvance(af, bf, r, 0, 60, Options{Slack: 1e-9, MaxIters: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +273,9 @@ func TestConservativeArcArc(t *testing.T) {
 }
 
 func TestConservativeNoContact(t *testing.T) {
-	a := Func{F: func(t float64) geom.Vec { return geom.V(math.Cos(t), math.Sin(t)) }, Bound: 1}
-	b := Static(geom.V(10, 0))
-	_, found, err := FirstContact(a, b, 1, 0, 100, Options{Slack: 1e-6, MaxIters: 1_000_000})
+	a := fn{func(t float64) geom.Vec { return geom.V(math.Cos(t), math.Sin(t)) }, 1}
+	b := fn{Static(geom.V(10, 0)).At, 0}
+	_, found, err := SafeAdvance(a, b, 1, 0, 100, Options{Slack: 1e-6, MaxIters: 1_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +285,13 @@ func TestConservativeNoContact(t *testing.T) {
 }
 
 func TestConservativeZeroRelativeSpeed(t *testing.T) {
-	a := Func{F: func(float64) geom.Vec { return geom.V(0, 0) }, Bound: 0}
-	b := Func{F: func(float64) geom.Vec { return geom.V(3, 0) }, Bound: 0}
-	_, found, err := FirstContact(a, b, 1, 0, 1e9, Options{Slack: 1e-6, MaxIters: 10})
+	a := fn{func(float64) geom.Vec { return geom.V(0, 0) }, 0}
+	b := fn{func(float64) geom.Vec { return geom.V(3, 0) }, 0}
+	_, found, err := SafeAdvance(a, b, 1, 0, 1e9, Options{Slack: 1e-6, MaxIters: 10})
 	if err != nil || found {
 		t.Errorf("static far pair: found=%v err=%v", found, err)
 	}
-	got, found, err := FirstContact(a, b, 5, 0, 1e9, Options{Slack: 1e-6, MaxIters: 10})
+	got, found, err := SafeAdvance(a, b, 5, 0, 1e9, Options{Slack: 1e-6, MaxIters: 10})
 	if err != nil || !found || got != 0 {
 		t.Errorf("static near pair: got (%v,%v,%v), want (0,true,nil)", got, found, err)
 	}
@@ -270,9 +299,9 @@ func TestConservativeZeroRelativeSpeed(t *testing.T) {
 
 func TestConservativeBudgetExhaustion(t *testing.T) {
 	// Zero slack cannot terminate on a true approach: must surface the error.
-	a := Func{F: func(t float64) geom.Vec { return geom.V(t, 0) }, Bound: 1}
-	b := Static(geom.V(10, 0))
-	_, _, err := FirstContact(a, b, 1, 0, 100, Options{Slack: 0, MaxIters: 100})
+	a := fn{func(t float64) geom.Vec { return geom.V(t, 0) }, 1}
+	b := fn{Static(geom.V(10, 0)).At, 0}
+	_, _, err := SafeAdvance(a, b, 1, 0, 100, Options{Slack: 0, MaxIters: 100})
 	if err == nil {
 		t.Error("expected iteration budget error with zero slack")
 	}
@@ -281,60 +310,54 @@ func TestConservativeBudgetExhaustion(t *testing.T) {
 func TestFirstContactEmptyInterval(t *testing.T) {
 	a := Static(geom.V(0, 0))
 	b := Static(geom.V(0, 0))
-	if _, found, _ := FirstContact(a, b, 1, 5, 4, DefaultOptions(1)); found {
+	if _, found, _ := contact(a, b, 1, 5, 4, DefaultOptions(1)); found {
 		t.Error("contact in empty interval")
 	}
 }
 
-func TestMinDistance(t *testing.T) {
-	// Closest approach of a line passing a static point: |y|=2 at x=0.
-	a := Linear{P0: geom.V(-10, 2), Vel: geom.V(1, 0)}
-	b := Static(geom.Zero)
-	tMin, dMin := MinDistance(a, b, 0, 20, 100)
-	if math.Abs(dMin-2) > 1e-6 {
-		t.Errorf("dMin = %v, want 2", dMin)
-	}
-	if math.Abs(tMin-10) > 1e-3 {
-		t.Errorf("tMin = %v, want 10", tMin)
-	}
+// The TestFromSegment* tests pin Mover.Set's conversion rules: which
+// kind of motion each segment becomes, and that the motion tracks the
+// segment's own Position.
+
+// setMover returns the Mover that Set fills for seg from absStart.
+func setMover(seg segment.Seg, absStart float64) Mover {
+	var m Mover
+	m.Set(&seg, absStart, seg.Duration())
+	return m
 }
 
 func TestFromSegmentWait(t *testing.T) {
-	m := FromSegment(segment.NewWait(geom.V(1, 2), 5).Seg(), 7)
-	lin, ok := m.(Linear)
-	if !ok {
-		t.Fatalf("FromSegment(Wait) = %T, want Linear", m)
+	m := setMover(segment.NewWait(geom.V(1, 2), 5).Seg(), 7)
+	if m.kind != moverLinear {
+		t.Fatalf("Set(Wait) kind %d, want linear", m.kind)
 	}
-	if lin.Vel != (geom.Vec{}) || lin.At(100) != geom.V(1, 2) {
-		t.Errorf("wait motion wrong: %+v", lin)
+	if m.lin.Vel != (geom.Vec{}) || m.At(100) != geom.V(1, 2) {
+		t.Errorf("wait motion wrong: %+v", m.lin)
 	}
 }
 
 func TestFromSegmentLine(t *testing.T) {
-	seg := segment.NewLine(geom.V(0, 0), geom.V(4, 0), 2).Seg() // duration 2
-	m := FromSegment(seg, 10)
-	lin, ok := m.(Linear)
-	if !ok {
-		t.Fatalf("FromSegment(Line) = %T, want Linear", m)
+	m := setMover(segment.NewLine(geom.V(0, 0), geom.V(4, 0), 2).Seg(), 10) // duration 2
+	if m.kind != moverLinear {
+		t.Fatalf("Set(Line) kind %d, want linear", m.kind)
 	}
-	if got := lin.At(11); !got.ApproxEqual(geom.V(2, 0), 1e-12) {
+	if got := m.At(11); !got.ApproxEqual(geom.V(2, 0), 1e-12) {
 		t.Errorf("At(11) = %v, want (2,0)", got)
 	}
-	if math.Abs(lin.SpeedBound()-2) > 1e-12 {
-		t.Errorf("SpeedBound = %v, want 2", lin.SpeedBound())
+	if math.Abs(m.SpeedBound()-2) > 1e-12 {
+		t.Errorf("SpeedBound = %v, want 2", m.SpeedBound())
 	}
 }
 
 func TestFromSegmentArc(t *testing.T) {
 	seg := segment.NewArc(geom.V(1, 1), 2, 0.5, 1.5, 1).Seg()
-	m := FromSegment(seg, 3)
-	circ, ok := m.(Circular)
-	if !ok {
-		t.Fatalf("FromSegment(Arc) = %T, want Circular", m)
+	m := setMover(seg, 3)
+	if m.kind != moverCircular {
+		t.Fatalf("Set(Arc) kind %d, want circular", m.kind)
 	}
 	for i := 0; i <= 10; i++ {
 		lt := seg.Duration() * float64(i) / 10
-		if got, want := circ.At(3+lt), seg.Position(lt); !got.ApproxEqual(want, 1e-9) {
+		if got, want := m.At(3+lt), seg.Position(lt); !got.ApproxEqual(want, 1e-9) {
 			t.Errorf("At(3+%v) = %v, want %v", lt, got, want)
 		}
 	}
@@ -343,44 +366,44 @@ func TestFromSegmentArc(t *testing.T) {
 func TestFromSegmentTransformed(t *testing.T) {
 	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.1, -1), T: geom.V(2, 2)}
 
-	// Transformed line → Linear.
+	// Transformed line → linear.
 	trLineSeg := segment.UnitLine(geom.Zero, geom.V(2, 0)).Seg()
-	trLine := trLineSeg.Transformed(m, 1.5)
-	if _, ok := FromSegment(trLine, 0).(Linear); !ok {
-		t.Errorf("transformed line = %T, want Linear", FromSegment(trLine, 0))
+	if mv := setMover(trLineSeg.Transformed(m, 1.5), 0); mv.kind != moverLinear {
+		t.Errorf("transformed line kind %d, want linear", mv.kind)
 	}
-	// Transformed wait → Linear (static).
+	// Transformed wait → linear (static).
 	trWaitSeg := segment.NewWait(geom.V(1, 0), 2).Seg()
-	trWait := trWaitSeg.Transformed(m, 1.5)
-	lin, ok := FromSegment(trWait, 0).(Linear)
-	if !ok || lin.Vel != (geom.Vec{}) {
-		t.Errorf("transformed wait = %T (%+v), want static Linear", FromSegment(trWait, 0), lin)
+	if mv := setMover(trWaitSeg.Transformed(m, 1.5), 0); mv.kind != moverLinear || mv.lin.Vel != (geom.Vec{}) {
+		t.Errorf("transformed wait kind %d (%+v), want static linear", mv.kind, mv.lin)
 	}
-	// Transformed arc → Circular, positions matching.
+	// Transformed arc → circular, positions matching.
 	trArcSeg := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
 	trArc := trArcSeg.Transformed(m, 2)
-	circ, ok := FromSegment(trArc, 5).(Circular)
-	if !ok {
-		t.Fatalf("transformed arc = %T, want Circular", FromSegment(trArc, 5))
+	mv := setMover(trArc, 5)
+	if mv.kind != moverCircular {
+		t.Fatalf("transformed arc kind %d, want circular", mv.kind)
 	}
 	for i := 0; i <= 8; i++ {
 		lt := trArc.Duration() * float64(i) / 8
-		if got, want := circ.At(5+lt), trArc.Position(lt); !got.ApproxEqual(want, 1e-9) {
+		if got, want := mv.At(5+lt), trArc.Position(lt); !got.ApproxEqual(want, 1e-9) {
 			t.Errorf("At(5+%v) = %v, want %v", lt, got, want)
 		}
 	}
 }
 
 func TestFromSegmentTransformedMotionAccuracy(t *testing.T) {
-	// A transformed line's Linear motion must match Position exactly at
+	// A transformed line's linear motion must match Position exactly at
 	// interior times (affine maps preserve uniform linear motion).
 	m := geom.Affine{M: geom.FrameMatrix(1.3, 2.7, +1), T: geom.V(-1, 4)}
 	trSeg := segment.UnitLine(geom.V(1, 1), geom.V(4, 5)).Seg()
 	tr := trSeg.Transformed(m, 0.7)
-	lin := FromSegment(tr, 2).(Linear)
+	mv := setMover(tr, 2)
+	if mv.kind != moverLinear {
+		t.Fatalf("transformed line kind %d, want linear", mv.kind)
+	}
 	for i := 0; i <= 10; i++ {
 		lt := tr.Duration() * float64(i) / 10
-		if got, want := lin.At(2+lt), tr.Position(lt); !got.ApproxEqual(want, 1e-9) {
+		if got, want := mv.At(2+lt), tr.Position(lt); !got.ApproxEqual(want, 1e-9) {
 			t.Errorf("At(2+%v) = %v, want %v", lt, got, want)
 		}
 	}
@@ -433,11 +456,6 @@ func TestEqualOmegaNeverFallsBack(t *testing.T) {
 		if found && math.Abs(got-want) > 1e-4 {
 			t.Errorf("%s: contact at %v, reference %v", tc.name, got, want)
 		}
-		// FirstContact's Circular×Circular case runs the same arithmetic.
-		ft, ffound, ferr := FirstContact(tc.a, tc.b, tc.r, t0, t1, opt)
-		if ferr != nil || ffound != found || math.Float64bits(ft) != math.Float64bits(got) {
-			t.Errorf("%s: FirstContact (%v,%v,%v) != Contact (%v,%v,nil)", tc.name, ft, ffound, ferr, got, found)
-		}
 	}
 }
 
@@ -460,9 +478,6 @@ func TestEqualOmegaDispatch(t *testing.T) {
 		ma, mb := circularMover(a), circularMover(tc.b)
 		if _, _, err := Contact(&ma, &mb, 1, 0, 40, tc.opt); err != ErrIterationBudget {
 			t.Errorf("%s: Contact err = %v, want ErrIterationBudget from the fallback", tc.name, err)
-		}
-		if _, _, err := FirstContact(a, tc.b, 1, 0, 40, tc.opt); err != ErrIterationBudget {
-			t.Errorf("%s: FirstContact err = %v, want ErrIterationBudget from the fallback", tc.name, err)
 		}
 	}
 }

@@ -14,12 +14,10 @@ const (
 	moverSeg
 )
 
-// Mover is the value-typed motion of one trajectory segment — the
-// allocation-free replacement for boxing a Motion interface value per
-// segment on the simulator hot path. Set fills the Mover in place with the
-// most specific motion the detector can exploit (the same conversion rules
-// as FromSegment); Contact dispatches on the kinds directly, so the
-// closed-form paths run without interface calls.
+// Mover is the value-typed motion of one trajectory segment. Set fills the
+// Mover in place with the most specific motion the detector can exploit;
+// Contact dispatches on the kinds directly, so the closed-form paths run
+// without interface boxing or dynamic calls.
 //
 // The zero Mover is a static point at the origin. A Mover is plain data:
 // copying it is safe, and one Mover per robot is reused across the whole
@@ -132,11 +130,11 @@ func (m *Mover) SpeedBound() float64 {
 	}
 }
 
-// Contact returns the earliest t in [t0, t1] at which |a(t) − b(t)| ≤ r.
-// It is FirstContact over value-typed Movers: the dispatch, the closed
-// forms — including the equal-ω arc×arc reduction to a circle against the
-// origin (equalOmega) — and the conservative fallback perform the same
-// arithmetic, without interface boxing or dynamic calls.
+// Contact returns the earliest t in [t0, t1] at which |a(t) − b(t)| ≤ r;
+// found is false when no such time exists in the interval. Linear pairs,
+// an arc against a static point, and arcs sharing one ω (equalOmega, at
+// radius r + opt.Slack) are solved in closed form; everything else runs
+// SafeAdvance.
 func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool, err error) {
 	if t1 < t0 {
 		return 0, false, nil
@@ -161,5 +159,34 @@ func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool
 			}
 		}
 	}
-	return conservative(a, b, r, t0, t1, opt)
+	return SafeAdvance(a, b, r, t0, t1, opt)
+}
+
+// linearOf recognises segments whose global motion is exactly linear in
+// time: waits, lines, and frame transforms of either (an affine map of
+// uniform linear motion is uniform linear motion). A segment carrying both
+// a speed modulation and a frame transform is left to the conservative
+// fallback, matching the former one-level unwrapping of nested transforms.
+// dur must equal seg.Duration() (precomputed by the caller).
+func linearOf(seg *segment.Seg, absStart, dur float64) (Linear, bool) {
+	switch seg.Kind() {
+	case segment.KindWait, segment.KindLine:
+		if seg.Framed() && seg.Modulated() {
+			return Linear{}, false
+		}
+		if !seg.Framed() && !seg.Modulated() {
+			if w, ok := seg.AsWait(); ok {
+				return Static(w.At), true
+			}
+		}
+		return linearFromEndpoints(seg.Start(), seg.End(), dur, absStart), true
+	}
+	return Linear{}, false
+}
+
+func linearFromEndpoints(start, end geom.Vec, dur, absStart float64) Linear {
+	if dur == 0 || start == end {
+		return Linear{T0: absStart, P0: start}
+	}
+	return Linear{T0: absStart, P0: start, Vel: end.Sub(start).Scale(1 / dur)}
 }

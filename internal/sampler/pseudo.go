@@ -66,17 +66,13 @@ func seededWord(x0 uint64, i int) int64 {
 // lazySource is math/rand's rngSource, seeded but not materialised: the
 // first rngTap draws are computed from the seeded words they read, and the
 // register is built (by the real math/rand source, advanced past the
-// draws already taken) only when a stream runs longer. It implements
-// rand.Source64, so every rand.Rand method over it matches
-// rand.New(rand.NewSource(seed)) exactly.
+// draws already taken) only when a stream runs longer. Its Uint64 and
+// Int63 streams match rand.NewSource(seed)'s exactly.
 type lazySource struct {
 	x0   uint64        // the reduced seed
 	k    int           // draws taken since seeding
 	full rand.Source64 // the materialised register, once k reaches rngTap
 }
-
-// Seed resets the stream to the given seed, as rngSource.Seed does.
-func (s *lazySource) Seed(seed int64) { *s = lazySource{x0: seedState(seed)} }
 
 // Uint64 returns the next draw of the stream.
 func (s *lazySource) Uint64() uint64 {

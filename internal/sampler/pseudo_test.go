@@ -8,9 +8,8 @@ import (
 
 // The lazy pseudo stream must be math/rand's rngSource bit for bit. These
 // tests hold it against the real rand.NewSource, the oracle, on the seeds
-// where seed reduction has edges, past every point where the lazy prefix
-// hands over to a materialised register, and through every rand.Rand
-// method a legacy job can call.
+// where seed reduction has edges and past every point where the lazy
+// prefix hands over to a materialised register.
 
 // edgeSeeds are the seeds where rngSource.Seed's reduction has edges:
 // zero and the multiples of 2³¹−1 (which alias to 89482311), values just
@@ -32,11 +31,7 @@ func edgeSeeds() []int64 {
 	return seeds
 }
 
-func newLazy(seed int64) *lazySource {
-	s := &lazySource{}
-	s.Seed(seed)
-	return s
-}
+func newLazy(seed int64) *lazySource { return &lazySource{x0: seedState(seed)} }
 
 // TestPseudoFloat64IsDimAddressed: pseudoFloat64(seed, dim) is the dim-th
 // rand.Rand.Float64 of the seed's stream, for dimensions on both sides of
@@ -71,26 +66,6 @@ func TestPseudoSeedAliases(t *testing.T) {
 	for k := 0; k < 300; k++ {
 		if g, w := s.Uint64(), ref.Uint64(); g != w {
 			t.Fatalf("draw %d: seed 5·(2³¹−1) gives %d, seed %d gives %d", k, g, seedZeroAlt, w)
-		}
-	}
-}
-
-// TestPseudoReseed: rand.Rand.Seed on the lazy source — before and after
-// it has materialised its register — restarts exactly as math/rand does.
-func TestPseudoReseed(t *testing.T) {
-	got := rand.New(newLazy(11))
-	want := rand.New(rand.NewSource(11))
-	for _, drawn := range []int{5, 700} {
-		for k := 0; k < drawn; k++ {
-			got.Uint64()
-			want.Uint64()
-		}
-		got.Seed(int64(drawn) * 31)
-		want.Seed(int64(drawn) * 31)
-		for k := 0; k < 400; k++ {
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("after %d draws and a reseed, draw %d: %d, math/rand %d", drawn, k, g, w)
-			}
 		}
 	}
 }
@@ -139,84 +114,8 @@ func TestNthFloat64Resamples(t *testing.T) {
 	}
 }
 
-// checkRandMethods drives every rand.Rand method a legacy job can call on
-// got and want alike, n draws deep, and fails on the first difference.
-func checkRandMethods(t *testing.T, seed int64, n int) {
-	t.Helper()
-	got := rand.New(newLazy(seed))
-	want := rand.New(rand.NewSource(seed))
-	for k := 0; k < n; k++ {
-		switch k % 9 {
-		case 0:
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d op %d: Float64 %v, math/rand %v", seed, k, g, w)
-			}
-		case 1:
-			if g, w := got.Intn(k+1), want.Intn(k+1); g != w {
-				t.Fatalf("seed %d op %d: Intn %d, math/rand %d", seed, k, g, w)
-			}
-		case 2:
-			if g, w := got.Int63n(int64(k)<<40+1), want.Int63n(int64(k)<<40+1); g != w {
-				t.Fatalf("seed %d op %d: Int63n %d, math/rand %d", seed, k, g, w)
-			}
-		case 3:
-			if g, w := got.NormFloat64(), want.NormFloat64(); g != w {
-				t.Fatalf("seed %d op %d: NormFloat64 %v, math/rand %v", seed, k, g, w)
-			}
-		case 4:
-			if g, w := got.Uint64(), want.Uint64(); g != w {
-				t.Fatalf("seed %d op %d: Uint64 %d, math/rand %d", seed, k, g, w)
-			}
-		case 5:
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d op %d: Int63 %d, math/rand %d", seed, k, g, w)
-			}
-		case 6:
-			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
-				t.Fatalf("seed %d op %d: ExpFloat64 %v, math/rand %v", seed, k, g, w)
-			}
-		case 7:
-			if g, w := got.Int31n(int32(k)+1), want.Int31n(int32(k)+1); g != w {
-				t.Fatalf("seed %d op %d: Int31n %d, math/rand %d", seed, k, g, w)
-			}
-		case 8:
-			if g, w := got.Uint32(), want.Uint32(); g != w {
-				t.Fatalf("seed %d op %d: Uint32 %d, math/rand %d", seed, k, g, w)
-			}
-		}
-	}
-	m := n%64 + 1
-	gp, wp := got.Perm(m), want.Perm(m)
-	for i := range gp {
-		if gp[i] != wp[i] {
-			t.Fatalf("seed %d: Perm(%d) %v, math/rand %v", seed, m, gp, wp)
-		}
-	}
-	gs, ws := make([]int, m), make([]int, m)
-	for i := range gs {
-		gs[i], ws[i] = i, i
-	}
-	got.Shuffle(m, func(i, j int) { gs[i], gs[j] = gs[j], gs[i] })
-	want.Shuffle(m, func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
-	for i := range gs {
-		if gs[i] != ws[i] {
-			t.Fatalf("seed %d: Shuffle(%d) %v, math/rand %v", seed, m, gs, ws)
-		}
-	}
-	gb, wb := make([]byte, n%97+1), make([]byte, n%97+1)
-	got.Read(gb)
-	want.Read(wb)
-	if string(gb) != string(wb) {
-		t.Fatalf("seed %d: Read(%d bytes) %x, math/rand %x", seed, len(gb), gb, wb)
-	}
-	if g, w := got.Int63(), want.Int63(); g != w {
-		t.Fatalf("seed %d: stream out of step after the slice methods: %d, math/rand %d", seed, g, w)
-	}
-}
-
 // FuzzPseudoMatchesMathRand: for an arbitrary seed and stream length
-// n ≤ 2,000, the lazy source's raw Uint64/Int63 stream and every
-// rand.Rand method over it equal math/rand's. Its seed corpus is the
+// n ≤ 2,000, the lazy source's raw Uint64/Int63 stream equals math/rand's. Its seed corpus is the
 // differential test `go test` runs: every edge seed, 1,500 draws deep —
 // across the lazy prefix (k < 273), the hand-over to the materialised
 // register and its wrap-arounds at 607 and 1,214 draws.
@@ -238,16 +137,13 @@ func FuzzPseudoMatchesMathRand(f *testing.F) {
 				t.Fatalf("seed %d draw %d: Int63 %d, math/rand %d", seed, k, g, w)
 			}
 		}
-		checkRandMethods(t, seed, n)
 	})
 }
 
 var sinkFloat float64
 
 // TestPseudoDrawAllocGate pins what a pseudo job's randomness costs in
-// allocations: reading a dimension allocates nothing, and the legacy
-// Rand() handle allocates at most the two objects (source and rand.Rand)
-// that rand.New(rand.NewSource(seed)) always did.
+// allocations: reading a dimension allocates nothing.
 func TestPseudoDrawAllocGate(t *testing.T) {
 	src := Default()
 	i := 0
@@ -257,12 +153,6 @@ func TestPseudoDrawAllocGate(t *testing.T) {
 		i++
 	}); a != 0 {
 		t.Errorf("pseudo Draws(seed, i).Float64(dim): %.1f allocs per job, want 0", a)
-	}
-	if a := testing.AllocsPerRun(200, func() {
-		sinkFloat += src.Draws(7, i).Rand().Float64()
-		i++
-	}); a > 2 {
-		t.Errorf("pseudo Draws(seed, i).Rand(): %.1f allocs per job, want at most 2", a)
 	}
 }
 

@@ -17,8 +17,8 @@
 // dimension-addressed — a sampler that handed out draws from shared
 // sequential state would make job i's values depend on which jobs ran
 // before it in the same process, and a sharded run could never reproduce
-// them. The one sequential view is Draws.Rand, the legacy *rand.Rand,
-// whose values follow the order of its calls like any rand.Rand.
+// them. Draws therefore has no sequential view: there is no stream whose
+// values depend on the order of the calls made on it.
 //
 // # Blocks
 //
@@ -57,7 +57,6 @@ package sampler
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"strings"
 )
 
@@ -194,19 +193,6 @@ func (d Draws) Float64(dim int) float64 {
 
 // Index returns the dense job index this handle addresses.
 func (d Draws) Index() int { return d.index }
-
-// Rand returns a fresh copy of the job's private pseudo stream — a
-// *rand.Rand whose every method returns what the pre-sampler engine's
-// rand.New(rand.NewSource(SeedAt(seed, index))) returns, regardless of the
-// source's kind. Unlike Float64 it is sequential state: its values follow
-// the order of the calls made on it. It exists for the legacy
-// rand-signature adapters (sweep.Run and friends): a callback that has not
-// been ported to Draws keeps its pseudo-random behavior byte-for-byte even
-// when the sweep carries a QMC sampler, which only migrated callbacks
-// observe.
-func (d Draws) Rand() *rand.Rand {
-	return rand.New(&lazySource{x0: seedState(SeedAt(d.seed, d.index))})
-}
 
 // Hash salts keep the scramble streams of the kinds (and their internal
 // roles) disjoint even for equal (seed, block, dim) tuples.

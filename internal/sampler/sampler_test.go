@@ -47,24 +47,6 @@ func TestSeedAtMatchesSweepSeed(t *testing.T) {
 	}
 }
 
-// TestRandIsLegacyStreamForEveryKind: the Draws.Rand escape hatch (what the
-// un-migrated rand-signature adapters consume) must be the job's pseudo
-// stream no matter which sampler the sweep carries.
-func TestRandIsLegacyStreamForEveryKind(t *testing.T) {
-	for _, kind := range sampler.Kinds() {
-		src := sampler.New(kind, 16)
-		for index := 0; index < 8; index++ {
-			legacy := sweep.Rand(42, index)
-			got := src.Draws(42, index).Rand()
-			for k := 0; k < 10; k++ {
-				if g, w := got.Float64(), legacy.Float64(); g != w {
-					t.Fatalf("%v index %d draw %d: Rand() stream %v != legacy %v", kind, index, k, g, w)
-				}
-			}
-		}
-	}
-}
-
 // TestDrawsInUnitInterval: every kind, a spread of dimensions (including
 // past the Sobol/Halton tables) and indices, always lands in [0,1).
 func TestDrawsInUnitInterval(t *testing.T) {

@@ -26,12 +26,12 @@ import (
 //
 //   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
-//     independently — but over one shared tape of raw segments with the raw
-//     duration/length computed once, and with each lane's frame constants
-//     computed once per lane (segment.Frame): a lane places raw tape
-//     segments under its frame (Mover.SetFramed) and never builds a framed
-//     segment. Generation, trig, and cursor overhead amortize across the
-//     batch.
+//     independently through the scalar walk, meet — but their streams read
+//     one shared tape of raw segments with the raw duration/length computed
+//     once, and each lane's frame constants are computed once per lane
+//     (segment.Frame): a lane places raw tape segments under its frame
+//     (Mover.SetFramed) and never builds a framed segment. Generation,
+//     trig, and cursor overhead amortize across the batch.
 
 // SearchBatch runs Search for every lane of ln (target TX/TY, radius R,
 // horizon Horizon) against one shared program. Results and errors are
@@ -239,111 +239,6 @@ func (tp *tape) get(i int) bool {
 	return true
 }
 
-// tapeStream is one robot's half of a per-lane merged walk over a shared
-// tape: the exact state machine of stream (see sim.go), with the cursor pull
-// replaced by a tape index and the lane's frame applied at placement. The
-// current segment is tp.segs[idx-1], addressed by index rather than held by
-// pointer or copied, because the tape's slice moves when it grows.
-type tapeStream struct {
-	tp       *tape
-	fr       segment.Frame
-	idx      int
-	segDur   float64
-	segLen   float64
-	start    float64
-	has      bool
-	finalPos geom.Vec
-	odo      odometer
-	mov      motion.Mover
-	end      float64
-}
-
-// reset re-aims the stream at the tape under fr and pulls its first segment.
-func (s *tapeStream) reset(tp *tape, fr *segment.Frame) {
-	*s = tapeStream{tp: tp, fr: *fr}
-	s.next()
-}
-
-func (s *tapeStream) next() {
-	if s.has {
-		s.start += s.segDur
-	}
-	if !s.tp.get(s.idx) {
-		if s.has {
-			last := s.fr.Apply(&s.tp.segs[s.idx-1])
-			s.finalPos = last.End()
-		}
-		s.has = false
-		return
-	}
-	s.segDur, s.segLen = s.fr.Scale(s.tp.durs[s.idx], s.tp.lens[s.idx])
-	s.idx++
-	s.has = true
-}
-
-// motionAt mirrors stream.motionAt exactly.
-func (s *tapeStream) motionAt(t float64) {
-	advanced := false
-	for s.has && s.start+s.segDur <= t {
-		s.next()
-		advanced = true
-	}
-	if !s.has {
-		s.odo.halt()
-		if advanced || s.end != math.Inf(1) {
-			s.mov.SetStatic(s.finalPos)
-			s.end = math.Inf(1)
-		}
-		return
-	}
-	s.odo.observe(s.start, s.segDur, s.segLen)
-	if advanced || s.end == 0 {
-		s.mov.SetFramed(&s.tp.segs[s.idx-1], &s.fr, s.start, s.segDur)
-		s.end = s.start + s.segDur
-	}
-}
-
-// firstMeetingTape is FirstMeeting over two tapeStreams (already reset);
-// the loop body is identical.
-func firstMeetingTape(sa, sb *tapeStream, r float64, opt Options) (Result, error) {
-	mopt := detectOptions(opt, r)
-	var res Result
-	t := 0.0
-	for t < opt.Horizon {
-		if err := pollCtx(opt.Ctx, res.Intervals); err != nil {
-			return Result{}, err
-		}
-		sa.motionAt(t)
-		sb.motionAt(t)
-
-		intervalEnd := math.Min(opt.Horizon, math.Min(sa.end, sb.end))
-		if math.IsInf(sa.end, 1) && math.IsInf(sb.end, 1) {
-			res.Intervals++
-			gap := sa.mov.At(t).Dist(sb.mov.At(t))
-			res.DistanceA, res.DistanceB = sa.odo.at(t), sb.odo.at(t)
-			if gap <= r {
-				return met(res, &sa.mov, &sb.mov, t), nil
-			}
-			res.Gap = gap
-			return res, nil
-		}
-
-		res.Intervals++
-		hit, found, err := motion.Contact(&sa.mov, &sb.mov, r, t, intervalEnd, mopt)
-		if err != nil {
-			return Result{}, fmt.Errorf("interval [%v, %v]: %w", t, intervalEnd, err)
-		}
-		if found {
-			res.DistanceA, res.DistanceB = sa.odo.at(hit), sb.odo.at(hit)
-			return met(res, &sa.mov, &sb.mov, hit), nil
-		}
-		t = intervalEnd
-	}
-	res.Gap = sa.mov.At(opt.Horizon).Dist(sb.mov.At(opt.Horizon))
-	res.DistanceA, res.DistanceB = sa.odo.at(opt.Horizon), sb.odo.at(opt.Horizon)
-	return res, nil
-}
-
 // FirstMeetingBatch runs FirstMeeting for every rendezvous lane of ln
 // against one shared program: lane i meets the reference-frame robot from
 // the origin with the (V,Tau,Phi,Chi)-framed robot from displacement
@@ -366,13 +261,15 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 	results := make([]Result, n)
 	errs := make([]error, n)
 
-	var tp tape
-	tp.init(program)
-	defer tp.close()
-
-	// Both walk states are reused across lanes: the batch adds no per-lane
-	// heap allocations beyond the shared tape.
-	var w struct{ sa, sb tapeStream }
+	// One allocation holds the tape and both walk states, which every lane
+	// reuses: the batch adds no per-lane heap allocations beyond the
+	// shared tape.
+	var w struct {
+		tp     tape
+		sa, sb stream
+	}
+	w.tp.init(program)
+	defer w.tp.close()
 	for i := 0; i < n; i++ {
 		in := Instance{Attrs: ln.Attrs(i), D: ln.Target(i), R: ln.R[i]}
 		if validate {
@@ -388,9 +285,9 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 			continue
 		}
 		fb := in.Attrs.Frame(in.D)
-		w.sa.reset(&tp, &referenceFrame)
-		w.sb.reset(&tp, &fb)
-		results[i], errs[i] = firstMeetingTape(&w.sa, &w.sb, in.R, lopt)
+		w.sa.reset(&w.tp, &referenceFrame)
+		w.sb.reset(&w.tp, &fb)
+		results[i], errs[i] = meet(&w.sa, &w.sb, in.R, lopt)
 	}
 	return results, errs
 }

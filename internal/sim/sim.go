@@ -14,11 +14,18 @@
 // are exact, so measured meeting times are directly comparable with the
 // paper's closed-form analysis.
 //
-// Both walks are allocation-free per segment: Search drives the program
-// generator directly with a callback, and the two-stream FirstMeeting merge
-// pulls value-typed segments through trajectory.Cursor — an explicit
-// resumable cursor over each stream — instead of iter.Pull coroutines. The
-// per-segment motions live in caller-owned motion.Mover storage.
+// There are two walks, one per problem. Search drives the program
+// generator directly with a callback: one stream against a static target
+// needs no merge, no cursor and no second Mover. The rendezvous walk, meet,
+// merges two streams and is the one loop behind FirstMeeting,
+// FirstMeetingFramed and every lane of the batched rendezvous kernels. A
+// stream pulls value-typed segments either through its own
+// trajectory.Cursor — an explicit resumable cursor over the source, instead
+// of iter.Pull coroutines — or, on a batch lane, from a tape of raw
+// segments shared by the whole row. Both walks are allocation-free per
+// segment; the per-segment motions live in caller-owned motion.Mover
+// storage. Search is not folded into a one-lane SearchBatch because that
+// would add per-call lane slices to the hot path the allocation gates pin.
 //
 // A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
 // whole walk, so the rendezvous walks apply it at placement rather than per
@@ -36,9 +43,10 @@
 // batch.Lanes) amortize segment generation across all lanes: SearchBatch
 // walks the shared program once, hoisting the per-segment motion setup out
 // of the lane loop and reducing per-lane work to a closed-form contact test;
-// the rendezvous variants record the generated stream into a tape replayed
-// per lane. Results are bit-identical to the scalar entry points, lane for
-// lane — pinned by differential tests and FuzzBatchMatchesScalar.
+// the rendezvous variants record the generated stream into a tape that each
+// lane's pair of streams replays through meet. Results are bit-identical to
+// the scalar entry points, lane for lane — pinned by differential tests and
+// FuzzBatchMatchesScalar.
 package sim
 
 import (
@@ -147,23 +155,30 @@ func detectOptions(opt Options, r float64) motion.Options {
 	return mopt
 }
 
-// stream is one robot's half of the merged two-source walk: a resumable
-// cursor over its segment stream, the current segment placed on the
-// absolute time axis, the odometer, and the reusable motion storage.
+// stream is one robot's half of the merged two-source walk: the source of
+// its segments, the current segment placed on the absolute time axis, the
+// odometer, and the reusable motion storage.
 //
-// With a frame, the cursor yields the robot's local program and the frame
+// The segments come from the stream's own resumable cursor or, on a batch
+// lane, from a tape shared by every lane of the row. A tape segment is read
+// in place as tp.segs[idx-1], addressed by index rather than held by
+// pointer or copied, because the tape's slice moves when it grows.
+//
+// With a frame, the source yields the robot's local program and the frame
 // is applied at placement: durations and lengths go through Frame.Scale and
 // the motion through Mover.SetFramed, both bit-identical to walking the
 // Transform-framed program. Without one the cursor yields global segments,
 // placed as they are.
 type stream struct {
 	cur      trajectory.Cursor
-	fr       segment.Frame // the robot's frame, when framed
+	tp       *tape // the shared tape, when the stream replays one
+	idx      int   // index of the next tape segment
+	fr       segment.Frame
 	framed   bool
-	seg      segment.Seg // current segment (raw local when framed)
+	seg      segment.Seg // current cursor segment (raw local when framed)
 	segDur   float64     // its global duration, computed once per segment
 	segLen   float64     // its global path length, computed once per segment
-	start    float64     // absolute start time of seg
+	start    float64     // absolute start time of the current segment
 	has      bool
 	finalPos geom.Vec
 	odo      odometer
@@ -181,33 +196,69 @@ func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 	s.next()
 }
 
+// reset re-aims the stream at the start of tape tp under fr, clearing all
+// walk state, and pulls its first segment. A tape stream never uses its
+// cursor, so there is nothing to close.
+func (s *stream) reset(tp *tape, fr *segment.Frame) {
+	*s = stream{tp: tp, fr: *fr, framed: true}
+	s.next()
+}
+
 // next advances to the following segment, accumulating absolute start times
 // exactly like the former per-stream walker (a running sum of durations).
 func (s *stream) next() {
 	if s.has {
 		s.start += s.segDur
 	}
-	seg, ok := s.cur.Next()
-	if !ok {
+	if !s.pull() {
 		// The stream is exhausted: only now is the final position needed
 		// (End() costs a sincos for arcs, so it is not computed per
-		// segment). s.seg still holds the last segment.
+		// segment). The current segment is still the last one.
 		if s.has {
-			last := s.seg
 			if s.framed {
-				last = s.fr.Apply(&s.seg)
+				last := s.fr.Apply(s.raw())
+				s.finalPos = last.End()
+			} else {
+				s.finalPos = s.raw().End()
 			}
-			s.finalPos = last.End()
 		}
 		s.has = false
 		return
 	}
-	s.seg = seg
-	s.segDur, s.segLen = s.seg.DurationAndLength()
 	if s.framed {
 		s.segDur, s.segLen = s.fr.Scale(s.segDur, s.segLen)
 	}
 	s.has = true
+}
+
+// pull makes the source's next segment current, with its raw duration and
+// length in segDur and segLen. It reports false, leaving the current
+// segment in place, when the source is exhausted.
+func (s *stream) pull() bool {
+	if s.tp != nil {
+		if !s.tp.get(s.idx) {
+			return false
+		}
+		s.segDur, s.segLen = s.tp.durs[s.idx], s.tp.lens[s.idx]
+		s.idx++
+		return true
+	}
+	seg, ok := s.cur.Next()
+	if !ok {
+		return false
+	}
+	s.seg = seg
+	s.segDur, s.segLen = s.seg.DurationAndLength()
+	return true
+}
+
+// raw returns the current segment as the source yielded it (local when
+// framed).
+func (s *stream) raw() *segment.Seg {
+	if s.tp != nil {
+		return &s.tp.segs[s.idx-1]
+	}
+	return &s.seg
 }
 
 // motionAt positions the stream's motion at absolute time t: it advances
@@ -231,9 +282,9 @@ func (s *stream) motionAt(t float64) {
 	s.odo.observe(s.start, s.segDur, s.segLen)
 	if advanced || s.end == 0 {
 		if s.framed {
-			s.mov.SetFramed(&s.seg, &s.fr, s.start, s.segDur)
+			s.mov.SetFramed(s.raw(), &s.fr, s.start, s.segDur)
 		} else {
-			s.mov.Set(&s.seg, s.start, s.segDur)
+			s.mov.Set(s.raw(), s.start, s.segDur)
 		}
 		s.end = s.start + s.segDur
 	}
@@ -264,23 +315,27 @@ func FirstMeetingFramed(programA trajectory.Source, fa segment.Frame, programB t
 	return firstMeeting(programA, &fa, programB, &fb, r, opt)
 }
 
-// firstMeeting is the merged walk behind FirstMeeting and
-// FirstMeetingFramed; a nil frame marks a global source.
+// firstMeeting runs meet over two cursor streams; a nil frame marks a
+// global source.
 func firstMeeting(a trajectory.Source, fa *segment.Frame, b trajectory.Source, fb *segment.Frame, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
 	}
-	mopt := detectOptions(opt, r)
-
 	// One allocation holds both streams: the cursors' cached collector
 	// closures capture pointers into it, so it escapes as a single object.
 	var w struct{ sa, sb stream }
-	sa, sb := &w.sa, &w.sb
-	sa.init(a, fa)
-	defer sa.close()
-	sb.init(b, fb)
-	defer sb.close()
+	w.sa.init(a, fa)
+	defer w.sa.close()
+	w.sb.init(b, fb)
+	defer w.sb.close()
+	return meet(&w.sa, &w.sb, r, opt)
+}
 
+// meet is the merged walk of two ready streams, the one loop behind
+// FirstMeeting, FirstMeetingFramed and every batch lane. opt.Horizon and r
+// must be positive.
+func meet(sa, sb *stream, r float64, opt Options) (Result, error) {
+	mopt := detectOptions(opt, r)
 	var res Result
 	t := 0.0
 	for t < opt.Horizon {

@@ -3,20 +3,19 @@ package sweep
 import (
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"time"
 
 	"repro/internal/sampler"
 )
 
 // LaneError attributes a batched-row failure to one lane. Row functions
-// return it so RunBatched can report the failure under the lane's dense job
+// return it so RunBatchedSampled can report the failure under the lane's dense job
 // index — keeping batched error reporting deterministic and its surface text
 // identical to the scalar path (JobError and LaneError both print only the
 // underlying error).
 type LaneError struct {
 	// Lane is a lane position within the row function's indices slice (what
-	// a row fn reports), rewritten to the dense job index by RunBatched
+	// a row fn reports), rewritten to the dense job index by RunBatchedSampled
 	// before the error escapes.
 	Lane int
 	Err  error
@@ -27,35 +26,22 @@ func (e *LaneError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying lane error to errors.Is/As.
 func (e *LaneError) Unwrap() error { return e.Err }
 
-// RunBatched is the batched job kind: the dense index space [0, n) is split
-// into contiguous rows of rowSize, and fn evaluates one whole row per call —
-// the shape the SoA batch kernels need, where every lane of a row shares one
-// program stream. Rows are scheduled like ordinary jobs (opt.Workers /
-// opt.Pool), so worker parallelism composes with lane parallelism within a
-// row.
+// RunBatchedSampled is the batched job kind: the dense index space [0, n)
+// is split into contiguous rows of rowSize, and fn evaluates one whole row
+// per call — the shape the SoA batch kernels need, where every lane of a
+// row shares one program stream. Rows are scheduled like ordinary jobs
+// (opt.Workers / opt.Pool), so worker parallelism composes with lane
+// parallelism within a row.
 //
-// The per-lane contract matches Run job for job: lane i draws the private
-// RNG derived from (opt.BaseSeed, i) via the rng accessor, opt.Shard skips
-// the indices it does not own, and opt.Exchange serves recorded lanes and
-// records computed ones — so scalar and batched runs (and any mix across a
-// sharded fleet) recombine bit-identically. fn receives the dense indices of
-// the lanes it must compute (owned, not served) and must return one result
-// per index, in order; on failure it should return a *LaneError naming the
-// offending position in indices.
-func RunBatched[T any](n, rowSize int, fn func(indices []int, rng func(i int) *rand.Rand) ([]T, error), opt Options) ([]T, error) {
-	if fn == nil {
-		return nil, errors.New("sweep: nil row function")
-	}
-	return RunBatchedSampled(n, rowSize, func(indices []int, at func(i int) sampler.Draws) ([]T, error) {
-		return fn(indices, func(i int) *rand.Rand { return at(i).Rand() })
-	}, opt)
-}
-
-// RunBatchedSampled is RunBatched for sampler-aware row functions: each
-// lane i obtains its opt.Sampler draw handle through the at accessor, with
-// the same (BaseSeed, index) addressing as the scalar RunSampled path — so
-// scalar and batched evaluations of one sweep stay bit-identical under any
-// sampler kind.
+// The per-lane contract matches RunSampled job for job: lane i obtains its
+// opt.Sampler draw handle, addressed by (opt.BaseSeed, i), through the at
+// accessor; opt.Shard skips the indices it does not own, and opt.Exchange
+// serves recorded lanes and records computed ones — so scalar and batched
+// runs (and any mix across a sharded fleet) recombine bit-identically
+// under any sampler kind. fn receives the dense indices of the lanes it
+// must compute (owned, not served) and must return one result per index,
+// in order; on failure it should return a *LaneError naming the offending
+// position in indices.
 func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i int) sampler.Draws) ([]T, error), opt Options) ([]T, error) {
 	if n < 0 {
 		return nil, errors.New("sweep: negative job count")

@@ -3,7 +3,6 @@ package sweep
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"strings"
 
@@ -141,20 +140,38 @@ func ParseGrid(specs ...string) (Grid, error) {
 	return g, nil
 }
 
+// maxJobs caps a grid sweep's dense job space, points × samples: far past
+// any sweep whose result slice fits in memory, and far below int overflow.
+const maxJobs = 1 << 40
+
 // Size is the number of grid points (1 for an empty grid: the single empty
-// assignment). A grid with an empty axis has size 0.
+// assignment). A grid with an empty axis has size 0; a grid of more than
+// 2⁴⁰ points has size −1.
 func (g Grid) Size() int {
 	n := 1
 	for _, a := range g {
 		if len(a.Values) == 0 {
 			return 0
 		}
-		if n > 1<<40/len(a.Values) {
-			return -1 // overflow sentinel; Validate rejects it
+		if n > maxJobs/len(a.Values) {
+			return -1 // overflow sentinel; Jobs rejects it
 		}
 		n *= len(a.Values)
 	}
 	return n
+}
+
+// Jobs returns the dense job count of a sweep running samples jobs per
+// grid point, Size()·samples (samples < 1 is treated as 1). It is an error
+// when the count exceeds 2⁴⁰, which also keeps the product from
+// overflowing int.
+func (g Grid) Jobs(samples int) (int, error) {
+	samples = max(samples, 1)
+	points := g.Size()
+	if points < 0 || points > 0 && samples > maxJobs/points {
+		return 0, fmt.Errorf("sweep: grid of %d axes × %d samples per point is too large", len(g), samples)
+	}
+	return points * samples, nil
 }
 
 // Point decodes grid point i into one value per axis (mixed-radix, last
@@ -169,36 +186,24 @@ func (g Grid) Point(i int) []float64 {
 	return out
 }
 
-// RunGrid evaluates fn at every point of the grid, samples times per point
-// (samples < 1 is treated as 1), through the worker pool. Job order — and
-// therefore result order and per-job seeding — is point-major: all samples
-// of point 0, then all samples of point 1, and so on. The flat result slice
-// has length Size()·samples.
-func RunGrid[T any](g Grid, samples int, fn func(point []float64, sample int, rng *rand.Rand) (T, error), opt Options) ([]T, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("sweep: nil job function")
-	}
-	return RunGridSampled(g, samples, func(point []float64, sample int, d sampler.Draws) (T, error) {
-		return fn(point, sample, d.Rand())
-	}, opt)
-}
-
-// RunGridSampled is RunGrid for sampler-aware jobs: the callback receives
-// the opt.Sampler draw handle of its dense job index. Samples of one grid
+// RunGridSampled evaluates fn at every point of the grid, samples times per
+// point (samples < 1 is treated as 1), through the worker pool; the
+// callback receives the opt.Sampler draw handle of its dense job index.
+// Job order — and therefore result order and per-job draws — is
+// point-major: all samples of point 0, then all samples of point 1, and so
+// on. The flat result slice has length Size()·samples. Samples of one grid
 // point occupy consecutive indices, so a sampler whose block size equals
 // samples stratifies each point's estimate independently.
 func RunGridSampled[T any](g Grid, samples int, fn func(point []float64, sample int, d sampler.Draws) (T, error), opt Options) ([]T, error) {
-	if samples < 1 {
-		samples = 1
-	}
-	size := g.Size()
-	if size < 0 {
-		return nil, fmt.Errorf("sweep: grid too large")
+	samples = max(samples, 1)
+	n, err := g.Jobs(samples)
+	if err != nil {
+		return nil, err
 	}
 	if fn == nil {
 		return nil, fmt.Errorf("sweep: nil job function")
 	}
-	return RunSampled(size*samples, func(i int, d sampler.Draws) (T, error) {
+	return RunSampled(n, func(i int, d sampler.Draws) (T, error) {
 		return fn(g.Point(i/samples), i%samples, d)
 	}, opt)
 }

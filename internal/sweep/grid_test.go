@@ -1,9 +1,11 @@
 package sweep
 
 import (
-	"math/rand"
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/sampler"
 )
 
 func TestParseAxisList(t *testing.T) {
@@ -105,6 +107,33 @@ func TestGridDegenerate(t *testing.T) {
 	}
 }
 
+// TestGridJobs: the points × samples job count is exact up to the cap and an
+// error past it — including products that would wrap int to a small or
+// zero count — so no caller sizes a result slice from a wrapped product.
+func TestGridJobs(t *testing.T) {
+	g := Grid{Vals("d", 1, 2, 3, 4), Vals("r", 1, 2)}
+	for _, c := range []struct{ samples, want int }{{0, 8}, {1, 8}, {5, 40}, {1 << 37, 1 << 40}} {
+		if got, err := g.Jobs(c.samples); err != nil || got != c.want {
+			t.Errorf("Jobs(%d) = %d, %v; want %d", c.samples, got, err, c.want)
+		}
+	}
+	for _, samples := range []int{1<<37 + 1, 1 << 61, math.MaxInt} {
+		if got, err := g.Jobs(samples); err == nil {
+			t.Errorf("Jobs(%d) = %d, want an error", samples, got)
+		}
+	}
+	if got, err := (Grid{Vals("a")}).Jobs(math.MaxInt); err != nil || got != 0 {
+		t.Errorf("empty-axis Jobs = %d, %v; want 0", got, err)
+	}
+	big := Axis{Name: "x", Values: make([]float64, 1<<21)}
+	if _, err := (Grid{big, big}).Jobs(1); err == nil {
+		t.Error("over-cap grid accepted")
+	}
+	if _, err := RunGridSampled(g, 1<<61, func([]float64, int, sampler.Draws) (int, error) { return 0, nil }, Options{}); err == nil {
+		t.Error("RunGridSampled accepted 2⁶¹ samples per point")
+	}
+}
+
 func TestRange(t *testing.T) {
 	a := Range("d", 0, 1, 5)
 	want := []float64{0, 0.25, 0.5, 0.75, 1}
@@ -122,17 +151,17 @@ func TestRunGridDeterministicSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const samples = 3
-	job := func(point []float64, sample int, rng *rand.Rand) ([2]float64, error) {
-		return [2]float64{point[0] + point[1], rng.Float64() * float64(sample+1)}, nil
+	job := func(point []float64, sample int, d sampler.Draws) ([2]float64, error) {
+		return [2]float64{point[0] + point[1], d.Float64(0) * float64(sample+1)}, nil
 	}
-	ref, err := RunGrid(g, samples, job, Options{Workers: 1, BaseSeed: 7})
+	ref, err := RunGridSampled(g, samples, job, Options{Workers: 1, BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ref) != g.Size()*samples {
 		t.Fatalf("got %d results, want %d", len(ref), g.Size()*samples)
 	}
-	par, err := RunGrid(g, samples, job, Options{Workers: 8, BaseSeed: 7})
+	par, err := RunGridSampled(g, samples, job, Options{Workers: 8, BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

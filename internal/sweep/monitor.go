@@ -5,19 +5,19 @@ import (
 	"time"
 )
 
-// Monitor aggregates live progress over one or more Run calls: how many
+// Monitor aggregates live progress over one or more runs: how many
 // jobs have finished out of how many submitted, and how long each took.
 // Attach one via Options.Monitor (typically the same Monitor across every
 // batch of a suite) and poll Progress, or set OnChange for push updates.
 type Monitor struct {
 	// OnChange, when non-nil, is called with the updated counters after
 	// every completed job. It runs on worker goroutines: keep it cheap and
-	// concurrency-safe. Set it before the first Run.
+	// concurrency-safe. Set it before the first run.
 	OnChange func(done, total int64)
 
 	// OnJob, when non-nil, is called with each completed job's wall time,
 	// before OnChange. Same rules: worker goroutines, keep it cheap and
-	// concurrency-safe, set it before the first Run. The telemetry layer
+	// concurrency-safe, set it before the first run. The telemetry layer
 	// uses it to stream per-job timings into its flush-interval timers.
 	OnJob func(d time.Duration)
 

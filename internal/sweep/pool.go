@@ -5,10 +5,10 @@ import (
 	"sync"
 )
 
-// Pool is a shared worker pool that several Run calls — typically one per
+// Pool is a shared worker pool that several runs — typically one per
 // experiment grid — feed concurrently, so a whole experiment suite is
 // bounded by a single worker budget instead of one budget per grid. Without
-// a pool each Run spins up its own goroutines, which keeps the cap per
+// a pool each run spins up its own goroutines, which keeps the cap per
 // batch; with RunAllCfg submitting every grid to one Pool, "-workers N" is
 // an exact process-wide cap while cheap experiments overlap the long ones.
 //

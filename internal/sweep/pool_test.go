@@ -4,30 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sampler"
 )
 
 // TestPooledRunMatchesPrivate: a batch on a shared pool must reproduce the
 // private-goroutine results bit for bit, including the RNG streams.
 func TestPooledRunMatchesPrivate(t *testing.T) {
-	job := func(i int, rng *rand.Rand) (float64, error) {
+	job := func(i int, d sampler.Draws) (float64, error) {
 		sum := float64(i)
 		for k := 0; k < 10; k++ {
-			sum += rng.Float64()
+			sum += d.Float64(k)
 		}
 		return sum, nil
 	}
-	want, err := Run(64, job, Options{Workers: 1, BaseSeed: 7})
+	want, err := RunSampled(64, job, Options{Workers: 1, BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)
-		got, err := Run(64, job, Options{BaseSeed: 7, Pool: p})
+		got, err := RunSampled(64, job, Options{BaseSeed: 7, Pool: p})
 		p.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -48,7 +49,7 @@ func TestPoolSharedAcrossBatches(t *testing.T) {
 	p := NewPool(workers)
 	defer p.Close()
 	var inFlight, peak atomic.Int64
-	job := func(i int, _ *rand.Rand) (int, error) {
+	job := func(i int, _ sampler.Draws) (int, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -67,7 +68,7 @@ func TestPoolSharedAcrossBatches(t *testing.T) {
 		wg.Add(1)
 		go func(b int) {
 			defer wg.Done()
-			outs[b], errs[b] = Run(20, job, Options{Pool: p})
+			outs[b], errs[b] = RunSampled(20, job, Options{Pool: p})
 		}(b)
 	}
 	wg.Wait()
@@ -93,7 +94,7 @@ func TestPooledRunErrorAborts(t *testing.T) {
 	defer p.Close()
 	boom := errors.New("boom")
 	var executed atomic.Int64
-	_, err := Run(1000, func(i int, _ *rand.Rand) (int, error) {
+	_, err := RunSampled(1000, func(i int, _ sampler.Draws) (int, error) {
 		executed.Add(1)
 		if i == 3 {
 			return 0, fmt.Errorf("job 3: %w", boom)
@@ -112,7 +113,7 @@ func TestPooledRunErrorAborts(t *testing.T) {
 		t.Error("all jobs executed despite the early failure")
 	}
 	// The pool must still serve a fresh batch.
-	got, err := Run(8, func(i int, _ *rand.Rand) (int, error) { return i + 1, nil }, Options{Pool: p})
+	got, err := RunSampled(8, func(i int, _ sampler.Draws) (int, error) { return i + 1, nil }, Options{Pool: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestPooledRunCancellation(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int64
-	_, err := RunContext(ctx, 100_000, func(i int, _ *rand.Rand) (int, error) {
+	_, err := RunSampledContext(ctx, 100_000, func(i int, _ sampler.Draws) (int, error) {
 		if executed.Add(1) == 5 {
 			cancel()
 		}
@@ -155,7 +156,7 @@ func TestPooledRunCancelAfterFeed(t *testing.T) {
 	defer p.Close()
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunContext(ctx, 2, func(i int, _ *rand.Rand) (int, error) {
+		_, err := RunSampledContext(ctx, 2, func(i int, _ sampler.Draws) (int, error) {
 			if i == 0 {
 				cancel()
 			}
@@ -175,10 +176,10 @@ func TestMonitorCounts(t *testing.T) {
 	var changes atomic.Int64
 	m.OnChange = func(done, total int64) { changes.Add(1) }
 	opt := Options{Workers: 2, Monitor: m}
-	if _, err := Run(10, func(i int, _ *rand.Rand) (int, error) { return i, nil }, opt); err != nil {
+	if _, err := RunSampled(10, func(i int, _ sampler.Draws) (int, error) { return i, nil }, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(5, func(i int, _ *rand.Rand) (int, error) { return i, nil }, opt); err != nil {
+	if _, err := RunSampled(5, func(i int, _ sampler.Draws) (int, error) { return i, nil }, opt); err != nil {
 		t.Fatal(err)
 	}
 	done, total := m.Progress()

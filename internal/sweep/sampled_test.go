@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/sampler"
@@ -57,48 +56,19 @@ func TestRunSampledShardSplit(t *testing.T) {
 	}
 }
 
-// TestRunAdapterMatchesRunSampledPseudo: the legacy rand-signature Run and
-// the sampler-aware RunSampled produce identical draws under the default
-// pseudo sampler — the adapter is a zero-cost relabeling, not a new stream.
+// TestRunAdapterMatchesRunSampledPseudo: under the default pseudo sampler,
+// RunSampled hands job i the dimensions 0, 1, … of its legacy private
+// stream sweep.Rand(BaseSeed, i), bit for bit.
 func TestRunAdapterMatchesRunSampledPseudo(t *testing.T) {
 	const n = 40
-	legacy, err := Run(n, func(i int, rng *rand.Rand) (drawPair, error) {
-		return drawPair{A: rng.Float64(), B: rng.Float64()}, nil
-	}, Options{BaseSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sampled, err := RunSampled(n, pairJob, Options{BaseSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range legacy {
-		if legacy[i] != sampled[i] {
-			t.Fatalf("index %d: legacy %+v != sampled %+v", i, legacy[i], sampled[i])
-		}
-	}
-}
-
-// TestRunSampledIgnoredByLegacyJobs: a non-pseudo Options.Sampler must not
-// perturb rand-signature jobs — they consume the pseudo stream regardless.
-func TestRunSampledIgnoredByLegacyJobs(t *testing.T) {
-	const n = 25
-	baseline, err := Run(n, func(i int, rng *rand.Rand) (float64, error) {
-		return rng.Float64(), nil
-	}, Options{BaseSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withSobol, err := Run(n, func(i int, rng *rand.Rand) (float64, error) {
-		return rng.Float64(), nil
-	}, Options{BaseSeed: 3, Sampler: sampler.New(sampler.Sobol, 5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range baseline {
-		if baseline[i] != withSobol[i] {
-			t.Fatalf("index %d: legacy job drifted under sobol sampler: %v != %v",
-				i, withSobol[i], baseline[i])
+	for i := range sampled {
+		rng := Rand(7, i)
+		if legacy := (drawPair{A: rng.Float64(), B: rng.Float64()}); legacy != sampled[i] {
+			t.Fatalf("index %d: legacy %+v != sampled %+v", i, legacy, sampled[i])
 		}
 	}
 }

@@ -99,7 +99,7 @@ func (s Shard) String() string {
 // Exchange persists per-job results across process boundaries: a sharded
 // run Records the encoding of every job it executes, and a merge run serves
 // Lookups from the union of the shards' records instead of re-executing the
-// jobs. Batch names a single Run call within a larger workload (the
+// jobs. Batch names a single run within a larger workload (the
 // experiment suite runs many sweeps; each gets a distinct, deterministic
 // batch ID), and index is the job's dense index within that batch.
 //

@@ -2,10 +2,11 @@ package sweep
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/sampler"
 )
 
 // TestShardPartition: for every K, the shards 0..K-1 partition the job
@@ -80,10 +81,10 @@ func TestParseShard(t *testing.T) {
 // each shard fills exactly its own slots.
 func TestRunShardedUnion(t *testing.T) {
 	const n = 37
-	fn := func(i int, rng *rand.Rand) (float64, error) {
-		return float64(i) + rng.Float64(), nil
+	fn := func(i int, d sampler.Draws) (float64, error) {
+		return float64(i) + d.Float64(0), nil
 	}
-	full, err := Run(n, fn, Options{Workers: 3, BaseSeed: 11})
+	full, err := RunSampled(n, fn, Options{Workers: 3, BaseSeed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunShardedUnion(t *testing.T) {
 		union := make([]float64, n)
 		for idx := 0; idx < k; idx++ {
 			shard := Shard{Index: idx, Count: k}
-			part, err := Run(n, fn, Options{Workers: 2, BaseSeed: 11, Shard: shard})
+			part, err := RunSampled(n, fn, Options{Workers: 2, BaseSeed: 11, Shard: shard})
 			if err != nil {
 				t.Fatalf("K=%d shard %d: %v", k, idx, err)
 			}
@@ -114,7 +115,7 @@ func TestRunShardedUnion(t *testing.T) {
 // TestRunInvalidShard: malformed shards fail fast.
 func TestRunInvalidShard(t *testing.T) {
 	for _, s := range []Shard{{Index: 3, Count: 3}, {Index: -1, Count: 2}, {Index: 1, Count: 0}, {Index: 0, Count: -1}} {
-		_, err := Run(4, func(int, *rand.Rand) (int, error) { return 0, nil }, Options{Shard: s})
+		_, err := RunSampled(4, func(int, sampler.Draws) (int, error) { return 0, nil }, Options{Shard: s})
 		if err == nil {
 			t.Errorf("shard %+v accepted", s)
 		}
@@ -157,20 +158,20 @@ func TestRunExchangeMerge(t *testing.T) {
 	const n, k = 29, 3
 	var executions int
 	var mu sync.Mutex
-	fn := func(i int, rng *rand.Rand) ([2]float64, error) {
+	fn := func(i int, d sampler.Draws) ([2]float64, error) {
 		mu.Lock()
 		executions++
 		mu.Unlock()
-		return [2]float64{float64(i), rng.Float64()}, nil
+		return [2]float64{float64(i), d.Float64(0)}, nil
 	}
-	full, err := Run(n, fn, Options{Workers: 1, BaseSeed: 5})
+	full, err := RunSampled(n, fn, Options{Workers: 1, BaseSeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	x := newMapExchange()
 	for idx := 0; idx < k; idx++ {
-		_, err := Run(n, fn, Options{Workers: 2, BaseSeed: 5, Batch: "b", Exchange: x,
+		_, err := RunSampled(n, fn, Options{Workers: 2, BaseSeed: 5, Batch: "b", Exchange: x,
 			Shard: Shard{Index: idx, Count: k}})
 		if err != nil {
 			t.Fatalf("shard %d: %v", idx, err)
@@ -183,7 +184,7 @@ func TestRunExchangeMerge(t *testing.T) {
 	mu.Lock()
 	executions = 0
 	mu.Unlock()
-	merged, err := Run(n, fn, Options{Workers: 3, BaseSeed: 5, Batch: "b", Exchange: x})
+	merged, err := RunSampled(n, fn, Options{Workers: 3, BaseSeed: 5, Batch: "b", Exchange: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestRunExchangeMerge(t *testing.T) {
 	}
 
 	// A batch name the exchange has not seen computes everything afresh.
-	other, err := Run(n, fn, Options{Workers: 1, BaseSeed: 5, Batch: "other", Exchange: x})
+	other, err := RunSampled(n, fn, Options{Workers: 1, BaseSeed: 5, Batch: "other", Exchange: x})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,17 +211,17 @@ func TestRunExchangeMerge(t *testing.T) {
 // TestRunExchangeDamagedRecord: a record that does not decode is treated as
 // absent — the job recomputes and the results still match.
 func TestRunExchangeDamagedRecord(t *testing.T) {
-	fn := func(i int, rng *rand.Rand) (float64, error) { return float64(i) + rng.Float64(), nil }
-	full, err := Run(5, fn, Options{BaseSeed: 2, Workers: 1})
+	fn := func(i int, d sampler.Draws) (float64, error) { return float64(i) + d.Float64(0), nil }
+	full, err := RunSampled(5, fn, Options{BaseSeed: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := newMapExchange()
-	if _, err := Run(5, fn, Options{BaseSeed: 2, Workers: 1, Batch: "b", Exchange: x}); err != nil {
+	if _, err := RunSampled(5, fn, Options{BaseSeed: 2, Workers: 1, Batch: "b", Exchange: x}); err != nil {
 		t.Fatal(err)
 	}
 	x.recs[x.key("b", 3)] = []byte("{not json")
-	got, err := Run(5, fn, Options{BaseSeed: 2, Workers: 1, Batch: "b", Exchange: x})
+	got, err := RunSampled(5, fn, Options{BaseSeed: 2, Workers: 1, Batch: "b", Exchange: x})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,12 @@
 // suite at one worker budget). A Monitor can observe per-job progress and
 // timing.
 //
-// The sampler-aware entry points (RunSampled, RunGridSampled,
-// RunBatchedSampled) hand each job a sampler.Draws whose kind is chosen by
-// Options.Sampler — pseudo-random by default, or a low-discrepancy
-// Sobol/Halton/stratified source. Because every draw is a pure function of
-// (seed, index, dimension), any sampler splits across a K-way Shard fleet
-// and recombines byte-identically, exactly like the pseudo path always has.
-// The original rand-signature forms (Run, RunGrid, RunBatched) remain as
-// thin adapters that consume the job's pseudo stream via Draws.Rand, so
-// un-migrated callers keep their bytes regardless of the configured
-// sampler.
+// The entry points (RunSampled, RunGridSampled, RunBatchedSampled) hand
+// each job a sampler.Draws whose kind is chosen by Options.Sampler —
+// pseudo-random by default, or a low-discrepancy Sobol/Halton/stratified
+// source. Because every draw is a pure function of (seed, index,
+// dimension), any sampler splits across a K-way Shard fleet and recombines
+// byte-identically.
 package sweep
 
 import (
@@ -50,10 +46,8 @@ type Options struct {
 	// the same BaseSeed and job count see identical random streams per
 	// index.
 	BaseSeed int64
-	// Sampler selects the per-job draw source handed to sampler-aware
-	// jobs; nil is the pseudo sampler (bit-identical to the pre-sampler
-	// engine). Legacy rand-signature jobs always consume the pseudo
-	// stream, whatever this is set to.
+	// Sampler selects the per-job draw source handed to jobs; nil is the
+	// pseudo sampler (bit-identical to the pre-sampler engine).
 	Sampler *sampler.Source
 	// Pool, when non-nil, executes the jobs on a shared worker pool instead
 	// of goroutines owned by this run, so several concurrent batches share
@@ -70,7 +64,7 @@ type Options struct {
 	// executed jobs are recorded under (Batch, index), and jobs whose
 	// result is already recorded are served without executing. See Exchange.
 	Exchange Exchange
-	// Batch names this Run call inside the Exchange namespace. Callers
+	// Batch names this run inside the Exchange namespace. Callers
 	// running several sweeps against one exchange must give each a
 	// distinct, deterministic name.
 	Batch string
@@ -102,7 +96,8 @@ func Seed(base int64, index int) int64 {
 }
 
 // Rand returns the private pseudo RNG of job index for the given base
-// seed — exactly the generator the rand-signature adapters hand to fn.
+// seed: the stream whose successive Float64 values are the pseudo
+// sampler's dimensions 0, 1, … of that job. Tests hold the sampler to it.
 func Rand(base int64, index int) *rand.Rand {
 	return rand.New(rand.NewSource(Seed(base, index)))
 }
@@ -110,16 +105,6 @@ func Rand(base int64, index int) *rand.Rand {
 // JobFunc is the sampler-aware job signature the engine executes: job i
 // receives its dimension-addressed draw handle (see sampler.Draws).
 type JobFunc[T any] func(i int, d sampler.Draws) (T, error)
-
-// adaptRand lifts a legacy rand-signature job onto JobFunc: the job
-// consumes the handle's pseudo stream, which is byte-identical to the
-// *rand.Rand the pre-sampler engine passed.
-func adaptRand[T any](fn func(i int, rng *rand.Rand) (T, error)) JobFunc[T] {
-	if fn == nil {
-		return nil // preserved so the engine's nil-job check still fires
-	}
-	return func(i int, d sampler.Draws) (T, error) { return fn(i, d.Rand()) }
-}
 
 // wrapJob layers the optional per-job middleware around fn — the exchange
 // (serve recorded results, record computed ones) and the monitor (per-job
@@ -159,36 +144,23 @@ func wrapJob[T any](fn JobFunc[T], opt Options) JobFunc[T] {
 	return fn
 }
 
-// Run executes fn(i, rng) for every i in [0, n) across opt.Workers
-// goroutines and returns the results in index order. The rng passed to job
-// i is the pseudo stream derived from (opt.BaseSeed, i), so output is
-// independent of worker count and scheduling — and of opt.Sampler, which
-// only sampler-aware jobs observe (see RunSampled). If any job fails,
+// RunSampled executes fn(i, d) for every i in [0, n) across opt.Workers
+// goroutines and returns the results in index order. The handle passed to
+// job i is the opt.Sampler draw handle addressed by (opt.BaseSeed, i), so
+// output is independent of worker count and scheduling. If any job fails,
 // outstanding jobs are abandoned and the error of the lowest-index failed
 // job is returned. An opt.Shard restricts execution to the indices it owns
 // (the skipped slots stay zero); an opt.Exchange serves already-recorded
 // jobs and records computed ones, so K sharded runs recombine into the
 // full result set bit-exactly.
-func Run[T any](n int, fn func(i int, rng *rand.Rand) (T, error), opt Options) ([]T, error) {
-	return RunSampledContext(context.Background(), n, adaptRand(fn), opt)
-}
-
-// RunContext is Run with cancellation: when ctx ends, workers stop picking
-// up new jobs and the context error is reported (wrapped with ErrCanceled)
-// unless a job error — which takes precedence — occurred first.
-func RunContext[T any](ctx context.Context, n int, fn func(i int, rng *rand.Rand) (T, error), opt Options) ([]T, error) {
-	return RunSampledContext(ctx, n, adaptRand(fn), opt)
-}
-
-// RunSampled is Run for sampler-aware jobs: job i receives the
-// opt.Sampler draw handle addressed by (opt.BaseSeed, i) instead of a raw
-// *rand.Rand. With the default pseudo sampler, dimensions 0, 1, … are the
-// successive Float64 values of the Run path's stream, bit for bit.
 func RunSampled[T any](n int, fn JobFunc[T], opt Options) ([]T, error) {
 	return RunSampledContext(context.Background(), n, fn, opt)
 }
 
-// RunSampledContext is the engine every Run variant reduces to.
+// RunSampledContext is RunSampled with cancellation: when ctx ends, workers
+// stop picking up new jobs and the context error is reported (wrapped with
+// ErrCanceled) unless a job error — which takes precedence — occurred
+// first. It is the engine every entry point reduces to.
 func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Options) ([]T, error) {
 	if n < 0 {
 		return nil, errors.New("sweep: negative job count")

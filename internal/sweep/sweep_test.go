@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sampler"
 )
 
 // TestRunDeterministicAcrossWorkerCounts is the engine's core contract:
@@ -16,20 +17,20 @@ import (
 // every worker count, including the Monte-Carlo (rng-consuming) path.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	const n = 64
-	job := func(i int, rng *rand.Rand) (float64, error) {
+	job := func(i int, d sampler.Draws) (float64, error) {
 		// Consume a worker-count-independent amount of randomness.
 		sum := float64(i)
 		for k := 0; k < 10; k++ {
-			sum += rng.Float64()
+			sum += d.Float64(k)
 		}
 		return sum, nil
 	}
-	ref, err := Run(n, job, Options{Workers: 1, BaseSeed: 42})
+	ref, err := RunSampled(n, job, Options{Workers: 1, BaseSeed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 3, 7, 16, n + 5} {
-		got, err := Run(n, job, Options{Workers: workers, BaseSeed: 42})
+		got, err := RunSampled(n, job, Options{Workers: workers, BaseSeed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,9 +43,9 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	job := func(i int, rng *rand.Rand) (float64, error) { return rng.Float64(), nil }
-	a, _ := Run(8, job, Options{BaseSeed: 1})
-	b, _ := Run(8, job, Options{BaseSeed: 2})
+	job := func(i int, d sampler.Draws) (float64, error) { return d.Float64(0), nil }
+	a, _ := RunSampled(8, job, Options{BaseSeed: 1})
+	b, _ := RunSampled(8, job, Options{BaseSeed: 2})
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -61,14 +62,14 @@ func TestRunSeedSensitivity(t *testing.T) {
 }
 
 func TestRunEmptyAndErrors(t *testing.T) {
-	got, err := Run(0, func(int, *rand.Rand) (int, error) { return 0, nil }, Options{})
+	got, err := RunSampled(0, func(int, sampler.Draws) (int, error) { return 0, nil }, Options{})
 	if err != nil || len(got) != 0 {
 		t.Errorf("empty run: %v, %v", got, err)
 	}
-	if _, err := Run(-1, func(int, *rand.Rand) (int, error) { return 0, nil }, Options{}); err == nil {
+	if _, err := RunSampled(-1, func(int, sampler.Draws) (int, error) { return 0, nil }, Options{}); err == nil {
 		t.Error("negative job count accepted")
 	}
-	if _, err := Run[int](3, nil, Options{}); err == nil {
+	if _, err := RunSampled[int](3, nil, Options{}); err == nil {
 		t.Error("nil job function accepted")
 	}
 }
@@ -79,7 +80,7 @@ func TestRunPartialFailure(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
 		var executed atomic.Int64
-		_, err := Run(1000, func(i int, _ *rand.Rand) (int, error) {
+		_, err := RunSampled(1000, func(i int, _ sampler.Draws) (int, error) {
 			executed.Add(1)
 			if i == 5 {
 				return 0, fmt.Errorf("job 5: %w", boom)
@@ -104,7 +105,7 @@ func TestRunPartialFailure(t *testing.T) {
 // TestRunLowestIndexErrorWins: with several failing jobs the reported error
 // is deterministic — the lowest failed index among those executed.
 func TestRunLowestIndexErrorWins(t *testing.T) {
-	_, err := Run(8, func(i int, _ *rand.Rand) (int, error) {
+	_, err := RunSampled(8, func(i int, _ sampler.Draws) (int, error) {
 		if i >= 4 {
 			return 0, fmt.Errorf("job %d failed", i)
 		}
@@ -125,7 +126,7 @@ func TestRunContextCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var executed atomic.Int64
-		_, err := RunContext(ctx, 100_000, func(i int, _ *rand.Rand) (int, error) {
+		_, err := RunSampledContext(ctx, 100_000, func(i int, _ sampler.Draws) (int, error) {
 			if executed.Add(1) == 10 {
 				cancel()
 			}
@@ -148,7 +149,7 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var executed atomic.Int64
-	_, err := RunContext(ctx, 50, func(i int, _ *rand.Rand) (int, error) {
+	_, err := RunSampledContext(ctx, 50, func(i int, _ sampler.Draws) (int, error) {
 		executed.Add(1)
 		return i, nil
 	}, Options{Workers: 1})
@@ -167,7 +168,7 @@ func TestRunUsesMultipleGoroutines(t *testing.T) {
 		t.Skip("single-CPU runner")
 	}
 	var inFlight, peak atomic.Int64
-	_, err := Run(32, func(i int, _ *rand.Rand) (int, error) {
+	_, err := RunSampled(32, func(i int, _ sampler.Draws) (int, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -192,17 +193,17 @@ func TestRunUsesMultipleGoroutines(t *testing.T) {
 // take ≥128ms serially but a fraction of that on 8 workers. The CPU-bound
 // analogue lives in the root bench_test.go (BenchmarkSweep*).
 func TestParallelWallClockSpeedup(t *testing.T) {
-	job := func(i int, _ *rand.Rand) (int, error) {
+	job := func(i int, _ sampler.Draws) (int, error) {
 		time.Sleep(4 * time.Millisecond)
 		return i, nil
 	}
 	start := time.Now()
-	if _, err := Run(32, job, Options{Workers: 1}); err != nil {
+	if _, err := RunSampled(32, job, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	serial := time.Since(start)
 	start = time.Now()
-	if _, err := Run(32, job, Options{Workers: 8}); err != nil {
+	if _, err := RunSampled(32, job, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	parallel := time.Since(start)

@@ -344,7 +344,7 @@ func (r *Registry) Snapshot() Snapshot {
 // sweep job counts into the "sweep.jobs" counter and times into the
 // "sweep.job" timer, and the done/total progress lands in the
 // "sweep.jobs_done"/"sweep.jobs_total" gauges. It overwrites the monitor's
-// OnJob/OnChange hooks, so attach before handing the monitor to any Run.
+// OnJob/OnChange hooks, so attach before handing the monitor to any run.
 func AttachMonitor(r *Registry, m *sweep.Monitor) {
 	jobs := r.Counter("sweep.jobs")
 	timer := r.Timer("sweep.job")

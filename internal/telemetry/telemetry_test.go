@@ -2,11 +2,11 @@ package telemetry
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/sampler"
 	"repro/internal/sweep"
 )
 
@@ -141,7 +141,7 @@ func TestAttachMonitor(t *testing.T) {
 	r := NewRegistry(time.Hour)
 	mon := &sweep.Monitor{}
 	AttachMonitor(r, mon)
-	_, err := sweep.Run(10, func(i int, _ *rand.Rand) (int, error) {
+	_, err := sweep.RunSampled(10, func(i int, _ sampler.Draws) (int, error) {
 		return i, nil
 	}, sweep.Options{Workers: 2, Monitor: mon})
 	if err != nil {
