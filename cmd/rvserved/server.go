@@ -436,14 +436,12 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if gerr != nil {
 		return badRequest("%v", gerr)
 	}
-	samples := req.Samples
-	if samples < 1 {
-		samples = 1
+	jobs, jerr := grid.Jobs(req.Samples)
+	if jerr != nil {
+		return badRequest("%v", jerr)
 	}
-	// Compare by division: points × samples may overflow int, and a
-	// wrapped product must not slip under the budget.
-	if points := grid.Size(); points < 0 || points > 0 && samples > s.maxSweepJobs/points {
-		return badRequest("sweep of %d points × %d samples exceeds the per-request budget of %d jobs", points, samples, s.maxSweepJobs)
+	if jobs > s.maxSweepJobs {
+		return badRequest("sweep of %d jobs exceeds the per-request budget of %d jobs", jobs, s.maxSweepJobs)
 	}
 
 	select {

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -26,6 +28,13 @@ func newTestServer(t *testing.T, c *cache.Cache, sweeps int) (*server, *httptest
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// serve answers one POST in-process, without a listener.
+func serve(s *server, path, body string) (int, []byte) {
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec.Code, rec.Body.Bytes()
 }
 
 func post(t *testing.T, ts *httptest.Server, path, body string) (int, []byte) {
@@ -190,6 +199,70 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 	if lanes < rows {
 		t.Errorf("batch.lanes (%d) < batch.rows (%d): rows must hold at least one lane", lanes, rows)
+	}
+}
+
+// TestSweepJobBudget: /v1/sweep admits a sweep of exactly the per-request
+// job budget and rejects one job more, and a grid past 2⁴⁰ points is
+// rejected even when the budget alone would admit it.
+func TestSweepJobBudget(t *testing.T) {
+	unbounded := newServer(cache.New(0), nil, telemetry.NewRegistry(0), 1, math.MaxInt, 4, true, 0)
+	huge := `{"axes":["v=1:1100:1","d=1:1100:1","r=1:1100:1","phi=1:1100:1"]}` // 1100⁴ > 2⁴⁰ points
+	if status, body := serve(unbounded, "/v1/sweep", huge); status != http.StatusBadRequest {
+		t.Errorf("grid of 1100⁴ points under an unbounded budget: status %d (body %s), want 400", status, body)
+	}
+
+	pool := sweep.NewPool(2)
+	t.Cleanup(pool.Close)
+	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 6, 4, true, 0)
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"axes":["v=0.25:0.75:0.25"],"samples":2}`, http.StatusOK},                        // 3 × 2 = 6 jobs: the budget
+		{`{"axes":["v=0.25:0.75:0.25","d=1,2"]}`, http.StatusOK},                            // 6 points × 1
+		{`{"axes":["v=0.2,0.3,0.4,0.5,0.6,0.7,0.8"]}`, http.StatusBadRequest},               // 7 jobs
+		{`{"axes":["v=0.25:0.75:0.25"],"samples":3}`, http.StatusBadRequest},                // 9 jobs
+		{`{"axes":["v=0.25:1:0.25"],"samples":4611686018427387904}`, http.StatusBadRequest}, // product wraps int
+	} {
+		if status, body := serve(s, "/v1/sweep", tc.body); status != tc.want {
+			t.Errorf("POST /v1/sweep %s: status %d (body %s), want %d", tc.body, status, body, tc.want)
+		}
+	}
+}
+
+// TestSweepMonitorRetainsNoDurations: the daemon's process-lifetime
+// monitor streams job durations into telemetry and keeps none itself, so
+// serving sweeps does not grow memory, while sweep.jobs counts every job.
+func TestSweepMonitorRetainsNoDurations(t *testing.T) {
+	s, ts := newTestServer(t, cache.New(0), 1)
+	jobs := 0
+	for _, body := range []string{
+		`{"axes":["v=0.25:0.75:0.25","d=1:2:1"],"samples":2,"seed":1}`,
+		`{"axes":["v=0.5"],"samples":8,"seed":2}`,
+		`{"axes":["v=0.25:0.75:0.25","d=1:2:1"],"samples":2,"seed":1,"workers":2}`,
+	} {
+		status, data := post(t, ts, "/v1/sweep", body)
+		if status != http.StatusOK {
+			t.Fatalf("POST /v1/sweep %s: status %d, body %s", body, status, data)
+		}
+		var res struct {
+			Points  int `json:"points"`
+			Samples int `json:"samples"`
+		}
+		if err := json.Unmarshal(data, &res); err != nil {
+			t.Fatal(err)
+		}
+		jobs += res.Points * res.Samples
+	}
+	if n := len(s.mon.Durations()); n != 0 {
+		t.Errorf("server monitor retains %d per-job durations, want 0", n)
+	}
+	if got := s.reg.Counter("sweep.jobs").Total(); got != uint64(jobs) {
+		t.Errorf("sweep.jobs = %d, want %d", got, jobs)
+	}
+	if done, total := s.mon.Progress(); done != int64(jobs) || total != int64(jobs) {
+		t.Errorf("monitor progress %d/%d, want %d/%d", done, total, jobs, jobs)
 	}
 }
 

@@ -53,13 +53,14 @@ type Config struct {
 	// which assign each sweep its deterministic batch name.
 	Store *ShardStore
 
-	// Pool, when non-nil, executes every sweep on a shared worker pool
-	// instead of goroutines owned by the run, so concurrent runs draw from
-	// one process-wide worker budget (Workers is then ignored; the pool's
-	// size is the cap). RunAllCfg installs its own pool for the suite;
-	// cmd/rvserved threads its process-wide pool through here so
-	// concurrent sweep requests share one budget. Results are identical
-	// either way.
+	// Pool, when non-nil, runs every sweep's claim loop on the pool's
+	// long-lived workers instead of goroutines owned by the run, so
+	// concurrent runs draw from one process-wide worker budget (Workers is
+	// then ignored; the pool's size is the cap). A pool worker stays on one
+	// sweep until that sweep has no unclaimed job. RunAllCfg installs its
+	// own pool for the suite; cmd/rvserved threads its process-wide pool
+	// through here so concurrent sweep requests share one budget. Results
+	// are identical either way.
 	Pool *sweep.Pool
 	// Batch, when true, routes the batch-eligible sweeps — the -grid
 	// rendezvous sweeps and E1's per-cell direction fans — through the SoA

@@ -22,23 +22,6 @@ func Vals(name string, values ...float64) Axis {
 	return Axis{Name: name, Values: values}
 }
 
-// Range returns an axis of evenly spaced values from lo to hi inclusive in
-// the given number of steps (count ≥ 2; count 1 yields just lo).
-func Range(name string, lo, hi float64, count int) Axis {
-	if count < 1 {
-		return Axis{Name: name}
-	}
-	vs := make([]float64, count)
-	for i := range vs {
-		if count == 1 {
-			vs[i] = lo
-		} else {
-			vs[i] = lo + (hi-lo)*float64(i)/float64(count-1)
-		}
-	}
-	return Axis{Name: name, Values: vs}
-}
-
 // ParseAxis parses a command-line axis spec. Two forms are accepted:
 //
 //	name=v1,v2,v3      explicit values

@@ -134,17 +134,6 @@ func TestGridJobs(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	a := Range("d", 0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	if !reflect.DeepEqual(a.Values, want) {
-		t.Errorf("Range = %v, want %v", a.Values, want)
-	}
-	if got := Range("d", 3, 9, 1).Values; !reflect.DeepEqual(got, []float64{3}) {
-		t.Errorf("count-1 Range = %v, want [3]", got)
-	}
-}
-
 func TestRunGridDeterministicSampling(t *testing.T) {
 	g, err := ParseGrid("v=0.25,0.5", "phi=0:1:0.5")
 	if err != nil {

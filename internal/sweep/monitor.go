@@ -9,6 +9,9 @@ import (
 // jobs have finished out of how many submitted, and how long each took.
 // Attach one via Options.Monitor (typically the same Monitor across every
 // batch of a suite) and poll Progress, or set OnChange for push updates.
+// A Monitor keeps each job's duration for Durations only while OnJob is
+// unset; with OnJob set, the hook is the durations' only consumer, so a
+// long-lived monitor's memory stays constant.
 type Monitor struct {
 	// OnChange, when non-nil, is called with the updated counters after
 	// every completed job. It runs on worker goroutines: keep it cheap and
@@ -44,10 +47,12 @@ func (m *Monitor) jobDone(d time.Duration) {
 	}
 	m.mu.Lock()
 	m.done++
-	m.seconds = append(m.seconds, d.Seconds())
+	onJob := m.OnJob
+	if onJob == nil {
+		m.seconds = append(m.seconds, d.Seconds())
+	}
 	done, total := m.done, m.total
 	cb := m.OnChange
-	onJob := m.OnJob
 	m.mu.Unlock()
 	if onJob != nil {
 		onJob(d)
@@ -68,7 +73,8 @@ func (m *Monitor) Progress() (done, total int64) {
 }
 
 // Durations returns a copy of the per-job wall times in seconds, in
-// completion order — ready for analysis.Summarize.
+// completion order — ready for analysis.Summarize. It is empty when OnJob
+// is set.
 func (m *Monitor) Durations() []float64 {
 	if m == nil {
 		return nil

@@ -146,11 +146,10 @@ func TestPooledRunCancellation(t *testing.T) {
 	}
 }
 
-// TestPooledRunCancelAfterFeed: a job queued before the context ends but
-// executed after it must still surface ErrCanceled, even when the feed loop
-// itself completed — its slot was silently skipped. (The select between
-// submitting and inner.Done races 50/50 here, so iterate: any iteration
-// returning nil error means zero-valued results leaked out as success.)
+// TestPooledRunCancelAfterFeed: when the context ends after the run was
+// handed to the pool, the worker's next claim sees it and leaves job 1
+// unclaimed; that must surface as ErrCanceled, never as success with a
+// zero-valued slot. Repeated so a scheduling-dependent answer would show.
 func TestPooledRunCancelAfterFeed(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()

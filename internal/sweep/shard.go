@@ -61,15 +61,20 @@ func (s Shard) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the shard actually restricts the job set.
-func (s Shard) Enabled() bool { return s.Count > 1 }
-
 // Owns reports whether job index i belongs to this shard.
 func (s Shard) Owns(i int) bool {
 	if s.Count <= 1 {
 		return true
 	}
 	return i%s.Count == s.Index
+}
+
+// nth returns the k-th job index (from 0) this shard owns.
+func (s Shard) nth(k int) int {
+	if s.Count <= 1 {
+		return k
+	}
+	return s.Index + k*s.Count
 }
 
 // CountIn returns how many of the job indices [0, n) this shard owns.

@@ -1,25 +1,24 @@
-// Package sweep is a deterministic worker-pool batch engine for the
-// experiment layer: it fans independent simulation instances out across
-// GOMAXPROCS goroutines and collects the results in index order, so a sweep
-// produces bit-identical output no matter how many workers execute it.
+// Package sweep is the deterministic batch engine of the experiment
+// layer: it runs independent simulation instances and collects the results
+// in index order, so a sweep produces bit-identical output no matter how
+// many workers execute it.
 //
-// Determinism is the design constraint everything else follows from. Each
-// job is identified by a dense index i ∈ [0, n); the engine hands job i a
-// private draw handle addressed by (Options.BaseSeed, i) — see
+// Each job is identified by a dense index i ∈ [0, n); the engine hands job
+// i a private draw handle addressed by (Options.BaseSeed, i) — see
 // internal/sampler — never shares mutable state between jobs, and writes
-// result i into slot i of a pre-sized slice. Monte-Carlo sweeps therefore
-// reproduce exactly for a fixed base seed whether they run on 1 worker or
-// 64 — and whether the batch runs on its own goroutines or on a Pool shared
-// with other batches (the shared global pool RunAllCfg uses to cap a whole
-// suite at one worker budget). A Monitor can observe per-job progress and
-// timing.
+// result i into slot i of a pre-sized slice. Execution order is therefore
+// free, and one claim loop schedules every run: each worker checks the
+// context, claims the next unclaimed index of the run's Shard from a shared
+// atomic counter and runs it, and the first job error stops every worker.
+// The loop runs in the calling goroutine (Options.Workers 1), on goroutines
+// the run starts, or on the long-lived workers of a Pool shared with other
+// runs; the results are the same on each. A Monitor can observe per-job
+// progress and timing.
 //
 // The entry points (RunSampled, RunGridSampled, RunBatchedSampled) hand
-// each job a sampler.Draws whose kind is chosen by Options.Sampler —
-// pseudo-random by default, or a low-discrepancy Sobol/Halton/stratified
-// source. Because every draw is a pure function of (seed, index,
-// dimension), any sampler splits across a K-way Shard fleet and recombines
-// byte-identically.
+// each job a sampler.Draws whose kind is chosen by Options.Sampler. Every
+// draw is a pure function of (seed, index, dimension), so any sampler
+// splits across a K-way Shard fleet and recombines byte-identically.
 package sweep
 
 import (
@@ -37,10 +36,10 @@ import (
 
 // Options control a batch run.
 type Options struct {
-	// Workers is the number of concurrent goroutines executing jobs.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs every job serially in the
-	// calling goroutine (useful to isolate concurrency from a failure).
-	// Ignored when Pool is set.
+	// Workers is the number of goroutines running the claim loop: 0
+	// selects runtime.GOMAXPROCS(0), 1 runs every job in the calling
+	// goroutine, and more start min(Workers, owned jobs) goroutines for the
+	// run. Ignored when Pool is set.
 	Workers int
 	// BaseSeed is the root of the per-job draw derivation. Two runs with
 	// the same BaseSeed and job count see identical random streams per
@@ -49,9 +48,10 @@ type Options struct {
 	// Sampler selects the per-job draw source handed to jobs; nil is the
 	// pseudo sampler (bit-identical to the pre-sampler engine).
 	Sampler *sampler.Source
-	// Pool, when non-nil, executes the jobs on a shared worker pool instead
-	// of goroutines owned by this run, so several concurrent batches share
-	// one worker budget. Results are identical either way.
+	// Pool, when non-nil, runs the claim loop on the pool's long-lived
+	// workers, so concurrent runs share one worker budget. A pool worker
+	// stays on one run until that run has no unclaimed index. Jobs must
+	// not start runs on their own pool (see Pool).
 	Pool *Pool
 	// Monitor, when non-nil, receives per-job progress and timing.
 	Monitor *Monitor
@@ -68,13 +68,6 @@ type Options struct {
 	// running several sweeps against one exchange must give each a
 	// distinct, deterministic name.
 	Batch string
-}
-
-func (o Options) workers() int {
-	if o.Workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }
 
 // sampler resolves the draw source: nil means pseudo.
@@ -106,196 +99,159 @@ func Rand(base int64, index int) *rand.Rand {
 // receives its dimension-addressed draw handle (see sampler.Draws).
 type JobFunc[T any] func(i int, d sampler.Draws) (T, error)
 
-// wrapJob layers the optional per-job middleware around fn — the exchange
-// (serve recorded results, record computed ones) and the monitor (per-job
-// timing). This is the one wrapping helper every run path shares; the
-// layers used to be open-coded closures repeated per concern.
-func wrapJob[T any](fn JobFunc[T], opt Options) JobFunc[T] {
-	if x := opt.Exchange; x != nil {
-		// A record that fails to decode is treated as absent: the job
-		// recomputes locally and produces the identical result from its
-		// (BaseSeed, index) draws.
-		inner := fn
-		fn = func(i int, d sampler.Draws) (T, error) {
-			if raw, ok := x.Lookup(opt.Batch, i); ok {
-				var v T
-				if json.Unmarshal(raw, &v) == nil {
-					return v, nil
-				}
+// lookup serves job i's result from opt.Exchange when it is recorded there.
+// A record that fails to decode is treated as absent: the job recomputes
+// locally and produces the identical result from its (BaseSeed, index)
+// draws.
+func lookup[T any](opt Options, i int) (T, bool) {
+	if opt.Exchange != nil {
+		if raw, ok := opt.Exchange.Lookup(opt.Batch, i); ok {
+			var v T
+			if json.Unmarshal(raw, &v) == nil {
+				return v, true
 			}
-			v, err := inner(i, d)
-			if err == nil {
-				if raw, ok := roundTrips(v); ok {
-					x.Record(opt.Batch, i, raw)
-				}
-			}
-			return v, err
 		}
 	}
-	if m := opt.Monitor; m != nil {
-		inner := fn
-		fn = func(i int, d sampler.Draws) (T, error) {
-			start := time.Now()
-			v, err := inner(i, d)
-			m.jobDone(time.Since(start))
-			return v, err
-		}
-	}
-	return fn
+	var zero T
+	return zero, false
 }
 
-// RunSampled executes fn(i, d) for every i in [0, n) across opt.Workers
-// goroutines and returns the results in index order. The handle passed to
-// job i is the opt.Sampler draw handle addressed by (opt.BaseSeed, i), so
-// output is independent of worker count and scheduling. If any job fails,
-// outstanding jobs are abandoned and the error of the lowest-index failed
-// job is returned. An opt.Shard restricts execution to the indices it owns
-// (the skipped slots stay zero); an opt.Exchange serves already-recorded
-// jobs and records computed ones, so K sharded runs recombine into the
-// full result set bit-exactly.
+// record stores job i's computed result into opt.Exchange, when there is
+// one and the result survives a JSON round trip (see roundTrips).
+func record[T any](opt Options, i int, v T) {
+	if opt.Exchange == nil {
+		return
+	}
+	if raw, ok := roundTrips(v); ok {
+		opt.Exchange.Record(opt.Batch, i, raw)
+	}
+}
+
+// RunSampled executes fn(i, d) for every i in [0, n) and returns the
+// results in index order. Job i gets the opt.Sampler draw handle addressed
+// by (opt.BaseSeed, i), so output is independent of scheduling. If any job
+// fails, unclaimed jobs are abandoned and the error of the lowest-index
+// failed job is returned. An opt.Shard restricts execution to the indices
+// it owns (the other slots stay zero); an opt.Exchange serves recorded
+// jobs and records computed ones, so K sharded runs recombine bit-exactly.
 func RunSampled[T any](n int, fn JobFunc[T], opt Options) ([]T, error) {
 	return RunSampledContext(context.Background(), n, fn, opt)
 }
 
 // RunSampledContext is RunSampled with cancellation: when ctx ends, workers
-// stop picking up new jobs and the context error is reported (wrapped with
+// stop claiming new jobs and the context error is reported (wrapped with
 // ErrCanceled) unless a job error — which takes precedence — occurred
-// first. It is the engine every entry point reduces to.
+// first. It is the engine every scalar entry point reduces to.
 func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Options) ([]T, error) {
-	if n < 0 {
-		return nil, errors.New("sweep: negative job count")
-	}
 	if fn == nil {
 		return nil, errors.New("sweep: nil job function")
+	}
+	results, err := newRun[T](n, opt)
+	if err != nil {
+		return nil, err
+	}
+	src, seed := opt.sampler(), opt.BaseSeed
+	// The exchange serves or records each job and the monitor times it, the
+	// per-lane steps of RunBatchedSampled.
+	err = schedule(ctx, n, opt.Shard, opt, func(i int) (err error) {
+		start := time.Now()
+		if v, ok := lookup[T](opt, i); ok {
+			results[i] = v
+		} else if results[i], err = fn(i, src.Draws(seed, i)); err == nil {
+			record(opt, i, results[i])
+		}
+		opt.Monitor.jobDone(time.Since(start))
+		return err
+	})
+	return results, err
+}
+
+// newRun validates a run of n jobs under opt, registers its owned jobs
+// with opt.Monitor, and returns its zeroed result slice.
+func newRun[T any](n int, opt Options) ([]T, error) {
+	if n < 0 {
+		return nil, errors.New("sweep: negative job count")
 	}
 	if err := opt.Shard.Validate(); err != nil {
 		return nil, err
 	}
-	results := make([]T, n)
-	errs := make([]error, n)
-	canceled := false
-
-	if opt.Monitor != nil {
-		opt.Monitor.add(opt.Shard.CountIn(n))
-	}
-	fn = wrapJob(fn, opt)
-	src := opt.sampler()
-
-	if opt.Pool != nil {
-		canceled = runPooled(ctx, n, fn, src, opt, results, errs)
-	} else if workers := opt.workers(); workers == 1 {
-		// Serial path: run in the calling goroutine. Results are identical
-		// to the parallel path by construction (same per-index draws).
-		for i := 0; i < n; i++ {
-			if !opt.Shard.Owns(i) {
-				continue
-			}
-			if ctx.Err() != nil {
-				canceled = true
-				break
-			}
-			results[i], errs[i] = fn(i, src.Draws(opt.BaseSeed, i))
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		// Parallel path: a shared index channel feeds the pool; each worker
-		// writes only its own slots, so no locking is needed on results.
-		inner, cancel := context.WithCancel(ctx)
-		defer cancel()
-		indices := make(chan int)
-		var wg sync.WaitGroup
-		if owned := opt.Shard.CountIn(n); workers > owned {
-			workers = owned
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range indices {
-					results[i], errs[i] = fn(i, src.Draws(opt.BaseSeed, i))
-					if errs[i] != nil {
-						cancel() // stop feeding; peers finish their current job
-						return
-					}
-				}
-			}()
-		}
-	feed:
-		for i := 0; i < n; i++ {
-			if !opt.Shard.Owns(i) {
-				continue
-			}
-			select {
-			case indices <- i:
-			case <-inner.Done():
-				canceled = ctx.Err() != nil
-				break feed
-			}
-		}
-		close(indices)
-		wg.Wait()
-	}
-
-	// Report the lowest-index failure so the caller sees a deterministic
-	// error even when several jobs fail in the same run.
-	for i, err := range errs {
-		if err != nil {
-			return results, &JobError{Index: i, Err: err}
-		}
-	}
-	if canceled {
-		return results, errors.Join(ErrCanceled, ctx.Err())
-	}
-	return results, nil
+	opt.Monitor.add(opt.Shard.CountIn(n))
+	return make([]T, n), nil
 }
 
-// runPooled feeds the batch to a shared Pool. Each job still writes only
-// its own slot with its own (BaseSeed, index) draws, so results match the
-// private-goroutine paths bit for bit. On a job error the remaining
-// submitted jobs are abandoned (they return without executing fn); on
-// context cancellation the feed stops and canceled is reported.
-func runPooled[T any](ctx context.Context, n int, fn JobFunc[T], src *sampler.Source, opt Options, results []T, errs []error) (canceled bool) {
-	inner, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var wg sync.WaitGroup
-	var skipped atomic.Bool
-feed:
-	for i := 0; i < n; i++ {
-		if !opt.Shard.Owns(i) {
-			continue
+// claims is one run's state in the claim loop. Workers take ordinals from
+// next and run the k-th owned index, so each owned index runs once and
+// indices are claimed in increasing order. A claimed index always runs
+// (stop and ctx are checked before a claim), so every index below a failed
+// one finishes, and the lowest failed index does not depend on scheduling.
+type claims struct {
+	ctx   context.Context
+	job   func(i int) error
+	shard Shard
+	owned int64          // owned indices in [0, n)
+	next  atomic.Int64   // next unclaimed ordinal
+	stop  atomic.Bool    // a job failed
+	wg    sync.WaitGroup // executors other than the caller
+
+	mu     sync.Mutex
+	failed int // lowest failed index, when err != nil
+	err    error
+
+	left   atomic.Int64  // pool workers that have left work
+	exited chan struct{} // closed by the first of them: nothing to hand off
+}
+
+// work is the claim loop. It returns when every owned index is claimed, a
+// job has failed, or ctx has ended.
+func (c *claims) work() {
+	for !c.stop.Load() && c.ctx.Err() == nil {
+		k := c.next.Add(1) - 1
+		if k >= c.owned {
+			return
 		}
-		i := i
-		job := func() {
-			defer wg.Done()
-			if inner.Err() != nil {
-				skipped.Store(true) // a peer failed or the context ended
-				return
+		i := c.shard.nth(int(k))
+		if err := c.job(i); err != nil {
+			c.mu.Lock()
+			if c.err == nil || i < c.failed {
+				c.failed, c.err = i, err
 			}
-			results[i], errs[i] = fn(i, src.Draws(opt.BaseSeed, i))
-			if errs[i] != nil {
-				cancel()
-			}
-		}
-		wg.Add(1)
-		select {
-		case opt.Pool.jobs <- job:
-		case <-inner.Done():
-			wg.Done()
-			canceled = ctx.Err() != nil
-			break feed
+			c.mu.Unlock()
+			c.stop.Store(true)
+			return
 		}
 	}
-	wg.Wait()
-	// Jobs queued before a context cancellation skip execution, leaving
-	// zero-valued slots: that must surface as a cancellation even when the
-	// feed itself completed (skips caused by a peer's error surface as the
-	// peer's JobError instead, which takes precedence in the caller).
-	if skipped.Load() && ctx.Err() != nil {
-		canceled = true
+}
+
+// schedule runs job(i) for every index in [0, n) the shard owns, in the
+// claim loop: on opt.Pool's workers, in the calling goroutine when
+// opt.Workers resolves to 1, else on min(workers, owned) new goroutines.
+// It returns the lowest-index job failure as a *JobError, else
+// ErrCanceled if ctx ended before every owned index was claimed.
+func schedule(ctx context.Context, n int, shard Shard, opt Options, job func(i int) error) error {
+	c := &claims{ctx: ctx, job: job, shard: shard, owned: int64(shard.CountIn(n))}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return canceled
+	switch {
+	case opt.Pool != nil:
+		opt.Pool.run(c)
+	case workers == 1:
+		c.work()
+	default:
+		for range min(int64(workers), c.owned) {
+			c.wg.Add(1)
+			go func() { defer c.wg.Done(); c.work() }()
+		}
+		c.wg.Wait()
+	}
+	if c.err != nil {
+		return &JobError{Index: c.failed, Err: c.err}
+	}
+	if c.next.Load() < c.owned {
+		return errors.Join(ErrCanceled, ctx.Err())
+	}
+	return nil
 }
 
 // JobError reports which job failed.
