@@ -241,8 +241,9 @@ func mcInstance(base rendezvous.Instance, dist float64, d sampler.Draws, horizon
 // prints the meeting fraction and summary statistics of the meeting times.
 // With a cache (memo non-nil), repeated instances — same seed re-runs via
 // -cachefile in particular — are served without re-simulating. With batch,
-// rows of samples evaluate through sim.RendezvousBatch, sharing one
-// trajectory stream per row; the printed output is identical either way.
+// rows of samples (or lane chunks of them) evaluate through one sim.Tape
+// shared by the whole run, so the program is generated once; the printed
+// output is identical either way.
 func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64, batched bool) int {
 	type outcome struct {
 		met  bool
@@ -255,7 +256,9 @@ func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezv
 	var results []outcome
 	var err error
 	if batched {
-		// Rows of up to 64 samples share one generated trajectory stream.
+		// Rows of up to 64 samples read one trajectory tape.
+		tape := sim.NewTape(mkProgram())
+		defer tape.Close()
 		results, err = sweep.RunBatchedSampled(samples, 64,
 			func(indices []int, at func(i int) sampler.Draws) ([]outcome, error) {
 				out := make([]outcome, len(indices))
@@ -276,7 +279,7 @@ func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezv
 					laneOf = append(laneOf, k)
 				}
 				if lanes.Len() > 0 {
-					res, kerrs := sim.RendezvousBatch(mkProgram(), &lanes, sim.Options{})
+					res, kerrs := tape.Rendezvous(&lanes, sim.Options{})
 					for li, k := range laneOf {
 						if kerrs[li] != nil {
 							return nil, &sweep.LaneError{Lane: k, Err: fmt.Errorf(

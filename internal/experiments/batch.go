@@ -12,15 +12,15 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/sim"
 	"repro/internal/sweep"
-	"repro/internal/trajectory"
 )
 
 // This file holds the batched row evaluators behind Config.Batch: one
-// sweep.RunBatchedSampled row — a contiguous slice of the dense job index space
-// whose lanes share an algorithm program shape — is gathered into a
-// batch.Lanes vector, evaluated by one SoA kernel call, and scattered back
-// into per-lane results with exactly the scalar path's cache keys, RNG
-// draws, and error texts. Tables are byte-identical to the scalar jobs.
+// sweep.RunBatchedSampled chunk — a contiguous stretch of one row of the
+// dense job index space, whose lanes share an algorithm program shape — is
+// gathered into a batch.Lanes vector, evaluated by one SoA kernel call, and
+// scattered back into per-lane results with exactly the scalar path's cache
+// keys, RNG draws, and error texts. Tables are byte-identical to the scalar
+// jobs.
 
 // gridOutcome is the per-job record of a -grid sweep. Exported fields with
 // JSON tags: it is the record a distributed shard exchanges, so it must
@@ -31,10 +31,11 @@ type gridOutcome struct {
 	Time float64 `json:"t"`
 }
 
-// gridBatchRow evaluates one batched row of SweepGrid: all samples of one
+// gridBatchRow evaluates one batched chunk of SweepGrid: samples of one
 // grid point (the row size is the sample count, so every lane shares the
-// point's parameters up to the sampled displacement direction).
-func gridBatchRow(grid sweep.Grid, names []string, samples int, programID string, program func() trajectory.Source, cfg Config, indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
+// point's parameters up to the sampled displacement direction), walked over
+// the grid's shared tape.
+func gridBatchRow(grid sweep.Grid, names []string, samples int, programID string, tape *sim.Tape, cfg Config, indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
 	out := make([]gridOutcome, len(indices))
 	lerrs := make([]error, len(indices))
 	keys := make([]cache.Key, len(indices))
@@ -63,7 +64,7 @@ func gridBatchRow(grid sweep.Grid, names []string, samples int, programID string
 		if cfg.OnBatch != nil {
 			cfg.OnBatch(1, lanes.Len())
 		}
-		results, kerrs := sim.RendezvousBatch(program(), &lanes, sim.Options{Ctx: cfg.Ctx})
+		results, kerrs := tape.Rendezvous(&lanes, sim.Options{Ctx: cfg.Ctx})
 		for li, k := range laneOf {
 			i := indices[k]
 			if kerrs[li] != nil {

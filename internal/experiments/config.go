@@ -64,17 +64,18 @@ type Config struct {
 	Pool *sweep.Pool
 	// Batch, when true, routes the batch-eligible sweeps — the -grid
 	// rendezvous sweeps and E1's per-cell direction fans — through the SoA
-	// batch kernels (sim.SearchBatch / sim.RendezvousBatch via
-	// sweep.RunBatchedSampled), which evaluate a whole row of lanes over one
-	// shared program stream. Tables are byte-identical to the scalar path;
-	// this is purely a throughput switch. Experiments without a batch
-	// kernel ignore it.
+	// batch kernels (sim.SearchBatch / sim.Tape.Rendezvous via
+	// sweep.RunBatchedSampled), which evaluate a row of lanes, or a chunk
+	// of a split row, per kernel call over one shared program stream (a
+	// -grid sweep shares one sim.Tape across all its chunks). Tables are
+	// byte-identical to the scalar path; this is purely a throughput
+	// switch. Experiments without a batch kernel ignore it.
 	Batch bool
-	// OnBatch, when non-nil, is called once per batched row the kernels
-	// evaluate, with the row count (always 1 per call) and the number of
-	// lanes in it — the feed for cmd/rvserved's batch.rows / batch.lanes
-	// telemetry. It must be safe for concurrent use: rows run on the sweep
-	// workers.
+	// OnBatch, when non-nil, is called once per batch kernel call — once
+	// per row, or per chunk of a row the sweep split among workers — with
+	// a count of 1 and the number of lanes in the call: the feed for
+	// cmd/rvserved's batch.rows / batch.lanes telemetry. It must be safe
+	// for concurrent use: calls run on the sweep workers.
 	OnBatch func(rows, lanes int)
 	// Ctx, when non-nil, threads a cancellation context into the horizon
 	// walks of the grid sweeps (sim.Options.Ctx): a request deadline on

@@ -170,13 +170,16 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 	sopt.Sampler = cfg.samplerSource(samples)
 	var raw []gridOutcome
 	if cfg.Batch {
-		// Batched path: every cell of the grid shares the algorithm's
-		// program shape, so whole rows (one grid point, all its samples)
-		// run through the SoA rendezvous kernel. Bytes are identical to the
+		// Batched path: every cell of the grid walks the algorithm's raw
+		// program, so rows (one grid point, all its samples) and the lane
+		// chunks of a split row run through the SoA rendezvous kernel over
+		// one tape, generated once per grid. Bytes are identical to the
 		// scalar path below.
+		tape := sim.NewTape(program())
+		defer tape.Close()
 		raw, err = sweep.RunBatchedSampled(jobs, samples,
 			func(indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
-				return gridBatchRow(grid, names, samples, programID, program, cfg, indices, at)
+				return gridBatchRow(grid, names, samples, programID, tape, cfg, indices, at)
 			}, sopt)
 	} else {
 		raw, err = sweep.RunGridSampled(grid, samples, func(point []float64, si int, d sampler.Draws) (gridOutcome, error) {

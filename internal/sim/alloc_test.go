@@ -19,8 +19,9 @@ const (
 	// rendezvousRefillAllocCeiling: the walk state holding both streams,
 	// and each cursor's collector closure and doubled refill windows.
 	rendezvousRefillAllocCeiling = 13
-	// batchRowAllocCeiling: results and errors, and the tape's cursor and
-	// growing segment, duration and length slices; nothing per lane.
+	// batchRowAllocCeiling: results and errors, the private tape with the
+	// walk state, the tape's cursor windows and its pages; nothing per
+	// lane. Since the tape records into pages the row measures 14.
 	batchRowAllocCeiling = 51
 )
 

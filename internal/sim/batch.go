@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
-
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/batch"
 	"repro/internal/geom"
@@ -27,11 +29,14 @@ import (
 //   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
 //     independently through the scalar walk, meet — but their streams read
-//     one shared tape of raw segments with the raw duration/length computed
-//     once, and each lane's frame constants are computed once per lane
+//     one Tape of raw segments with the raw duration/length computed once,
+//     and each lane's frame constants are computed once per lane
 //     (segment.Frame): a lane places raw tape segments under its frame
 //     (Mover.SetFramed) and never builds a framed segment. Generation,
-//     trig, and cursor overhead amortize across the batch.
+//     trig, and cursor overhead amortize across the batch. The two
+//     functions read a private tape; Tape.Rendezvous reads a tape shared
+//     by several calls, which may run on several goroutines at once, so a
+//     sweep's lane chunks share one recording of the program.
 
 // SearchBatch runs Search for every lane of ln (target TX/TY, radius R,
 // horizon Horizon) against one shared program. Results and errors are
@@ -204,39 +209,140 @@ func finishSearchHorizon(res *Result, odo *odometer, mov *motion.Mover, horizon,
 	res.DistanceA, res.DistanceB = odo.at(horizon), 0
 }
 
-// tape materializes a shared program lazily: segments are pulled from one
-// cursor on demand and kept, with the raw payload duration/length computed
-// once per segment — the quantities every lane's framed walk rescales with
-// two multiplications (segment.Frame.Scale).
-type tape struct {
+// Tape is a rendezvous program recorded once and read by any number of
+// batch calls. Every lane walks the same raw local program, since frames
+// are applied at placement, so one tape can serve every row and every lane
+// chunk of a sweep: the program is generated once per tape, and each
+// segment's raw duration and length are computed once — the quantities
+// every lane's framed walk rescales with two multiplications
+// (segment.Frame.Scale).
+//
+// A Tape is safe for concurrent readers: Rendezvous may run on several
+// goroutines at once, each with its own lanes. Recorded segments live in
+// pages that never move. A reader checks the atomic published count and
+// reads published segments in place without a lock; a reader that needs a
+// later segment records more from the tape's one cursor under a mutex.
+// Every lane's walk is a pure function of the program and the lane, so
+// results are bit-identical to the scalar walks whatever the order and
+// interleaving of the readers. Close the tape once, after every reader has
+// returned.
+type Tape struct {
+	n    atomic.Int64                  // published segments; entries below n never change
+	dir  atomic.Pointer[[][]tapeEntry] // page directory, replaced when it fills
+	mu   sync.Mutex                    // serializes recording: cur, done, entries past n
 	cur  trajectory.Cursor
-	segs []segment.Seg
-	durs []float64
-	lens []float64
-	done bool
+	done bool // the program ended at n segments
+	head [][]tapeEntry
+	base [16][]tapeEntry // the first directory
 }
 
-func (tp *tape) init(src trajectory.Source) { tp.cur.Init(src) }
-func (tp *tape) close()                     { tp.cur.Close() }
+// tapeEntry is one recorded segment with its raw duration and length.
+type tapeEntry struct {
+	seg      segment.Seg
+	dur, len float64
+}
 
-// get ensures segment i is materialized, reporting false when the source is
-// exhausted before it.
-func (tp *tape) get(i int) bool {
-	for len(tp.segs) <= i {
-		if tp.done {
-			return false
-		}
+// Tape page geometry. Page 0 holds segments [0, 64) and each page after it
+// doubles, up to pages of 2^16 segments: a short walk allocates one small
+// page, a long one no more than twice what it reads (or one 2^16 page past
+// it), and no page is ever copied, nor so large that it needs a big
+// contiguous block of address space. Recording runs to a multiple of
+// tapeStep, so the leading reader takes the mutex once per tapeStep
+// segments.
+const (
+	tapeShift    = 6
+	tapeMaxShift = 16
+	tapeStep     = 32
+)
+
+// NewTape returns a tape over program; nothing is generated until a reader
+// needs it.
+func NewTape(program trajectory.Source) *Tape {
+	tp := &Tape{}
+	tp.init(program)
+	return tp
+}
+
+func (tp *Tape) init(program trajectory.Source) {
+	tp.cur.Init(program)
+	tp.head = tp.base[:]
+	tp.dir.Store(&tp.head)
+}
+
+// Close releases the tape's cursor. No reader may be in flight.
+func (tp *Tape) Close() { tp.cur.Close() }
+
+// tapeSlot locates segment i: its page and the offset in that page.
+func tapeSlot(i int) (page, off int) {
+	if i >= 1<<tapeMaxShift {
+		return tapeMaxShift - tapeShift + i>>tapeMaxShift, i & (1<<tapeMaxShift - 1)
+	}
+	page = bits.Len(uint(i) >> tapeShift)
+	if page == 0 {
+		return 0, i
+	}
+	return page, i - 1<<(page+tapeShift-1)
+}
+
+// tapePageLen is the number of segments page holds.
+func tapePageLen(page int) int {
+	return 1 << min(max(page+tapeShift-1, tapeShift), tapeMaxShift)
+}
+
+// entry returns segment i, recording it first when it is not yet
+// published; nil when the program ends before it.
+func (tp *Tape) entry(i int) *tapeEntry {
+	if int64(i) >= tp.n.Load() && !tp.record(i) {
+		return nil
+	}
+	page, off := tapeSlot(i)
+	return &(*tp.dir.Load())[page][off]
+}
+
+// record pulls segments from the cursor until segment i and the rest of
+// its tapeStep block are published, and reports whether segment i exists.
+// A new page is linked into the directory before the count that makes it
+// readable is published.
+func (tp *Tape) record(i int) bool {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	n := int(tp.n.Load())
+	for ; !tp.done && (n <= i || n%tapeStep != 0); n++ {
 		seg, ok := tp.cur.Next()
 		if !ok {
 			tp.done = true
-			return false
+			break
 		}
-		dur, length := seg.DurationAndLength()
-		tp.segs = append(tp.segs, seg)
-		tp.durs = append(tp.durs, dur)
-		tp.lens = append(tp.lens, length)
+		page, off := tapeSlot(n)
+		if off == 0 {
+			tp.addPage(page)
+		}
+		e := &(*tp.dir.Load())[page][off]
+		e.seg = seg
+		e.dur, e.len = seg.DurationAndLength()
 	}
-	return true
+	tp.n.Store(int64(n))
+	return i < n
+}
+
+// addPage allocates page, doubling the directory into a copy when it is
+// full: readers holding the old directory never read past its pages.
+func (tp *Tape) addPage(page int) {
+	dir := *tp.dir.Load()
+	if page == len(dir) {
+		grown := append(dir, make([][]tapeEntry, len(dir))...)
+		tp.dir.Store(&grown)
+		dir = grown
+	}
+	dir[page] = make([]tapeEntry, tapePageLen(page))
+}
+
+// Rendezvous runs the scalar Rendezvous for every lane of ln against the
+// tape's program, like RendezvousBatch. Several goroutines may call it at
+// once on one tape.
+func (tp *Tape) Rendezvous(ln *batch.Lanes, opt Options) ([]Result, []error) {
+	var st lanePair
+	return tp.meet(ln, opt, true, &st)
 }
 
 // FirstMeetingBatch runs FirstMeeting for every rendezvous lane of ln
@@ -251,25 +357,35 @@ func FirstMeetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options) 
 
 // RendezvousBatch runs Rendezvous for every lane of ln against one shared
 // program, validating each lane's instance first, exactly like the scalar
-// Rendezvous. Results and errors are per lane and bit-identical.
+// Rendezvous. Results and errors are per lane and bit-identical. It reads a
+// private Tape; callers with several batches over one program share a Tape
+// instead.
 func RendezvousBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Result, []error) {
 	return meetingBatch(program, ln, opt, true)
 }
 
+// meetingBatch walks ln over a private tape. One allocation holds the tape
+// and both walk states.
 func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, validate bool) ([]Result, []error) {
+	var w struct {
+		tp Tape
+		st lanePair
+	}
+	w.tp.init(program)
+	defer w.tp.Close()
+	return w.tp.meet(ln, opt, validate, &w.st)
+}
+
+// lanePair is the walk state of one lane, reused by every lane of a call:
+// the batch adds no per-lane heap allocations beyond the shared tape.
+type lanePair struct{ sa, sb stream }
+
+// meet walks every lane of ln through meet over the tape, with st as the
+// walk state.
+func (tp *Tape) meet(ln *batch.Lanes, opt Options, validate bool, st *lanePair) ([]Result, []error) {
 	n := ln.Len()
 	results := make([]Result, n)
 	errs := make([]error, n)
-
-	// One allocation holds the tape and both walk states, which every lane
-	// reuses: the batch adds no per-lane heap allocations beyond the
-	// shared tape.
-	var w struct {
-		tp     tape
-		sa, sb stream
-	}
-	w.tp.init(program)
-	defer w.tp.close()
 	for i := 0; i < n; i++ {
 		in := Instance{Attrs: ln.Attrs(i), D: ln.Target(i), R: ln.R[i]}
 		if validate {
@@ -285,9 +401,9 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 			continue
 		}
 		fb := in.Attrs.Frame(in.D)
-		w.sa.reset(&w.tp, &referenceFrame)
-		w.sb.reset(&w.tp, &fb)
-		results[i], errs[i] = meet(&w.sa, &w.sb, in.R, lopt)
+		st.sa.reset(tp, &referenceFrame)
+		st.sb.reset(tp, &fb)
+		results[i], errs[i] = meet(&st.sa, &st.sb, in.R, lopt)
 	}
 	return results, errs
 }

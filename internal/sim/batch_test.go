@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -280,5 +281,20 @@ func FuzzBatchMatchesScalar(f *testing.F) {
 		if wantErrR == nil {
 			requireBitIdentical(t, "rendezvous", gotR[0], wantR)
 		}
+
+		// The same instance among turned variants, split at a fuzzed lane
+		// into two chunks walked by two goroutines on one shared tape.
+		lanes := make([]tapeLane, 4)
+		for k := range lanes {
+			lin := in
+			lin.Attrs.Phi += 0.9 * float64(k)
+			lin.D = geom.Polar(d, angle+1.3*float64(k))
+			lanes[k] = tapeLane{lin, horizon}
+		}
+		split := int(mode/3) % (len(lanes) + 1)
+		tp := NewTape(mk())
+		defer tp.Close()
+		got, errs := walkChunks(tp, lanes, []int{split}, func(int) Options { return Options{} })
+		requireLanesMatch(t, "shared tape", mk, lanes, got, errs, func(int) context.Context { return nil })
 	})
 }

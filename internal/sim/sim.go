@@ -21,10 +21,10 @@
 // FirstMeetingFramed and every lane of the batched rendezvous kernels. A
 // stream pulls value-typed segments either through its own
 // trajectory.Cursor — an explicit resumable cursor over the source, instead
-// of iter.Pull coroutines — or, on a batch lane, from a tape of raw
-// segments shared by the whole row. Both walks are allocation-free per
-// segment; the per-segment motions live in caller-owned motion.Mover
-// storage. Search is not folded into a one-lane SearchBatch because that
+// of iter.Pull coroutines — or, on a batch lane, from a Tape of raw
+// segments shared by every lane that reads it. Both walks are
+// allocation-free per segment; the per-segment motions live in
+// caller-owned motion.Mover storage. Search is not folded into a one-lane SearchBatch because that
 // would add per-call lane slices to the hot path the allocation gates pin.
 //
 // A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
@@ -43,10 +43,15 @@
 // batch.Lanes) amortize segment generation across all lanes: SearchBatch
 // walks the shared program once, hoisting the per-segment motion setup out
 // of the lane loop and reducing per-lane work to a closed-form contact test;
-// the rendezvous variants record the generated stream into a tape that each
-// lane's pair of streams replays through meet. Results are bit-identical to
-// the scalar entry points, lane for lane — pinned by differential tests and
-// FuzzBatchMatchesScalar.
+// the rendezvous variants record the generated stream into a Tape that each
+// lane's pair of streams replays through meet. A Tape outlives one call: a
+// sweep opens one per grid and hands it to every row and every lane chunk
+// of a split row (Tape.Rendezvous), on as many goroutines as run them.
+// Readers take no lock for recorded segments, which sit in pages that never
+// move; a reader that needs an unrecorded one records it under the tape's
+// mutex (see Tape). Results are bit-identical to the scalar entry points,
+// lane for lane, however the lanes are chunked and interleaved — pinned by
+// differential tests, TestTapeConcurrentLanes and FuzzBatchMatchesScalar.
 package sim
 
 import (
@@ -160,9 +165,8 @@ func detectOptions(opt Options, r float64) motion.Options {
 // odometer, and the reusable motion storage.
 //
 // The segments come from the stream's own resumable cursor or, on a batch
-// lane, from a tape shared by every lane of the row. A tape segment is read
-// in place as tp.segs[idx-1], addressed by index rather than held by
-// pointer or copied, because the tape's slice moves when it grows.
+// lane, from a Tape shared by every lane that reads it. A tape segment is
+// read in place through a pointer into the tape, whose pages never move.
 //
 // With a frame, the source yields the robot's local program and the frame
 // is applied at placement: durations and lengths go through Frame.Scale and
@@ -171,8 +175,9 @@ func detectOptions(opt Options, r float64) motion.Options {
 // placed as they are.
 type stream struct {
 	cur      trajectory.Cursor
-	tp       *tape // the shared tape, when the stream replays one
-	idx      int   // index of the next tape segment
+	tp       *Tape      // the shared tape, when the stream replays one
+	idx      int        // index of the next tape segment
+	ent      *tapeEntry // the current tape segment
 	fr       segment.Frame
 	framed   bool
 	seg      segment.Seg // current cursor segment (raw local when framed)
@@ -199,7 +204,7 @@ func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 // reset re-aims the stream at the start of tape tp under fr, clearing all
 // walk state, and pulls its first segment. A tape stream never uses its
 // cursor, so there is nothing to close.
-func (s *stream) reset(tp *tape, fr *segment.Frame) {
+func (s *stream) reset(tp *Tape, fr *segment.Frame) {
 	*s = stream{tp: tp, fr: *fr, framed: true}
 	s.next()
 }
@@ -236,10 +241,11 @@ func (s *stream) next() {
 // segment in place, when the source is exhausted.
 func (s *stream) pull() bool {
 	if s.tp != nil {
-		if !s.tp.get(s.idx) {
+		e := s.tp.entry(s.idx)
+		if e == nil {
 			return false
 		}
-		s.segDur, s.segLen = s.tp.durs[s.idx], s.tp.lens[s.idx]
+		s.ent, s.segDur, s.segLen = e, e.dur, e.len
 		s.idx++
 		return true
 	}
@@ -256,7 +262,7 @@ func (s *stream) pull() bool {
 // framed).
 func (s *stream) raw() *segment.Seg {
 	if s.tp != nil {
-		return &s.tp.segs[s.idx-1]
+		return &s.ent.seg
 	}
 	return &s.seg
 }

@@ -24,10 +24,13 @@ func (e *LaneError) Error() string { return e.Err.Error() }
 func (e *LaneError) Unwrap() error { return e.Err }
 
 // RunBatchedSampled is the batched job kind: the dense index space [0, n)
-// is split into contiguous rows of rowSize, and fn evaluates one whole row
-// per call — the shape the SoA batch kernels need, where every lane of a
-// row shares one program stream. Rows are claimed by the same loop as
-// RunSampled's jobs, on the executor opt selects.
+// is split into contiguous rows of rowSize, and fn evaluates a chunk of
+// one row's lanes per call — the shape the SoA batch kernels need, where
+// every lane of a row shares one program stream. Chunks are claimed by the
+// same loop as RunSampled's jobs, on the executor opt selects, and follow a
+// deterministic plan (see plan): with one worker every call gets a whole
+// row, with more a row late in the run may be split, so fn may receive
+// part of a row.
 //
 // Each lane matches the RunSampled job of its index: it gets its draws
 // through the at accessor, opt.Shard skips the lanes it does not own, and
@@ -49,16 +52,13 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 	src, seed := opt.sampler(), opt.BaseSeed
 	drawsAt := func(i int) sampler.Draws { return src.Draws(seed, i) }
 
-	// The shard, exchange and monitor apply per lane, inside the row.
-	rows := (n + rowSize - 1) / rowSize
-	err = schedule(context.Background(), rows, Shard{}, opt, func(ri int) error {
-		lo := ri * rowSize
-		hi := min(lo+rowSize, n)
-		indices := make([]int, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if !opt.Shard.Owns(i) {
-				continue
-			}
+	// The exchange and monitor apply per lane, inside the chunk.
+	lanes, cuts := plan(n, rowSize, opt.Shard, opt.workers())
+	err = schedule(context.Background(), len(cuts)-1, Shard{}, opt, func(c int) error {
+		// The lanes to compute are compacted in place: each chunk owns its
+		// stretch of lanes.
+		indices := lanes[cuts[c]:cuts[c]:cuts[c+1]]
+		for _, i := range lanes[cuts[c]:cuts[c+1]] {
 			if v, ok := lookup[T](opt, i); ok {
 				results[i] = v
 				opt.Monitor.jobDone(0)
@@ -93,7 +93,7 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 		return nil
 	})
 	if err != nil {
-		// The lowest failed row holds the lowest failed lane; report it.
+		// The lowest failed chunk holds the lowest failed lane; report it.
 		var je *JobError
 		var le *LaneError
 		if errors.As(err, &je) && errors.As(je.Err, &le) {
@@ -101,4 +101,34 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 		}
 	}
 	return results, err
+}
+
+// plan cuts the lanes sh owns in [0, n) into the chunks of a batched run.
+// It returns every owned index in order and the chunk bounds: chunk c is
+// lanes[cuts[c]:cuts[c+1]], and no chunk crosses a row of rowSize. One
+// worker gets whole rows. More get guided chunks of
+// max(8, ⌈remaining lanes / (2·workers)⌉), cut at row ends, so early rows
+// stay whole and a heavy row near the end is shared by the workers.
+func plan(n, rowSize int, sh Shard, workers int) (lanes, cuts []int) {
+	owned := sh.CountIn(n)
+	next := func(k int) int { // the end of the chunk starting at ordinal k
+		end := sh.CountIn(min((sh.nth(k)/rowSize+1)*rowSize, n))
+		if workers > 1 {
+			end = min(end, k+max(8, (owned-k+2*workers-1)/(2*workers)))
+		}
+		return end
+	}
+	chunks := 0
+	for k := 0; k < owned; k = next(k) {
+		chunks++
+	}
+	buf := make([]int, owned+chunks+1)
+	lanes, cuts = buf[:owned], buf[owned:owned]
+	for k := range lanes {
+		lanes[k] = sh.nth(k)
+	}
+	for k := 0; k < owned; k = next(k) {
+		cuts = append(cuts, k)
+	}
+	return lanes, append(cuts, owned)
 }

@@ -70,6 +70,17 @@ type Options struct {
 	Batch string
 }
 
+// workers resolves how many workers run the claim loop.
+func (o Options) workers() int {
+	switch {
+	case o.Pool != nil:
+		return o.Pool.Workers()
+	case o.Workers <= 0:
+		return runtime.GOMAXPROCS(0)
+	}
+	return o.Workers
+}
+
 // sampler resolves the draw source: nil means pseudo.
 func (o Options) sampler() *sampler.Source {
 	if o.Sampler != nil {
@@ -229,10 +240,7 @@ func (c *claims) work() {
 // ErrCanceled if ctx ended before every owned index was claimed.
 func schedule(ctx context.Context, n int, shard Shard, opt Options, job func(i int) error) error {
 	c := &claims{ctx: ctx, job: job, shard: shard, owned: int64(shard.CountIn(n))}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := opt.workers()
 	switch {
 	case opt.Pool != nil:
 		opt.Pool.run(c)
