@@ -25,6 +25,7 @@ type Monitor struct {
 	OnJob func(d time.Duration)
 
 	mu      sync.Mutex
+	notify  sync.Mutex // serializes OnChange calls; see jobDone
 	done    int64
 	total   int64
 	seconds []float64
@@ -51,14 +52,18 @@ func (m *Monitor) jobDone(d time.Duration) {
 	if onJob == nil {
 		m.seconds = append(m.seconds, d.Seconds())
 	}
-	done, total := m.done, m.total
 	cb := m.OnChange
 	m.mu.Unlock()
 	if onJob != nil {
 		onJob(d)
 	}
 	if cb != nil {
-		cb(done, total)
+		// Each call reads the counters afresh under notify, so calls carry
+		// non-decreasing counts and the last one sees the final totals; a
+		// snapshot taken before the call could arrive after a newer one.
+		m.notify.Lock()
+		cb(m.Progress())
+		m.notify.Unlock()
 	}
 }
 

@@ -192,3 +192,29 @@ func TestMonitorCounts(t *testing.T) {
 		t.Errorf("OnChange fired %d times, want 15", changes.Load())
 	}
 }
+
+// TestMonitorOnChangeOrdered: OnChange calls from concurrent workers carry
+// non-decreasing counts, so a consumer that keeps the latest call (a
+// progress gauge) ends at the final done/total.
+func TestMonitorOnChangeOrdered(t *testing.T) {
+	for rep := 0; rep < 50; rep++ {
+		m := &Monitor{}
+		var mu sync.Mutex
+		var last int64
+		m.OnChange = func(done, total int64) {
+			mu.Lock()
+			defer mu.Unlock()
+			if done < last {
+				t.Errorf("OnChange went back from %d to %d", last, done)
+			}
+			last = done
+		}
+		if _, err := RunSampled(40, func(i int, _ sampler.Draws) (int, error) { return i, nil },
+			Options{Workers: 4, Monitor: m}); err != nil {
+			t.Fatal(err)
+		}
+		if last != 40 {
+			t.Fatalf("last OnChange saw %d done, want 40", last)
+		}
+	}
+}
