@@ -175,10 +175,10 @@ shardcheck:
 # and sampler-name parsing; τ-decomposition, Lambert W and the round bound
 # of Theorem 4; QR decomposition and the μ/frame identity; the linear×linear
 # and arc×static closed forms against a dense reference; the equal-ω arc×arc
-# closed form against the safe-advance fallback; placement under a cached
-# frame (Mover.SetFramed) against Set on the framed segment; the scalar
-# rendezvous walks against FirstMeeting over Transform-framed programs; the
-# batch-vs-scalar kernel differential; the shared-clock gathering walk
+# closed form against the safe-advance fallback; placement of raw segments
+# under a robot's frame (segment.Frame, Mover.SetFramed) against a frozen
+# copy of the framed-segment arithmetic it replaced; the batch-vs-scalar
+# kernel differential; the shared-clock gathering walk
 # against the frozen per-robot walk; journal crash recovery — arbitrary
 # journal bytes must load without error and yield exactly the CRC-valid
 # clean prefix; the lazy pseudo stream against math/rand's rngSource for
@@ -200,7 +200,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzCircularStatic -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzSetFramedMatchesSet -fuzztime $(FUZZTIME) ./internal/motion
-	$(GO) test -run NONE -fuzz FuzzRendezvousMatchesComposed -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache

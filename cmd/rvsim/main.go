@@ -62,6 +62,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/plot"
 	"repro/internal/sampler"
+	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/trace"
@@ -326,13 +327,12 @@ func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezv
 	return 0
 }
 
-// recordTrace samples both robots' global trajectories.
+// recordTrace samples both robots' global trajectories: the program under
+// each robot's frame.
 func recordTrace(program rendezvous.Trajectory, in rendezvous.Instance, until, step float64) (*trace.Trace, error) {
-	sources := []trajectory.Source{
-		frame.Reference().Apply(program, geom.Zero),
-		in.Attrs.Apply(program, in.D),
-	}
-	return trace.Record(sources, []string{"R", "Rprime"}, until, step)
+	sources := []trajectory.Source{program, program}
+	frames := []segment.Frame{frame.Reference().Frame(geom.Zero), in.Attrs.Frame(in.D)}
+	return trace.Record(sources, frames, []string{"R", "Rprime"}, until, step)
 }
 
 // writeTraceCSV writes a recorded trace to the given file.

@@ -74,7 +74,7 @@ func TestUniversalNoInactiveHasNoLongWaits(t *testing.T) {
 }
 
 func TestStayNeverMoves(t *testing.T) {
-	p := trajectory.NewPath(Stay())
+	p := trajectory.NewPath(Stay(), nil)
 	defer p.Close()
 	for _, tt := range []float64{0, 1, 1e6} {
 		if got := p.Position(tt); got != geom.Zero {

@@ -15,35 +15,20 @@ import (
 )
 
 // DistanceToSegment returns the exact minimum distance from point p to the
-// path traced by seg. Lines, waits, and arcs are closed-form; similarity
-// transforms of them unwrap exactly; anything else is sampled densely (the
-// paper's algorithms never produce such segments).
+// path traced by seg. Lines, waits, and arcs are closed-form; a speed
+// modulation changes when the path is traced, not where, so it is ignored.
 func DistanceToSegment(p geom.Vec, seg segment.Seg) float64 {
-	if !seg.Framed() && !seg.Modulated() {
-		switch seg.Kind() {
-		case segment.KindWait:
-			w, _ := seg.AsWait()
-			return p.Dist(w.At)
-		case segment.KindLine:
-			l, _ := seg.AsLine()
-			return distancePointToLineSegment(p, l.From, l.To)
-		default:
-			a, _ := seg.AsArc()
-			return distancePointToArc(p, a)
-		}
+	switch seg.Kind() {
+	case segment.KindWait:
+		w, _ := seg.AsWait()
+		return p.Dist(w.At)
+	case segment.KindLine:
+		l, _ := seg.AsLine()
+		return distancePointToLineSegment(p, l.From, l.To)
+	default:
+		a, _ := seg.AsArc()
+		return distancePointToArc(p, a)
 	}
-	if g, ok := segment.ArcAt(&seg); ok {
-		return distancePointToArcGeometry(p, g)
-	}
-	// Segments carrying both a speed modulation and a frame transform fall
-	// through to sampling even for waits/lines, mirroring the former
-	// doubly-wrapped representation (which unwrapped only one transform
-	// level) byte for byte — the same exclusion motion.linearOf and
-	// segment.ArcAt apply.
-	if k := seg.Kind(); (k == segment.KindWait || k == segment.KindLine) && !(seg.Framed() && seg.Modulated()) {
-		return distancePointToLineSegment(p, seg.Start(), seg.End())
-	}
-	return sampledDistance(p, seg)
 }
 
 func distancePointToLineSegment(p, a, b geom.Vec) float64 {
@@ -109,20 +94,6 @@ func normAngle(a float64) float64 {
 		a += 2 * math.Pi
 	}
 	return a
-}
-
-// sampledDistance is the fallback for exotic segments.
-func sampledDistance(p geom.Vec, seg segment.Seg) float64 {
-	const samples = 256
-	d := math.Inf(1)
-	dur := seg.Duration()
-	for i := 0; i <= samples; i++ {
-		q := seg.Position(dur * float64(i) / samples)
-		if dd := p.Dist(q); dd < d {
-			d = dd
-		}
-	}
-	return d
 }
 
 // DistanceToPath returns the exact minimum distance from p to a finite

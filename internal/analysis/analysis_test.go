@@ -121,20 +121,21 @@ func TestDistanceToSegmentAgainstSampling(t *testing.T) {
 	}
 }
 
+// TestDistanceToTransformed: a time-dilated (speed-modulated) segment
+// traces the same path as its payload.
 func TestDistanceToTransformed(t *testing.T) {
-	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.2, -1), T: geom.V(2, -1)}
-	// Transformed line.
-	trLineSeg := segment.UnitLine(geom.V(0, 0), geom.V(2, 0)).Seg()
-	trLine := trLineSeg.Transformed(m, 1.5)
 	p := geom.V(1, 1)
-	if got, want := DistanceToSegment(p, trLine), sampledDistance(p, trLine); math.Abs(got-want) > 0.05 {
-		t.Errorf("transformed line dist = %v, sampled %v", got, want)
-	}
-	// Transformed arc.
-	trArcSeg := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
-	trArc := trArcSeg.Transformed(m, 2)
-	if got, want := DistanceToSegment(p, trArc), sampledDistance(p, trArc); math.Abs(got-want) > 0.05 {
-		t.Errorf("transformed arc dist = %v, sampled %v", got, want)
+	for _, raw := range []segment.Seg{
+		segment.UnitLine(geom.V(0, 0), geom.V(2, 0)).Seg(),
+		segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg(),
+	} {
+		dilated := raw.Dilated(1.5)
+		if got, want := DistanceToSegment(p, dilated), sampledDistance(p, dilated); math.Abs(got-want) > 0.05 {
+			t.Errorf("dilated %v dist = %v, sampled %v", raw.Kind(), got, want)
+		}
+		if got, want := DistanceToSegment(p, dilated), DistanceToSegment(p, raw); got != want {
+			t.Errorf("dilated %v dist = %v, payload %v", raw.Kind(), got, want)
+		}
 	}
 }
 
@@ -228,4 +229,18 @@ func TestCompetitiveRatio(t *testing.T) {
 	if !math.IsInf(CompetitiveRatio(40, 1, 2), 1) {
 		t.Error("visible-target ratio should be +Inf")
 	}
+}
+
+// sampledDistance approximates DistanceToSegment by dense sampling.
+func sampledDistance(p geom.Vec, seg segment.Seg) float64 {
+	const samples = 256
+	d := math.Inf(1)
+	dur := seg.Duration()
+	for i := 0; i <= samples; i++ {
+		q := seg.Position(dur * float64(i) / samples)
+		if dd := p.Dist(q); dd < d {
+			d = dd
+		}
+	}
+	return d
 }

@@ -5,10 +5,9 @@
 // # Keys and canonicalization
 //
 // A cache entry is keyed by the canonical fingerprint of one simulation
-// instance: the kind of simulation ("search", "rendezvous", "asym",
-// "meeting"), the identity of the trajectory program(s), the quantized
-// instance parameters (attributes {v, τ, φ, χ}, displacement, visibility
-// radius), and the quantized simulation options (horizon, slack, iteration
+// instance: the kind of simulation ("search", "rendezvous", "asym"), the
+// identity of the trajectory program(s), the quantized instance parameters
+// (attributes {v, τ, φ, χ}, displacement, visibility radius), and the quantized simulation options (horizon, slack, iteration
 // budget). Program identity is a caller-chosen string — e.g. "alg4" for
 // Algorithm 4, "alg7" for the universal algorithm, "known:0.25" for a
 // parameterised baseline — and must change whenever the generated trajectory
@@ -85,7 +84,7 @@ func Quantize(x float64) uint64 {
 // types and valid map keys.
 type Key struct {
 	Version int    // ResultVersion of the code that computed the result
-	Kind    string // "search", "rendezvous", "asym", "meeting"
+	Kind    string // "search", "rendezvous", "asym"
 	Program string // program identity; for two-program kinds "a|b"
 	V       uint64 // quantized attribute bits of R′
 	Tau     uint64
@@ -125,22 +124,6 @@ func AsymmetricKey(programA, programB string, in sim.Instance, opt sim.Options) 
 	k := instanceKey(in, opt)
 	k.Kind, k.Program = "asym", programA+"|"+programB
 	return k
-}
-
-// MeetingKey fingerprints a sim.FirstMeeting call between two explicit
-// global-frame trajectories. The id must identify both trajectories
-// completely (programs, frames, displacements, fault schedules, ...): the
-// key carries only the visibility radius and options beside it.
-func MeetingKey(id string, r float64, opt sim.Options) Key {
-	return Key{
-		Version: ResultVersion,
-		Kind:    "meeting",
-		Program: id,
-		R:       Quantize(r),
-		Horizon: Quantize(opt.Horizon),
-		Slack:   Quantize(opt.Slack),
-		Iters:   opt.MaxIters,
-	}
 }
 
 func instanceKey(in sim.Instance, opt sim.Options) Key {
@@ -413,16 +396,5 @@ func (c *Cache) Asymmetric(programA, programB string, mkA, mkB func() trajectory
 	}
 	return c.do(AsymmetricKey(programA, programB, in, opt), func() (sim.Result, error) {
 		return sim.RendezvousAsymmetric(mkA(), mkB(), in, opt)
-	})
-}
-
-// FirstMeeting is sim.FirstMeeting memoized under MeetingKey. The id must
-// identify both trajectories completely — see MeetingKey.
-func (c *Cache) FirstMeeting(id string, mkA, mkB func() trajectory.Source, r float64, opt sim.Options) (sim.Result, error) {
-	if c == nil {
-		return sim.FirstMeeting(mkA(), mkB(), r, opt)
-	}
-	return c.do(MeetingKey(id, r, opt), func() (sim.Result, error) {
-		return sim.FirstMeeting(mkA(), mkB(), r, opt)
 	})
 }

@@ -219,8 +219,7 @@ func TestPreVersionRecordMisses(t *testing.T) {
 		t.Fatalf("pre-version record answered a current query: %+v", res)
 	}
 	if cur.Version != ResultVersion || RendezvousKey("alg4", sim.Instance{}, opt).Version != ResultVersion ||
-		AsymmetricKey("a", "b", sim.Instance{}, opt).Version != ResultVersion ||
-		MeetingKey("m", 0.25, opt).Version != ResultVersion {
+		AsymmetricKey("a", "b", sim.Instance{}, opt).Version != ResultVersion {
 		t.Fatal("a key constructor does not stamp ResultVersion")
 	}
 

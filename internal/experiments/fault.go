@@ -29,21 +29,15 @@ func E14FaultInjectionCfg(cfg Config) (Table, error) {
 		Columns: []string{"fault on R′", "outcome", "t_meet", "note"},
 	}
 	const horizon = 5e4
-	ref := frame.Reference() // identical to R: infeasible without faults
-	d := geom.V(1, 0)
-	const r = 0.25
+	// R′ is identical to R (infeasible without faults), displaced by (1,0).
+	in := sim.Instance{Attrs: frame.Reference(), D: geom.V(1, 0), R: 0.25}
 
-	a := func() trajectory.Source {
-		return frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
-	}
-	b := func() trajectory.Source {
-		return ref.Apply(algo.CumulativeSearch(), d)
-	}
-	// The cache id fully determines both trajectories: an identical alg4
-	// twin displaced by (1,0), with the named fault applied to R′.
-	job := func(id, name string, faulty func() trajectory.Source, note string, mustMeet bool) rowJob {
+	// The faults act on R′'s local program, in its own clock; with τ = 1
+	// that is global time. fault, appended to R′'s program name, spells
+	// the fault out completely, so the cache key pins both programs.
+	job := func(fault, name string, faulty func() trajectory.Source, note string, mustMeet bool) rowJob {
 		return func() ([]any, error) {
-			res, err := cfg.Cache.FirstMeeting("e14:alg4-twin:d=1,0:"+id, a, faulty, r,
+			res, err := cfg.Cache.Asymmetric("alg4", "alg4"+fault, algo.CumulativeSearch, faulty, in,
 				sim.Options{Horizon: horizon})
 			if err != nil {
 				return nil, fmt.Errorf("E14 %s: %w", name, err)
@@ -61,25 +55,25 @@ func E14FaultInjectionCfg(cfg Config) (Table, error) {
 	}
 
 	// Control: no fault — perfectly symmetric, never meets.
-	jobs := []rowJob{job("none", "none (control)", b, "Theorem 4: infeasible", false)}
+	jobs := []rowJob{job("", "none (control)", algo.CumulativeSearch, "Theorem 4: infeasible", false)}
 	// Crash faults: R′ halts forever; R's algorithm solves plain search
 	// against the crash position, so meeting is guaranteed.
 	for _, crash := range []float64{0, 50, 500} {
 		name := "crash at t=" + FormatFloat(crash)
-		jobs = append(jobs, job("crash:"+FormatFloat(crash), name,
-			func() trajectory.Source { return trajectory.CutAt(b(), crash) },
+		jobs = append(jobs, job("+crash@"+FormatFloat(crash), name,
+			func() trajectory.Source { return trajectory.CutAt(algo.CumulativeSearch(), crash) },
 			"reduces to search; guaranteed", true))
 	}
 	// Delayed start: R′ is a time-shifted twin.
 	for _, delay := range []float64{10, 100} {
 		name := "start delayed by " + FormatFloat(delay)
-		jobs = append(jobs, job("delay:"+FormatFloat(delay), name,
-			func() trajectory.Source { return trajectory.DelayStart(b(), delay) },
+		jobs = append(jobs, job("+delay@"+FormatFloat(delay), name,
+			func() trajectory.Source { return trajectory.DelayStart(algo.CumulativeSearch(), delay) },
 			"time shift breaks symmetry", false))
 	}
 	// Transient freeze: outage then resume, permanently offset in phase.
-	jobs = append(jobs, job("freeze:100-300", "frozen during [100, 300]",
-		func() trajectory.Source { return trajectory.FreezeDuring(b(), 100, 300) },
+	jobs = append(jobs, job("+freeze@100-300", "frozen during [100, 300]",
+		func() trajectory.Source { return trajectory.FreezeDuring(algo.CumulativeSearch(), 100, 300) },
 		"phase offset after outage", false))
 
 	if err := runRows(&t, cfg, jobs); err != nil {

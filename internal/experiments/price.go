@@ -91,20 +91,16 @@ func E16VariableSpeedCfg(cfg Config) (Table, error) {
 
 	job := func(name string, attrs frame.Attributes, factors []float64, mustMeet bool) rowJob {
 		return func() ([]any, error) {
-			a := func() trajectory.Source {
-				return frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
+			// The modulation acts on R′'s local program, in its own
+			// clock. R′'s program name spells the factors out completely,
+			// so the cache key pins both programs.
+			progB, mkB := "alg4", algo.CumulativeSearch
+			if factors != nil {
+				progB += "+speed×" + FormatCell(factors)
+				mkB = func() trajectory.Source { return trajectory.ModulateSpeed(algo.CumulativeSearch(), factors) }
 			}
-			b := func() trajectory.Source {
-				src := attrs.Apply(algo.CumulativeSearch(), d)
-				if factors != nil {
-					src = trajectory.ModulateSpeed(src, factors)
-				}
-				return src
-			}
-			// The id pins both trajectories: alg4 from the origin vs. the
-			// alg4 twin under attrs at d=(1,0) with the given modulation.
-			id := fmt.Sprintf("e16:alg4:d=1,0:attrs=%v:factors=%s", attrs, FormatCell(factors))
-			res, err := cfg.Cache.FirstMeeting(id, a, b, r, sim.Options{Horizon: horizon})
+			in := sim.Instance{Attrs: attrs, D: d, R: r}
+			res, err := cfg.Cache.Asymmetric("alg4", progB, algo.CumulativeSearch, mkB, in, sim.Options{Horizon: horizon})
 			if err != nil {
 				return nil, fmt.Errorf("E16 %s: %w", name, err)
 			}

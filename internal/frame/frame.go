@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/segment"
-	"repro/internal/trajectory"
 )
 
 // Chirality is a robot's handedness: which way it believes +y points
@@ -108,17 +107,11 @@ func (a Attributes) Affine(origin geom.Vec) geom.Affine {
 	return geom.Affine{M: a.LinearMap(), T: origin}
 }
 
-// Apply maps a local-frame trajectory source (unit speed, unit clock, robot
-// at its own origin) into the global frame for a robot with these attributes
-// starting at origin. Durations stretch by Tau; distances by V·Tau; the
-// instantaneous global speed of unit-speed local motion is V.
-func (a Attributes) Apply(src trajectory.Source, origin geom.Vec) trajectory.Source {
-	return trajectory.Transform(src, a.Affine(origin), a.Tau)
-}
-
-// Frame returns the same map and clock as a segment.Frame, with its
-// per-frame constants computed once: walks over a local program apply it at
-// placement instead of transforming every segment (see segment.Frame).
+// Frame returns the local→global map (Affine) and clock dilation Tau of a
+// robot with these attributes starting at origin, as a segment.Frame with
+// its per-frame constants computed once. Walks place each segment of the
+// robot's local program under it: durations stretch by Tau, distances by
+// V·Tau, and unit-speed local motion moves at global speed V.
 func (a Attributes) Frame(origin geom.Vec) segment.Frame {
 	return segment.NewFrame(a.Affine(origin), a.Tau)
 }

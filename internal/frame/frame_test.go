@@ -42,10 +42,14 @@ func TestReferenceIsIdentity(t *testing.T) {
 	if got := ref.DistanceUnit(); got != 1 {
 		t.Errorf("reference DistanceUnit = %v, want 1", got)
 	}
-	src := algo.SearchCircle(2)
-	same := ref.Apply(src, geom.Zero)
-	if got, want := trajectory.Duration(same), trajectory.Duration(src); math.Abs(got-want) > 1e-12 {
-		t.Errorf("reference-applied duration = %v, want %v", got, want)
+	fr := ref.Frame(geom.Zero)
+	var got float64
+	for s := range algo.SearchCircle(2) {
+		d, _ := fr.DurationAndLength(&s)
+		got += d
+	}
+	if want := trajectory.Duration(algo.SearchCircle(2)); math.Abs(got-want) > 1e-12 {
+		t.Errorf("reference-framed duration = %v, want %v", got, want)
 	}
 }
 
@@ -54,21 +58,22 @@ func TestReferenceIsIdentity(t *testing.T) {
 func TestApplySemantics(t *testing.T) {
 	a := Attributes{V: 0.5, Tau: 4, Phi: math.Pi / 2, Chi: CCW}
 	local := trajectory.FromSlice(trajectory.Collect(algo.SearchCircle(3))[:1]) // just the outbound line
-	global := trajectory.Collect(a.Apply(local, geom.V(10, 0)))
-	if len(global) != 1 {
-		t.Fatalf("got %d segments", len(global))
+	segs := trajectory.Collect(local)
+	if len(segs) != 1 {
+		t.Fatalf("got %d segments", len(segs))
 	}
-	seg := global[0]
+	fr := a.Frame(geom.V(10, 0))
+	seg := &segs[0]
 	// Global duration: τ·3 = 12.
-	if got := seg.Duration(); math.Abs(got-12) > 1e-12 {
+	if got, _ := fr.DurationAndLength(seg); math.Abs(got-12) > 1e-12 {
 		t.Errorf("duration = %v, want 12", got)
 	}
 	// Global displacement: vτ·3 = 6 along global +y (φ = π/2), from (10,0).
-	if got := seg.End(); !got.ApproxEqual(geom.V(10, 6), 1e-9) {
+	if _, got := fr.Endpoints(seg); !got.ApproxEqual(geom.V(10, 6), 1e-9) {
 		t.Errorf("end = %v, want (10,6)", got)
 	}
 	// Global speed: v = 0.5.
-	if got := seg.MaxSpeed(); math.Abs(got-0.5) > 1e-12 {
+	if got := fr.MaxSpeed(seg); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("speed = %v, want 0.5", got)
 	}
 }
@@ -151,9 +156,10 @@ func TestFrameCompositionAgainstDirectFormula(t *testing.T) {
 	a := Attributes{V: 0.6, Tau: 1.5, Phi: 2.2, Chi: CW}
 	origin := geom.V(3, -4)
 
-	local := trajectory.NewPath(algo.SearchRound(2))
+	local := trajectory.NewPath(algo.SearchRound(2), nil)
 	defer local.Close()
-	global := trajectory.NewPath(a.Apply(algo.SearchRound(2), origin))
+	fr := a.Frame(origin)
+	global := trajectory.NewPath(algo.SearchRound(2), &fr)
 	defer global.Close()
 
 	m := a.Affine(origin)

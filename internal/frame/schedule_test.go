@@ -10,8 +10,7 @@ import (
 	"repro/internal/segment"
 )
 
-// phaseBoundaries walks a (possibly frame-transformed) Algorithm 7 stream
-// and returns the global times at which the first maxN inactive phases
+// phaseBoundaries walks Algorithm 7 placed under a robot's frame and returns the global times at which the first maxN inactive phases
 // begin, identified by their wait durations of 2·S(n)·τ.
 func phaseBoundaries(t *testing.T, a Attributes, maxN int) []float64 {
 	t.Helper()
@@ -20,16 +19,18 @@ func phaseBoundaries(t *testing.T, a Attributes, maxN int) []float64 {
 		elapsed    float64
 		n          = 1
 	)
-	for s := range a.Apply(algo.Universal(), geom.Zero) {
+	fr := a.Frame(geom.Zero)
+	for s := range algo.Universal() {
+		dur, _ := fr.DurationAndLength(&s)
 		want := 2 * algo.SearchAllDuration(n) * a.Tau
-		if isWait(s) && math.Abs(s.Duration()-want) <= 1e-9*want {
+		if isWait(s) && math.Abs(dur-want) <= 1e-9*want {
 			boundaries = append(boundaries, elapsed)
 			n++
 			if n > maxN {
 				return boundaries
 			}
 		}
-		elapsed += s.Duration()
+		elapsed += dur
 	}
 	t.Fatalf("found only %d phase boundaries", len(boundaries))
 	return nil

@@ -25,8 +25,7 @@
 // segment boundaries at bit-identical times, so each distinct clock pulls
 // the local program through one trajectory.Cursor and computes each
 // segment's duration once, and every robot on it places the raw segment
-// under its own frame (segment.Frame with motion.Mover.SetFramed,
-// bit-identical to the per-robot Transformed stream). A robot's motion is
+// under its own frame (segment.Frame with motion.Mover.SetFramed). A robot's motion is
 // refilled only when its clock moves to a new segment. The pairwise
 // meetings walk the local program under the two robots' frames too
 // (sim.FirstMeetingFramed).
@@ -108,12 +107,12 @@ type Options = sim.Options
 
 // Simulate runs all robots on the same program and measures pairwise
 // meetings and the gathering time. Each pair's first meeting is the
-// two-robot walk of the program under their frames, bit-identical to
-// sim.FirstMeeting of their framed programs. Gathering is found
+// two-robot walk of the program under their frames
+// (sim.FirstMeetingFramed). Gathering is found
 // by the safe advance on the diameter over one walk of program per
 // distinct clock τ (see the package doc), which visits the same segment
-// boundaries, with the same motions, as walking each robot's framed program
-// separately.
+// boundaries, with the same motions, as walking each robot's program under
+// its frame separately.
 func Simulate(program trajectory.Source, in Instance, opt Options) (Result, error) {
 	if err := in.Validate(); err != nil {
 		return Result{}, err
@@ -260,8 +259,7 @@ func (w *diameterWalk) advance(now, horizon float64) (intervalEnd float64, allHa
 			// origin of the global frame if the program was empty).
 			var final geom.Vec
 			if c.cur.Consumed() > 0 {
-				seg := b.frame.Apply(&c.seg)
-				final = seg.End()
+				_, final = b.frame.Endpoints(&c.seg)
 			}
 			b.mov.SetStatic(final)
 		}

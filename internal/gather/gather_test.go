@@ -74,8 +74,8 @@ func TestRelativeConsistentWithTwoRobotSim(t *testing.T) {
 	r := 0.3
 	opt := sim.Options{Horizon: 2e4}
 
-	raw, err := sim.FirstMeeting(a.Apply(algo.CumulativeSearch(), oa),
-		b.Apply(algo.CumulativeSearch(), ob), r, opt)
+	raw, err := sim.FirstMeetingFramed(algo.CumulativeSearch(), a.Frame(oa),
+		algo.CumulativeSearch(), b.Frame(ob), r, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,15 +15,22 @@ import (
 )
 
 // refWalker is the per-robot forward walk the gathering detector used before
-// the shared-clock walk: one cursor over the robot's frame-transformed
-// program, durations recomputed per lookup.
+// the shared-clock walk: one cursor over the robot's program placed under
+// its frame, durations recomputed per lookup.
 type refWalker struct {
 	cur       trajectory.Cursor
+	fr        segment.Frame
 	seg       segment.Seg
 	start     float64
 	has       bool
 	exhausted bool
 	finalPos  geom.Vec
+}
+
+// duration is the current segment's duration under the robot's frame.
+func (w *refWalker) duration() float64 {
+	dur, _ := w.fr.DurationAndLength(&w.seg)
+	return dur
 }
 
 func (w *refWalker) advance() {
@@ -32,8 +39,8 @@ func (w *refWalker) advance() {
 	}
 	var prevEnd float64
 	if w.has {
-		prevEnd = w.start + w.seg.Duration()
-		w.finalPos = w.seg.End()
+		prevEnd = w.start + w.duration()
+		_, w.finalPos = w.fr.Endpoints(&w.seg)
 	}
 	seg, ok := w.cur.Next()
 	if !ok {
@@ -45,7 +52,7 @@ func (w *refWalker) advance() {
 }
 
 func (w *refWalker) segmentAt(t float64) (seg segment.Seg, start float64, ok bool) {
-	for w.has && w.start+w.seg.Duration() <= t {
+	for w.has && w.start+w.duration() <= t {
 		w.advance()
 	}
 	if !w.has {
@@ -55,13 +62,14 @@ func (w *refWalker) segmentAt(t float64) (seg segment.Seg, start float64, ok boo
 }
 
 // referenceDiameterDrop is a frozen copy of the per-robot gathering walk:
-// every robot regenerates its own framed program, every mover is refilled
+// every robot regenerates its own program, every mover is refilled
 // every interval, and the closing rate comes from sorting the speeds.
 func referenceDiameterDrop(program trajectory.Source, in Instance, opt Options) (float64, bool, float64) {
 	n := len(in.Robots)
 	walkers := make([]refWalker, n)
 	for i, r := range in.Robots {
-		walkers[i].cur.Init(r.Attrs.Apply(program, r.Origin))
+		walkers[i].cur.Init(program)
+		walkers[i].fr = r.Attrs.Frame(r.Origin)
 		walkers[i].advance()
 		defer walkers[i].cur.Close()
 	}
@@ -82,8 +90,8 @@ func referenceDiameterDrop(program trajectory.Source, in Instance, opt Options) 
 				continue
 			}
 			allHalted = false
-			dur := seg.Duration()
-			movers[i].Set(&seg, start, dur)
+			dur := w.duration()
+			movers[i].SetFramed(&seg, &w.fr, start, dur)
 			if end := start + dur; end < intervalEnd {
 				intervalEnd = end
 			}

@@ -363,47 +363,72 @@ func TestFromSegmentArc(t *testing.T) {
 	}
 }
 
+// setFramedMover returns a Mover holding seg placed under f from absStart,
+// and seg's duration under f.
+func setFramedMover(seg segment.Seg, f *segment.Frame, absStart float64) (Mover, float64) {
+	var m Mover
+	dur, _ := f.DurationAndLength(&seg)
+	m.SetFramed(&seg, f, absStart, dur)
+	return m, dur
+}
+
 func TestFromSegmentTransformed(t *testing.T) {
 	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.1, -1), T: geom.V(2, 2)}
+	f15, f2 := segment.NewFrame(m, 1.5), segment.NewFrame(m, 2)
 
-	// Transformed line → linear.
-	trLineSeg := segment.UnitLine(geom.Zero, geom.V(2, 0)).Seg()
-	if mv := setMover(trLineSeg.Transformed(m, 1.5), 0); mv.kind != moverLinear {
-		t.Errorf("transformed line kind %d, want linear", mv.kind)
+	// Framed line → linear.
+	if mv, _ := setFramedMover(segment.UnitLine(geom.Zero, geom.V(2, 0)).Seg(), &f15, 0); mv.kind != moverLinear {
+		t.Errorf("framed line kind %d, want linear", mv.kind)
 	}
-	// Transformed wait → linear (static).
-	trWaitSeg := segment.NewWait(geom.V(1, 0), 2).Seg()
-	if mv := setMover(trWaitSeg.Transformed(m, 1.5), 0); mv.kind != moverLinear || mv.lin.Vel != (geom.Vec{}) {
-		t.Errorf("transformed wait kind %d (%+v), want static linear", mv.kind, mv.lin)
+	// Framed wait → linear (static).
+	if mv, _ := setFramedMover(segment.NewWait(geom.V(1, 0), 2).Seg(), &f15, 0); mv.kind != moverLinear || mv.lin.Vel != (geom.Vec{}) {
+		t.Errorf("framed wait kind %d (%+v), want static linear", mv.kind, mv.lin)
 	}
-	// Transformed arc → circular, positions matching.
-	trArcSeg := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
-	trArc := trArcSeg.Transformed(m, 2)
-	mv := setMover(trArc, 5)
+	// Framed arc → circular, positions matching.
+	arc := segment.NewArc(geom.V(1, 0), 1, 0, 2, 1).Seg()
+	mv, dur := setFramedMover(arc, &f2, 5)
 	if mv.kind != moverCircular {
-		t.Fatalf("transformed arc kind %d, want circular", mv.kind)
+		t.Fatalf("framed arc kind %d, want circular", mv.kind)
 	}
 	for i := 0; i <= 8; i++ {
-		lt := trArc.Duration() * float64(i) / 8
-		if got, want := mv.At(5+lt), trArc.Position(lt); !got.ApproxEqual(want, 1e-9) {
+		lt := dur * float64(i) / 8
+		if got, want := mv.At(5+lt), f2.Position(&arc, lt); !got.ApproxEqual(want, 1e-9) {
 			t.Errorf("At(5+%v) = %v, want %v", lt, got, want)
+		}
+	}
+	// A modulated framed arc, and an arc under a shear, fall back to direct
+	// evaluation.
+	shear := segment.NewFrame(geom.Affine{M: geom.Mat{A: 1, B: 1, D: 1}}, 1)
+	for _, c := range []struct {
+		seg segment.Seg
+		f   *segment.Frame
+	}{{arc.Dilated(1.3), &f2}, {arc, &shear}} {
+		mv, dur := setFramedMover(c.seg, c.f, 5)
+		if mv.kind != moverSeg {
+			t.Fatalf("kind %d, want the segment fallback", mv.kind)
+		}
+		at := 5 + dur/3
+		if got, want := mv.At(at), c.f.Position(&c.seg, at-5); got != want {
+			t.Errorf("fallback At = %v, want %v", got, want)
+		}
+		if got, want := mv.SpeedBound(), c.f.MaxSpeed(&c.seg); got != want {
+			t.Errorf("fallback SpeedBound = %v, want %v", got, want)
 		}
 	}
 }
 
 func TestFromSegmentTransformedMotionAccuracy(t *testing.T) {
-	// A transformed line's linear motion must match Position exactly at
-	// interior times (affine maps preserve uniform linear motion).
-	m := geom.Affine{M: geom.FrameMatrix(1.3, 2.7, +1), T: geom.V(-1, 4)}
-	trSeg := segment.UnitLine(geom.V(1, 1), geom.V(4, 5)).Seg()
-	tr := trSeg.Transformed(m, 0.7)
-	mv := setMover(tr, 2)
+	// A framed line's linear motion must match Position exactly at interior
+	// times (affine maps preserve uniform linear motion).
+	f := segment.NewFrame(geom.Affine{M: geom.FrameMatrix(1.3, 2.7, +1), T: geom.V(-1, 4)}, 0.7)
+	seg := segment.UnitLine(geom.V(1, 1), geom.V(4, 5)).Seg()
+	mv, dur := setFramedMover(seg, &f, 2)
 	if mv.kind != moverLinear {
-		t.Fatalf("transformed line kind %d, want linear", mv.kind)
+		t.Fatalf("framed line kind %d, want linear", mv.kind)
 	}
 	for i := 0; i <= 10; i++ {
-		lt := tr.Duration() * float64(i) / 10
-		if got, want := mv.At(2+lt), tr.Position(lt); !got.ApproxEqual(want, 1e-9) {
+		lt := dur * float64(i) / 10
+		if got, want := mv.At(2+lt), f.Position(&seg, lt); !got.ApproxEqual(want, 1e-9) {
 			t.Errorf("At(2+%v) = %v, want %v", lt, got, want)
 		}
 	}

@@ -14,7 +14,8 @@ const (
 	moverSeg
 )
 
-// Mover is the value-typed motion of one trajectory segment. Set fills the
+// Mover is the value-typed motion of one trajectory segment. Set (or
+// SetFramed, for a segment placed under a robot's frame) fills the
 // Mover in place with the most specific motion the detector can exploit;
 // Contact dispatches on the kinds directly, so the closed-form paths run
 // without interface boxing or dynamic calls.
@@ -26,18 +27,15 @@ type Mover struct {
 	kind  moverKind
 	lin   Linear
 	circ  Circular
-	seg   segment.Seg // fallback payload (moverSeg)
+	seg   segment.Seg    // fallback payload (moverSeg), raw
+	frame *segment.Frame // the frame seg is placed under (moverSeg)
 	t0    float64
 	bound float64
 }
 
-// Set fills the Mover with the motion of seg starting at absolute time
-// absStart:
-//
-//   - waits and lines (including frame-transformed ones) → linear motion,
-//   - arcs under similarity maps → circular motion,
-//   - everything else (e.g. modulated *and* frame-transformed segments) →
-//     direct segment evaluation with the segment's speed bound.
+// Set fills the Mover with the motion of the raw segment seg starting at
+// absolute time absStart: waits and lines become linear motion, arcs
+// circular motion (a modulated arc turns at its dilated rate).
 //
 // dur must equal seg.Duration(); callers on the walk hot path have already
 // computed it, and passing it through avoids recomputing the closed-form
@@ -48,29 +46,25 @@ func (m *Mover) Set(seg *segment.Seg, absStart, dur float64) {
 		m.lin = lin
 		return
 	}
-	if g, ok := segment.ArcAtDur(seg, dur); ok {
-		m.setCircular(g, absStart)
-		return
-	}
-	m.kind = moverSeg
-	m.seg = *seg
-	m.t0 = absStart
-	m.bound = seg.MaxSpeed()
+	g, _ := segment.ArcAtDur(seg, dur) // every raw arc has circular geometry
+	m.setCircular(g, absStart)
 }
 
-// SetFramed fills the Mover with the motion of the raw local segment raw
-// placed under the frame f, starting at absolute time absStart. It is
-// bit-identical to Set(f.Apply(raw), absStart, dur) but builds no framed
-// segment: waits and lines map their two endpoints through f, and arcs
-// take f's cached similarity constants (segment.Frame.ArcAtDur). Anything
-// else — an arc under a non-similarity map, or a raw segment that already
-// carries a frame or a time dilation (on which Apply panics) — materialises
-// the framed segment and calls Set.
+// SetFramed fills the Mover with the motion of the raw segment raw placed
+// under the frame f, starting at absolute time absStart:
 //
-// dur must equal the framed duration, f.Scale of the raw one; walks over a
-// local program compute it once per segment.
+//   - waits and lines → linear motion between their endpoints' images,
+//   - arcs under similarity maps → circular motion, from f's cached
+//     similarity constants (segment.Frame.ArcAtDur),
+//   - everything else (an arc under a non-similarity map, or a modulated
+//     segment) → direct evaluation of the placed segment with its speed
+//     bound, for the conservative safe advance. The Mover keeps f, so f
+//     must not change while the Mover is in use.
+//
+// dur must equal the duration under the frame, f.DurationAndLength; walks
+// over a local program compute it once per segment.
 func (m *Mover) SetFramed(raw *segment.Seg, f *segment.Frame, absStart, dur float64) {
-	if !raw.Framed() && !raw.Modulated() {
+	if !raw.Modulated() {
 		switch raw.Kind() {
 		case segment.KindWait, segment.KindLine:
 			start, end := f.Endpoints(raw)
@@ -84,8 +78,10 @@ func (m *Mover) SetFramed(raw *segment.Seg, f *segment.Frame, absStart, dur floa
 			}
 		}
 	}
-	seg := f.Apply(raw)
-	m.Set(&seg, absStart, dur)
+	m.kind = moverSeg
+	m.seg, m.frame = *raw, f
+	m.t0 = absStart
+	m.bound = f.MaxSpeed(raw)
 }
 
 // setCircular fills the Mover with the circular motion g from absStart.
@@ -114,7 +110,7 @@ func (m *Mover) At(t float64) geom.Vec {
 	case moverCircular:
 		return m.circ.At(t)
 	default:
-		return m.seg.Position(t - m.t0)
+		return m.frame.Position(&m.seg, t-m.t0)
 	}
 }
 
@@ -162,22 +158,14 @@ func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool
 	return SafeAdvance(a, b, r, t0, t1, opt)
 }
 
-// linearOf recognises segments whose global motion is exactly linear in
-// time: waits, lines, and frame transforms of either (an affine map of
-// uniform linear motion is uniform linear motion). A segment carrying both
-// a speed modulation and a frame transform is left to the conservative
-// fallback, matching the former one-level unwrapping of nested transforms.
-// dur must equal seg.Duration() (precomputed by the caller).
+// linearOf recognises the raw segments whose motion is exactly linear in
+// time: waits and lines, modulated or not. dur must equal seg.Duration()
+// (precomputed by the caller).
 func linearOf(seg *segment.Seg, absStart, dur float64) (Linear, bool) {
 	switch seg.Kind() {
 	case segment.KindWait, segment.KindLine:
-		if seg.Framed() && seg.Modulated() {
-			return Linear{}, false
-		}
-		if !seg.Framed() && !seg.Modulated() {
-			if w, ok := seg.AsWait(); ok {
-				return Static(w.At), true
-			}
+		if w, ok := seg.AsWait(); ok && !seg.Modulated() {
+			return Static(w.At), true
 		}
 		return linearFromEndpoints(seg.Start(), seg.End(), dur, absStart), true
 	}

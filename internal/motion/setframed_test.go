@@ -9,43 +9,107 @@ import (
 	"repro/internal/segment"
 )
 
-// panicOf runs f and returns what it panicked with (nil if it returned).
-func panicOf(f func()) (p any) {
-	defer func() { p = recover() }()
-	f()
-	return nil
+// bitsEqual reports whether two vectors are bit-identical.
+func bitsEqual(a, b geom.Vec) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
-// requireSameMover fails unless got and want hold bit-identical motions: the
-// same fields (printed with %#v, which spells every float64 exactly and
-// includes the unexported ones), and bit-equal positions at the start,
-// middle and end of the segment and speed bounds.
-func requireSameMover(t *testing.T, got, want *Mover, absStart, dur float64) {
+// requireFrozenMover fails unless got holds the motion the frozen Set built:
+// the same kind, bit-identical linear or circular parameters, and
+// bit-identical positions at the start, middle and end of the segment and
+// speed bounds.
+func requireFrozenMover(t *testing.T, label string, got *Mover, want *frozenMover, absStart, dur float64) {
 	t.Helper()
-	if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", *want); g != w {
-		t.Fatalf("movers differ:\nSetFramed %s\nSet       %s", g, w)
+	if got.kind != want.kind {
+		t.Fatalf("%s: mover kind %d, frozen %d", label, got.kind, want.kind)
 	}
-	for _, at := range []float64{absStart, absStart + dur/2, absStart + dur} {
-		g, w := got.At(at), want.At(at)
-		if math.Float64bits(g.X) != math.Float64bits(w.X) || math.Float64bits(g.Y) != math.Float64bits(w.Y) {
-			t.Fatalf("At(%v): SetFramed %v, Set %v", at, g, w)
+	switch got.kind {
+	case moverLinear:
+		if g, w := fmt.Sprintf("%#v", got.lin), fmt.Sprintf("%#v", want.lin); g != w {
+			t.Fatalf("%s: linear motion\ngot    %s\nfrozen %s", label, g, w)
+		}
+	case moverCircular:
+		if g, w := fmt.Sprintf("%#v", got.circ), fmt.Sprintf("%#v", want.circ); g != w {
+			t.Fatalf("%s: circular motion\ngot    %s\nfrozen %s", label, g, w)
+		}
+	default:
+		if got.t0 != want.t0 {
+			t.Fatalf("%s: fallback start %v, frozen %v", label, got.t0, want.t0)
+		}
+	}
+	for _, at := range []float64{absStart, absStart + dur/3, absStart + dur/2, absStart + dur} {
+		if g, w := got.At(at), want.At(at); !bitsEqual(g, w) {
+			t.Fatalf("%s: At(%v) = %v, frozen %v", label, at, g, w)
 		}
 	}
 	if g, w := got.SpeedBound(), want.SpeedBound(); math.Float64bits(g) != math.Float64bits(w) {
-		t.Fatalf("SpeedBound: SetFramed %v, Set %v", g, w)
+		t.Fatalf("%s: SpeedBound %v, frozen %v", label, g, w)
 	}
 }
 
-// FuzzSetFramedMatchesSet differentially checks Mover.SetFramed, which
-// places a raw local segment under a cached segment.Frame, against Set on
-// the framed segment Frame.Apply builds: the two must agree bit for bit.
+// requireFrozenSeg fails unless the placement of seg — through f, or as it
+// is when f is nil — agrees bit for bit with the frozen segment fz:
+// duration and length, start and end points, positions across (and past)
+// the segment, speed bound and circular geometry.
+func requireFrozenSeg(t *testing.T, label string, seg *segment.Seg, f *segment.Frame, fz *frozenSeg) (dur float64) {
+	t.Helper()
+	dur, length := seg.DurationAndLength()
+	start, end, speed := seg.Start(), seg.End(), seg.MaxSpeed()
+	pos, arc := seg.Position, func(d float64) (segment.ArcGeometry, bool) { return segment.ArcAtDur(seg, d) }
+	if f != nil {
+		dur, length = f.DurationAndLength(seg)
+		if !seg.Modulated() {
+			if d, l := f.Scale(seg.DurationAndLength()); math.Float64bits(d) != math.Float64bits(dur) || math.Float64bits(l) != math.Float64bits(length) {
+				t.Fatalf("%s: Scale gives %v, %v; DurationAndLength %v, %v", label, d, l, dur, length)
+			}
+		}
+		start, end = f.Endpoints(seg)
+		speed = f.MaxSpeed(seg)
+		pos = func(t float64) geom.Vec { return f.Position(seg, t) }
+		arc = func(d float64) (segment.ArcGeometry, bool) { return f.ArcAtDur(seg, d) }
+	} else if d := seg.Duration(); math.Float64bits(d) != math.Float64bits(dur) {
+		t.Fatalf("%s: Duration %v, DurationAndLength %v", label, d, dur)
+	}
+	wd, wl := fz.DurationAndLength()
+	if math.Float64bits(dur) != math.Float64bits(wd) || math.Float64bits(length) != math.Float64bits(wl) {
+		t.Fatalf("%s: duration, length = %v, %v; frozen %v, %v", label, dur, length, wd, wl)
+	}
+	if d := fz.Duration(); math.Float64bits(d) != math.Float64bits(wd) {
+		t.Fatalf("%s: frozen Duration %v, DurationAndLength %v", label, d, wd)
+	}
+	if !bitsEqual(start, fz.Start()) || !bitsEqual(end, fz.End()) {
+		t.Fatalf("%s: endpoints %v, %v; frozen %v, %v", label, start, end, fz.Start(), fz.End())
+	}
+	for _, at := range []float64{-1, 0, dur / 3, dur / 2, dur, dur + 1} {
+		if g, w := pos(at), fz.Position(at); !bitsEqual(g, w) {
+			t.Fatalf("%s: Position(%v) = %v, frozen %v", label, at, g, w)
+		}
+	}
+	if w := fz.MaxSpeed(); math.Float64bits(speed) != math.Float64bits(w) {
+		t.Fatalf("%s: MaxSpeed %v, frozen %v", label, speed, w)
+	}
+	g, ok := arc(dur)
+	w, wok := fz.ArcAtDur(dur)
+	if ok != wok || fmt.Sprintf("%#v", g) != fmt.Sprintf("%#v", w) {
+		t.Fatalf("%s: ArcAtDur = %#v, %v; frozen %#v, %v", label, g, ok, w, wok)
+	}
+	return dur
+}
+
+// FuzzSetFramedMatchesSet differentially checks the placement of raw
+// segments — segment.Frame's Scale, Position, Start, End, MaxSpeed and
+// ArcAtDur, and Mover.SetFramed's linear, circular and fallback dispatch —
+// against the frozen framed-segment arithmetic and Mover.Set it replaced
+// (frozen_test.go): the two must agree bit for bit. The same raw segment's
+// own methods and Mover.Set are checked against the frozen unframed form.
 //
 // shape picks the payload (bits 0–1: wait, line, arc), degenerate payloads
 // (bit 2: zero-time wait, From == To line, zero-radius arc; bit 3: zero
 // sweep), the map (bits 4–5: a robot frame v·τ·Rot(φ)·Diag(1,χ) + origin
 // with χ = +1 or χ = −1, a shear, or an arbitrary matrix — the last two
-// mostly non-similarities, which reach the fallback) and a time dilation on
-// the raw segment (bit 6), on which both sides must panic alike.
+// mostly non-similarities, which reach the fallback) and a speed-modulation
+// dilation on the raw segment (bit 6), which a frame places outside its
+// clock.
 func FuzzSetFramedMatchesSet(f *testing.F) {
 	f.Add(uint8(0x02), 1.0, -0.5, 2.0, 0.25, 1.5, 0.3, 2.0, 0.5, 2.0, 0.7, 3.0, -1.0, 10.0, 0.2, -0.4)
 	f.Add(uint8(0x01), -2.0, 1.0, 3.0, 4.0, 0.75, 0.0, 0.0, 1.5, 0.5, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -53,6 +117,9 @@ func FuzzSetFramedMatchesSet(f *testing.F) {
 	f.Add(uint8(0x26), 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 6.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0)
 	f.Add(uint8(0x3a), 1.0, 2.0, 0.0, 0.0, 1.0, 0.4, 0.0, 2.0, 3.0, 1.0, -2.0, 5.0, 1.0, 0.3, 0.9)
 	f.Add(uint8(0x42), 1.0, 2.0, 0.0, 0.0, 1.0, 0.4, 1.0, 2.0, 3.0, 1.0, -2.0, 5.0, 1.0, 0.3, 0.9)
+	f.Add(uint8(0x51), 0.3, -1.0, 2.5, 1.5, 0.8, 0.0, 0.0, 0.9, 1.7, 2.2, 0.5, 0.5, 4.0, 0.0, 1.3)
+	f.Add(uint8(0x40), 2.0, 1.0, 0.0, 0.0, 3.0, 0.0, 0.0, 1.0, 0.6, 0.0, 0.0, 0.0, 2.0, 0.0, 0.7)
+	f.Add(uint8(0x62), -1.0, 0.5, 0.3, 0.0, 1.2, 0.8, 2.5, 1.1, 2.5, 0.0, 1.0, -1.0, 0.5, 0.4, 3.0)
 	f.Fuzz(func(t *testing.T, shape uint8, ax, ay, bx, by, p1, p2, p3, v, tau, phi, ox, oy, absStart, q1, q2 float64) {
 		for _, p := range []*float64{&ax, &ay, &bx, &by, &p1, &p2, &p3, &v, &tau, &phi, &ox, &oy, &absStart, &q1, &q2} {
 			x, ok := sane(*p, 50)
@@ -66,20 +133,20 @@ func FuzzSetFramedMatchesSet(f *testing.F) {
 		speed := pos(p1, 0.1, 4)
 		degenerate, zeroSweep := shape&4 != 0, shape&8 != 0
 
-		var raw segment.Seg
+		var payload any
 		switch shape % 4 {
 		case 0:
 			at, time := geom.V(ax, ay), math.Abs(p1)
 			if degenerate {
 				time = 0
 			}
-			raw = segment.Wait{At: at, Time: time}.Seg()
+			payload = segment.Wait{At: at, Time: time}
 		case 1:
 			from, to := geom.V(ax, ay), geom.V(bx, by)
 			if degenerate {
 				to = from
 			}
-			raw = segment.Line{From: from, To: to, Speed: speed}.Seg()
+			payload = segment.Line{From: from, To: to, Speed: speed}
 		default:
 			radius, sweep := math.Abs(p2), p3
 			if degenerate {
@@ -88,7 +155,21 @@ func FuzzSetFramedMatchesSet(f *testing.F) {
 			if zeroSweep {
 				sweep = 0
 			}
-			raw = segment.Arc{Center: geom.V(ax, ay), Radius: radius, StartAngle: bx, Sweep: sweep, Speed: speed}.Seg()
+			payload = segment.Arc{Center: geom.V(ax, ay), Radius: radius, StartAngle: bx, Sweep: sweep, Speed: speed}
+		}
+		var raw segment.Seg
+		switch p := payload.(type) {
+		case segment.Wait:
+			raw = p.Seg()
+		case segment.Line:
+			raw = p.Seg()
+		case segment.Arc:
+			raw = p.Seg()
+		}
+		var mod float64
+		if shape&0x40 != 0 {
+			mod = pos(q2, 0.25, 4)
+			raw = raw.Dilated(mod)
 		}
 
 		v, tau = pos(v, 0.05, 10), pos(tau, 0.05, 10)
@@ -108,27 +189,18 @@ func FuzzSetFramedMatchesSet(f *testing.F) {
 		}
 		fr := segment.NewFrame(m, tau)
 
-		if shape&0x40 != 0 {
-			// A dilated raw segment is not a local program segment: Apply
-			// panics on it, and so must SetFramed.
-			raw = raw.Dilated(pos(q2, 0.25, 4))
-			var got Mover
-			gp := panicOf(func() { got.SetFramed(&raw, &fr, absStart, 1) })
-			wp := panicOf(func() { fr.Apply(&raw) })
-			if gp == nil || fmt.Sprint(gp) != fmt.Sprint(wp) {
-				t.Fatalf("dilated raw segment: SetFramed panicked with %v, Apply with %v", gp, wp)
-			}
-			return
-		}
+		bare := frozenOf(payload, mod, false, geom.Affine{}, 0)
+		dur := requireFrozenSeg(t, "raw", &raw, nil, &bare)
+		var got Mover
+		got.Set(&raw, absStart, dur)
+		want := frozenSet(&bare, absStart, dur)
+		requireFrozenMover(t, "Set", &got, &want, absStart, dur)
 
-		dur, _ := fr.Scale(raw.DurationAndLength())
-		framed := fr.Apply(&raw)
-		if d := framed.Duration(); math.Float64bits(d) != math.Float64bits(dur) {
-			t.Fatalf("Scale gives duration %v, the framed segment %v", dur, d)
-		}
-		var got, want Mover
+		framed := frozenOf(payload, mod, true, m, tau)
+		dur = requireFrozenSeg(t, "framed", &raw, &fr, &framed)
+		got = Mover{}
 		got.SetFramed(&raw, &fr, absStart, dur)
-		want.Set(&framed, absStart, dur)
-		requireSameMover(t, &got, &want, absStart, dur)
+		want = frozenSet(&framed, absStart, dur)
+		requireFrozenMover(t, "SetFramed", &got, &want, absStart, dur)
 	})
 }

@@ -7,16 +7,17 @@ import (
 	"repro/internal/algo"
 	"repro/internal/frame"
 	"repro/internal/geom"
+	"repro/internal/segment"
 	"repro/internal/trace"
 	"repro/internal/trajectory"
 )
 
 func sampleTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	a := frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
 	attrs := frame.Attributes{V: 0.5, Tau: 1, Phi: 0, Chi: frame.CCW}
-	b := attrs.Apply(algo.CumulativeSearch(), geom.V(1, 0))
-	tr, err := trace.Record([]trajectory.Source{a, b}, []string{"R", "Rp"}, 20, 0.1)
+	tr, err := trace.Record([]trajectory.Source{algo.CumulativeSearch(), algo.CumulativeSearch()},
+		[]segment.Frame{frame.Reference().Frame(geom.Zero), attrs.Frame(geom.V(1, 0))},
+		[]string{"R", "Rp"}, 20, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,8 @@ func TestTracksDegenerateExtent(t *testing.T) {
 	// zero when scaling.
 	a := trajectory.Stationary(geom.V(1, 1))
 	b := trajectory.Stationary(geom.V(1, 1.000000000001))
-	tr, err := trace.Record([]trajectory.Source{a, b}, []string{"x", "y"}, 1, 0.5)
+	id := frame.Reference().Frame(geom.Zero)
+	tr, err := trace.Record([]trajectory.Source{a, b}, []segment.Frame{id, id}, []string{"x", "y"}, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

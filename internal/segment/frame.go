@@ -6,21 +6,25 @@ import (
 	"repro/internal/geom"
 )
 
-// Frame is a reusable frame transform: the affine map x ↦ M·x + T and clock
-// dilation of the paper's local→global shift (a robot's attributes, fixed
-// for a whole walk), with the per-map constants computed once at
-// construction instead of once per segment:
+// Frame is a robot's frame: the affine map x ↦ M·x + T and clock dilation τ
+// of the paper's local→global shift, fixed by the robot's attributes for a
+// whole walk. Segments stay in their program's own frame; a walk places
+// each one under the robot's Frame (motion.Mover.SetFramed for motions,
+// DurationAndLength or Scale for durations and lengths, Position and
+// Endpoints for points), so no
+// framed segment is ever built. The per-map constants are computed once, at
+// construction:
 //
-//   - ‖M‖₂, the factor DurationAndLength and MaxSpeed scale by;
-//   - the arc-placement constants of ArcAtDur's framed branch: whether M is
-//     a similarity, its scale and its handedness.
+//   - ‖M‖₂, the factor lengths and speed bounds scale by;
+//   - the arc-placement constants of ArcAtDur: whether M is a similarity,
+//     its scale and its handedness.
 //
-// A walk over a local program applies the frame at placement —
-// motion.Mover.SetFramed places each raw segment under it, and Scale maps
-// its raw duration and length — so no framed Seg is built per segment.
-// Every cached constant is computed by the same deterministic arithmetic
-// the per-segment path runs, so placement through a Frame is bit-identical
-// to placing the framed segment Apply returns.
+// A segment's speed-modulation dilation stays outside the frame: under a
+// frame a segment of payload duration d lasts (d·τ)·mod, its position at
+// time t is M·p(t/mod/τ) + T for the payload position p, and its speed
+// bound is (v·‖M‖/τ)/mod. So the fault and modulation combinators of
+// package trajectory, applied to a robot's program, act in the program's
+// own clock.
 type Frame struct {
 	m      geom.Affine
 	tau    float64
@@ -29,52 +33,67 @@ type Frame struct {
 }
 
 // NewFrame builds a Frame for the affine map m and time dilation timeScale.
-// It panics on a non-positive time scale, mirroring Transformed.
+// It panics on a non-positive time scale.
 func NewFrame(m geom.Affine, timeScale float64) Frame {
 	if timeScale <= 0 {
-		panic(fmt.Sprintf("segment: Transformed with non-positive time scale %v", timeScale))
+		panic(fmt.Sprintf("segment: NewFrame with non-positive time scale %v", timeScale))
 	}
 	return Frame{m: m, tau: timeScale, opNorm: m.M.OperatorNorm(), arc: newArcFrame(m.M)}
 }
 
-// Apply returns the segment under the frame: the payload with the map, the
-// clock dilation and the cached operator norm folded in (Seg.Transformed is
-// NewFrame followed by Apply). It panics when a frame transform is already
-// present or the segment carries a time dilation.
-func (f *Frame) Apply(s *Seg) Seg {
-	if s.framed {
-		panic("segment: Seg already carries a frame transform")
-	}
+// DurationAndLength returns the duration and path length of s under the
+// frame: (d·τ)·mod and l·‖M‖ for the payload's duration d and length l, the
+// dilation outside the frame's clock. For similarity maps (the only maps
+// robot frames produce) the length is exact; for general maps it is an
+// upper bound.
+func (f *Frame) DurationAndLength(s *Seg) (dur, length float64) {
+	dur, length = s.payloadDurationAndLength()
+	dur *= f.tau
 	if s.mod != 0 {
-		panic("segment: frame transform under an existing time dilation")
+		dur *= s.mod
 	}
-	out := *s
-	out.framed = true
-	out.m = f.m
-	out.tau = f.tau
-	out.opNorm = f.opNorm
-	return out
+	return dur, length * f.opNorm
 }
 
-// Scale maps a raw (payload-local) duration and path length through the
-// frame: dur·tau and length·opNorm, the same multiplications — in the same
-// order — DurationAndLength applies to a framed, unmodulated segment.
+// Scale is DurationAndLength for an unmodulated segment whose raw duration
+// and length (Seg.DurationAndLength) a walk has already computed: dur·τ and
+// length·‖M‖.
 func (f *Frame) Scale(dur, length float64) (float64, float64) {
 	return dur * f.tau, length * f.opNorm
 }
 
-// Endpoints returns the images of a raw wait's or line's endpoints under the
-// frame: Start() and End() of f.Apply(s), without building the framed
-// segment. s must be a raw (unframed, unmodulated) wait or line.
-func (f *Frame) Endpoints(s *Seg) (start, end geom.Vec) {
-	return f.m.Apply(s.innerStart()), f.m.Apply(s.innerEnd())
+// Position returns the position of s under the frame at time t after its
+// start; arguments outside its duration clamp to the endpoints.
+func (f *Frame) Position(s *Seg, t float64) geom.Vec {
+	if s.mod != 0 {
+		t /= s.mod
+	}
+	return f.m.Apply(s.payloadPosition(t / f.tau))
 }
 
-// ArcAtDur is ArcAtDur(f.Apply(s), dur) for a raw arc s, computed from the
-// cached similarity constants; dur must equal the framed duration. ok is
-// false for anything but a raw arc and for a non-similarity map.
+// Endpoints returns the images of s's start and end points under the
+// frame.
+func (f *Frame) Endpoints(s *Seg) (start, end geom.Vec) {
+	return f.m.Apply(s.Start()), f.m.Apply(s.End())
+}
+
+// MaxSpeed returns an upper bound on the speed of s under the frame:
+// (v·‖M‖/τ)/mod for the payload's bound v.
+func (f *Frame) MaxSpeed(s *Seg) float64 {
+	v := s.payloadMaxSpeed() * f.opNorm / f.tau
+	if s.mod != 0 {
+		v /= s.mod
+	}
+	return v
+}
+
+// ArcAtDur returns the exact circular geometry of the arc s under the
+// frame, from the cached similarity constants; dur must equal its duration
+// under the frame. ok is false for anything but an arc, for a
+// modulated arc (which walks place conservatively) and for a
+// non-similarity map.
 func (f *Frame) ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
-	if s.kind != KindArc || s.framed || s.mod != 0 || !f.arc.similar {
+	if s.kind != KindArc || s.mod != 0 || !f.arc.similar {
 		return ArcGeometry{}, false
 	}
 	return f.arc.place(s.arc(), f.m, f.tau, dur, true), true

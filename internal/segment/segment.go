@@ -2,8 +2,9 @@
 // trajectories are composed: straight-line moves, circular arcs, and waits.
 //
 // The central type is Seg, a value-typed union of the three payload kinds
-// plus the folded frame/modulation transforms; Wait, Line, and Arc remain as
-// constructors and exact payload arithmetic. A segment describes motion over
+// plus an optional speed-modulation dilation; Wait, Line, and Arc remain as
+// constructors and exact payload arithmetic. A robot's frame is not part of
+// a segment: Frame places segments under it. A segment describes motion over
 // a *local* time interval [0, Duration()]. Positions are exact closed forms
 // — no spatial discretisation — so the durations of the paper's algorithms
 // match their closed-form analysis to float64 round-off, which the

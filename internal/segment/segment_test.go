@@ -152,12 +152,12 @@ func TestArcStaysOnCircle(t *testing.T) {
 func TestTransformedIdentity(t *testing.T) {
 	inner := UnitLine(geom.V(0, 0), geom.V(1, 1))
 	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(geom.IdentityAffine, 1)
-	if got, want := tr.Duration(), inner.Duration(); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Duration = %v, want %v", got, want)
+	f := NewFrame(geom.IdentityAffine, 1)
+	if got, _ := f.DurationAndLength(&innerSeg); math.Abs(got-inner.Duration()) > 1e-12 {
+		t.Errorf("Duration = %v, want %v", got, inner.Duration())
 	}
 	for _, tt := range []float64{0, 0.3, 1, inner.Duration()} {
-		if got := tr.Position(tt); !got.ApproxEqual(inner.Position(tt), 1e-12) {
+		if got := f.Position(&innerSeg, tt); !got.ApproxEqual(inner.Position(tt), 1e-12) {
 			t.Errorf("Position(%v) = %v, want %v", tt, got, inner.Position(tt))
 		}
 	}
@@ -172,32 +172,34 @@ func TestTransformedFrameSemantics(t *testing.T) {
 		delta       = 3.0
 	)
 	inner := UnitLine(geom.Zero, geom.V(delta, 0)) // local: distance δ, time δ
-	m := geom.Affine{M: geom.FrameMatrix(v*tau, phi, +1)}
-	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, tau)
+	f := NewFrame(geom.Affine{M: geom.FrameMatrix(v*tau, phi, +1)}, tau)
+	s := inner.Seg()
 
-	if got, want := tr.Duration(), tau*delta; math.Abs(got-want) > 1e-12 {
-		t.Errorf("global duration = %v, want τδ = %v", got, want)
+	dur, length := f.DurationAndLength(&s)
+	if want := tau * delta; math.Abs(dur-want) > 1e-12 {
+		t.Errorf("global duration = %v, want τδ = %v", dur, want)
 	}
-	if got, want := tr.End().Sub(tr.Start()).Norm(), v*tau*delta; math.Abs(got-want) > 1e-12 {
-		t.Errorf("global distance = %v, want vτδ = %v", got, want)
+	start, end := f.Endpoints(&s)
+	if got, want := end.Sub(start).Norm(), v*tau*delta; math.Abs(got-want) > 1e-12 || math.Abs(length-want) > 1e-12 {
+		t.Errorf("global distance = %v (length %v), want vτδ = %v", got, length, want)
 	}
-	if got := tr.MaxSpeed(); math.Abs(got-v) > 1e-12 {
+	if got := f.MaxSpeed(&s); math.Abs(got-v) > 1e-12 {
 		t.Errorf("global speed = %v, want v = %v", got, v)
 	}
 	// Rotated by φ = π/2: end point is vτδ along +y.
-	if got := tr.End(); !got.ApproxEqual(geom.V(0, v*tau*delta), 1e-9) {
-		t.Errorf("End = %v, want (0, %v)", got, v*tau*delta)
+	if !end.ApproxEqual(geom.V(0, v*tau*delta), 1e-9) {
+		t.Errorf("End = %v, want (0, %v)", end, v*tau*delta)
+	}
+	if got := f.Position(&s, dur); got != end {
+		t.Errorf("Position(duration) = %v, want End %v", got, end)
 	}
 }
 
 func TestTransformedChirality(t *testing.T) {
 	// χ = −1 mirrors the trajectory about the x-axis.
-	inner := UnitLine(geom.Zero, geom.V(1, 1))
-	m := geom.Affine{M: geom.FrameMatrix(1, 0, -1)}
-	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, 1)
-	if got := tr.End(); !got.ApproxEqual(geom.V(1, -1), 1e-12) {
+	s := UnitLine(geom.Zero, geom.V(1, 1)).Seg()
+	f := NewFrame(geom.Affine{M: geom.FrameMatrix(1, 0, -1)}, 1)
+	if _, got := f.Endpoints(&s); !got.ApproxEqual(geom.V(1, -1), 1e-12) {
 		t.Errorf("End = %v, want (1,-1)", got)
 	}
 }
@@ -208,25 +210,51 @@ func TestTransformedPanics(t *testing.T) {
 			t.Error("expected panic for non-positive time scale")
 		}
 	}()
-	w := Wait{}.Seg()
-	w.Transformed(geom.IdentityAffine, 0)
+	NewFrame(geom.IdentityAffine, 0)
 }
 
+// TestTransformedTwicePanics: a segment carries at most one time dilation.
 func TestTransformedTwicePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("expected panic for a second frame transform")
+			t.Error("expected panic for a second time dilation")
 		}
 	}()
 	w := Wait{At: geom.V(1, 1), Time: 1}.Seg()
-	s := w.Transformed(geom.IdentityAffine, 1)
-	s.Transformed(geom.IdentityAffine, 1)
+	s := w.Dilated(2)
+	s.Dilated(2)
+}
+
+// TestFrameModulatedDilationOutside: a modulated segment under a frame
+// lasts (d·τ)·mod and sits at M·p(t/mod/τ) + T — the dilation stays outside
+// the frame's clock.
+func TestFrameModulatedDilationOutside(t *testing.T) {
+	raw := NewArc(geom.V(1, 0), 2, 0.4, 2.5, 1).Seg()
+	s := raw.Dilated(1.7)
+	m := geom.Affine{M: geom.FrameMatrix(0.6, 0.9, -1), T: geom.V(-1, 3)}
+	f := NewFrame(m, 1.3)
+	d, _ := raw.DurationAndLength()
+	if got, _ := f.DurationAndLength(&s); got != d*1.3*1.7 {
+		t.Errorf("duration %v, want (d·τ)·mod = %v", got, d*1.3*1.7)
+	}
+	for _, tt := range []float64{0, 0.5, 2, 5} {
+		want := m.Apply(raw.Position(tt / 1.7 / 1.3))
+		if got := f.Position(&s, tt); got != want {
+			t.Errorf("Position(%v) = %v, want %v", tt, got, want)
+		}
+	}
+	if got, want := f.MaxSpeed(&s), raw.MaxSpeed()*m.M.OperatorNorm()/1.3/1.7; got != want {
+		t.Errorf("MaxSpeed %v, want %v", got, want)
+	}
+	if _, ok := f.ArcAtDur(&s, 1); ok {
+		t.Error("ArcAtDur accepted a modulated arc under a frame")
+	}
 }
 
 func TestArcAtBareArc(t *testing.T) {
 	a := NewArc(geom.V(1, 2), 3, 0.5, 1.5, 2)
 	aSeg := a.Seg()
-	g, ok := ArcAt(&aSeg)
+	g, ok := ArcAtDur(&aSeg, aSeg.Duration())
 	if !ok {
 		t.Fatal("ArcAt failed on bare arc")
 	}
@@ -254,18 +282,19 @@ func TestArcAtTransformed(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			innerSeg := inner.Seg()
-			tr := innerSeg.Transformed(c.m, c.tau)
-			g, ok := ArcAt(&tr)
+			s := inner.Seg()
+			f := NewFrame(c.m, c.tau)
+			dur, _ := f.DurationAndLength(&s)
+			g, ok := f.ArcAtDur(&s, dur)
 			if !ok {
-				t.Fatal("ArcAt failed on similarity-transformed arc")
+				t.Fatal("ArcAtDur failed on a similarity-framed arc")
 			}
-			if math.Abs(g.Duration-tr.Duration()) > 1e-12*tr.Duration() {
-				t.Errorf("Duration = %v, want %v", g.Duration, tr.Duration())
+			if want := inner.Duration() * c.tau; math.Abs(g.Duration-want) > 1e-12*want {
+				t.Errorf("Duration = %v, want %v", g.Duration, want)
 			}
 			for i := 0; i <= 10; i++ {
 				tt := g.Duration * float64(i) / 10
-				got, want := g.Position(tt), tr.Position(tt)
+				got, want := g.Position(tt), f.Position(&s, tt)
 				if !got.ApproxEqual(want, 1e-9) {
 					t.Errorf("Position(%v): geometry %v, transformed %v", tt, got, want)
 				}
@@ -276,19 +305,18 @@ func TestArcAtTransformed(t *testing.T) {
 
 func TestArcAtRejectsNonArc(t *testing.T) {
 	lineSeg := UnitLine(geom.Zero, geom.V(1, 0)).Seg()
-	if _, ok := ArcAt(&lineSeg); ok {
-		t.Error("ArcAt accepted a line")
+	if _, ok := ArcAtDur(&lineSeg, 1); ok {
+		t.Error("ArcAtDur accepted a line")
 	}
-	tr := lineSeg.Transformed(geom.IdentityAffine, 1)
-	if _, ok := ArcAt(&tr); ok {
-		t.Error("ArcAt accepted a transformed line")
+	id := NewFrame(geom.IdentityAffine, 1)
+	if _, ok := id.ArcAtDur(&lineSeg, 1); ok {
+		t.Error("Frame.ArcAtDur accepted a line")
 	}
 	// Non-similarity map over an arc must be rejected.
-	shear := geom.Affine{M: geom.Mat{A: 1, B: 1, D: 1}}
+	shear := NewFrame(geom.Affine{M: geom.Mat{A: 1, B: 1, D: 1}}, 1)
 	arcSeg := NewArc(geom.Zero, 1, 0, 1, 1).Seg()
-	sheared := arcSeg.Transformed(shear, 1)
-	if _, ok := ArcAt(&sheared); ok {
-		t.Error("ArcAt accepted a sheared arc")
+	if _, ok := shear.ArcAtDur(&arcSeg, 1); ok {
+		t.Error("ArcAtDur accepted a sheared arc")
 	}
 }
 
@@ -296,13 +324,14 @@ func TestTransformedMaxSpeedBound(t *testing.T) {
 	// The declared MaxSpeed must bound the sampled numerical speed.
 	inner := NewArc(geom.V(1, 1), 2, 0, 3, 1.5)
 	m := geom.Affine{M: geom.FrameMatrix(0.8, 2.1, -1), T: geom.V(5, 5)}
-	innerSeg := inner.Seg()
-	tr := innerSeg.Transformed(m, 1.7)
-	bound := tr.MaxSpeed()
+	s := inner.Seg()
+	f := NewFrame(m, 1.7)
+	bound := f.MaxSpeed(&s)
+	dur, _ := f.DurationAndLength(&s)
 	const h = 1e-7
 	for i := 1; i < 50; i++ {
-		tt := tr.Duration() * float64(i) / 50
-		v := tr.Position(tt + h).Sub(tr.Position(tt - h)).Scale(1 / (2 * h)).Norm()
+		tt := dur * float64(i) / 50
+		v := f.Position(&s, tt+h).Sub(f.Position(&s, tt-h)).Scale(1 / (2 * h)).Norm()
 		if v > bound*(1+1e-5) {
 			t.Errorf("sampled speed %v exceeds bound %v at t=%v", v, bound, tt)
 		}

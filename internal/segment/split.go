@@ -4,8 +4,8 @@ import "repro/internal/geom"
 
 // Prefix returns the exact prefix of seg lasting duration d (clamped to the
 // segment's duration). The prefix of a Line is a shorter Line, of an Arc a
-// shorter Arc, of a Wait a shorter Wait; a transformed segment keeps its
-// transforms and takes the prefix of its payload in payload-local time.
+// shorter Arc, of a Wait a shorter Wait; a modulated segment keeps its
+// dilation and takes the prefix of its payload in payload-local time.
 // Prefixes are used for fault injection (cutting a trajectory at a crash
 // time) and for exact truncation.
 func Prefix(seg Seg, d float64) Seg {
@@ -15,14 +15,10 @@ func Prefix(seg Seg, d float64) Seg {
 	if d >= seg.Duration() {
 		return seg
 	}
-	// Convert the cut to payload-local time, one transform layer at a time
-	// (mirroring the former recursive unwrap of nested Transformed values).
+	// Convert the cut to payload-local time.
 	local := d
 	if seg.mod != 0 {
 		local /= seg.mod
-	}
-	if seg.framed {
-		local /= seg.tau
 	}
 	out := seg
 	switch seg.kind {
@@ -53,7 +49,7 @@ func Prefix(seg Seg, d float64) Seg {
 // Suffix returns the part of seg after local time t — the complement of
 // Prefix, used by fault injection to resume a program after an outage. t at
 // or past the end yields a zero wait at the segment's end point; the
-// transforms of seg are preserved on the remainder.
+// dilation of seg is preserved on the remainder.
 func Suffix(seg Seg, t float64) Seg {
 	total := seg.Duration()
 	if t <= 0 {
@@ -62,14 +58,10 @@ func Suffix(seg Seg, t float64) Seg {
 	if t >= total {
 		return Wait{At: seg.End()}.Seg()
 	}
-	// Payload-local cut time, one transform layer at a time (mirroring the
-	// former recursive unwrap).
+	// Payload-local cut time.
 	local := t
 	if seg.mod != 0 {
 		local /= seg.mod
-	}
-	if seg.framed {
-		local /= seg.tau
 	}
 	if local <= 0 {
 		return seg
@@ -101,12 +93,11 @@ func Suffix(seg Seg, t float64) Seg {
 }
 
 // waitAtEnd is a zero-duration wait at the payload's end point, keeping the
-// segment's transforms (the folded equivalent of wrapping Wait{At:
-// inner.End()} in the original transform chain).
+// segment's dilation.
 func waitAtEnd(seg Seg) Seg {
 	out := seg
 	out.kind = KindWait
-	out.a = seg.innerEnd()
+	out.a = seg.End()
 	out.b = geom.Vec{}
 	out.s1, out.s2, out.s3, out.s4 = 0, 0, 0, 0
 	return out

@@ -69,10 +69,9 @@ func TestWaitEndpoints(t *testing.T) {
 
 func TestTransformedPathLength(t *testing.T) {
 	// A similarity with scale 0.5 halves the length exactly.
-	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.1, +1)}
+	f := NewFrame(geom.Affine{M: geom.FrameMatrix(0.5, 1.1, +1)}, 2)
 	lineSeg := UnitLine(geom.Zero, geom.V(4, 0)).Seg()
-	tr := lineSeg.Transformed(m, 2)
-	if got := tr.PathLength(); math.Abs(got-2) > 1e-9 {
+	if _, got := f.DurationAndLength(&lineSeg); math.Abs(got-2) > 1e-9 {
 		t.Errorf("PathLength = %v, want 2", got)
 	}
 }

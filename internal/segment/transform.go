@@ -4,50 +4,38 @@ import (
 	"repro/internal/geom"
 )
 
-// This file recovers exact circular geometry from transformed segments. A
-// Seg models the reference-frame shift of the paper: a robot with attributes
-// (v, τ, φ, χ) executing a local-frame segment S produces the global-frame
-// motion
+// This file recovers exact circular geometry from segments. A robot with
+// attributes (v, τ, φ, χ) executing a local-frame segment S produces the
+// global-frame motion
 //
 //	t ↦ Map(S(t / τ))
 //
-// with Map = x ↦ (vτ)·Rot(φ)·Diag(1,χ)·x + origin. Under such a similarity
-// map the image of a circular arc is again a circular arc, which the contact
-// detector exploits through ArcAt.
+// with Map = x ↦ (vτ)·Rot(φ)·Diag(1,χ)·x + origin (see Frame). Under such a
+// similarity map the image of a circular arc is again a circular arc, which
+// the contact detector exploits through Frame.ArcAtDur; ArcAtDur does the
+// same for a segment in its own frame.
 
-// ArcGeometry describes the exact circular motion of a (possibly
-// transformed) arc in outer coordinates:
-// position(t) = Center + Radius·e^{i·(StartAngle + Omega·t)} for outer-local
-// time t in [0, Duration].
+// ArcGeometry describes the exact circular motion of an arc, possibly
+// dilated or placed under a frame: position(t) = Center +
+// Radius·e^{i·(StartAngle + Omega·t)} for time t in [0, Duration].
 type ArcGeometry struct {
 	Center     geom.Vec
 	Radius     float64
 	StartAngle float64
-	Omega      float64 // signed angular velocity in outer time
+	Omega      float64 // signed angular velocity
 	Duration   float64
 }
 
-// ArcAt returns the outer-frame circular geometry of the segment if it is an
-// arc whose frame map (if any) is a similarity (uniform scale, possibly with
-// reflection). ok is false otherwise — in particular for arcs that carry
-// both a speed modulation and a frame transform, which the detector treats
-// conservatively (matching the former doubly-wrapped representation, which
-// the one-level arc unwrapping never recognised).
-func ArcAt(s *Seg) (ArcGeometry, bool) {
-	return ArcAtDur(s, s.Duration())
-}
-
-// ArcAtDur is ArcAt with the segment's duration supplied by the caller
-// (dur must equal s.Duration()); the walk hot path has already computed it.
+// ArcAtDur returns the circular geometry of the segment if it is an arc; ok
+// is false otherwise. dur must equal s.Duration(); the walk hot path has
+// already computed it. A modulated arc is placed as an arc under the
+// identity map with the dilation as its clock.
 func ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 	if s.kind != KindArc {
 		return ArcGeometry{}, false
 	}
-	if s.framed && s.mod != 0 {
-		return ArcGeometry{}, false
-	}
 	arc := s.arc()
-	if !s.framed && s.mod == 0 {
+	if s.mod == 0 {
 		return ArcGeometry{
 			Center:     arc.Center,
 			Radius:     arc.Radius,
@@ -56,28 +44,22 @@ func ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 			Duration:   dur,
 		}, true
 	}
-	// One transform present: the frame map, or a pure time dilation (which
-	// acts as the identity map).
-	m, ts := s.m, s.tau
-	if !s.framed {
-		m, ts = geom.IdentityAffine, s.mod
-	}
-	k := newArcFrame(m.M)
-	if !k.similar {
-		return ArcGeometry{}, false
-	}
-	return k.place(arc, m, ts, dur, s.framed), true
+	return identityArc.place(arc, geom.IdentityAffine, s.mod, dur, false), true
 }
 
 // arcFrame holds the constants of placing circular arcs under one affine
 // map: whether its linear part is a similarity (columns orthogonal with
 // equal norms), its scale and its handedness (the sign of its determinant).
-// ArcAtDur computes them per segment; Frame caches them per frame.
+// Frame caches them per frame.
 type arcFrame struct {
 	similar    bool
 	scale      float64
 	handedness float64
 }
+
+// identityArc is the arcFrame of the identity map, under which ArcAtDur
+// places a modulated arc.
+var identityArc = newArcFrame(geom.IdentityAffine.M)
 
 // newArcFrame runs the similarity test on the linear part m.
 func newArcFrame(m geom.Mat) arcFrame {

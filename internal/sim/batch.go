@@ -15,7 +15,7 @@ import (
 )
 
 // This file holds the batched (struct-of-arrays) counterparts of Search and
-// FirstMeeting. Both walk one shared program stream once per batch instead
+// FirstMeetingFramed. Both walk one shared program stream once per batch instead
 // of once per instance, and are bit-identical to the scalar paths per lane:
 //
 //   - SearchBatch exploits the search walk's lockstep invariant — the scalar
@@ -32,7 +32,7 @@ import (
 //     one Tape of raw segments with the raw duration/length computed once,
 //     and each lane's frame constants are computed once per lane
 //     (segment.Frame): a lane places raw tape segments under its frame
-//     (Mover.SetFramed) and never builds a framed segment. Generation,
+//     (Frame.Scale, Mover.SetFramed). Generation,
 //     trig, and cursor overhead amortize across the batch. The two
 //     functions read a private tape; Tape.Rendezvous reads a tape shared
 //     by several calls, which may run on several goroutines at once, so a
@@ -345,11 +345,11 @@ func (tp *Tape) Rendezvous(ln *batch.Lanes, opt Options) ([]Result, []error) {
 	return tp.meet(ln, opt, true, &st)
 }
 
-// FirstMeetingBatch runs FirstMeeting for every rendezvous lane of ln
+// FirstMeetingBatch runs FirstMeetingFramed for every rendezvous lane of ln
 // against one shared program: lane i meets the reference-frame robot from
 // the origin with the (V,Tau,Phi,Chi)-framed robot from displacement
 // (TX,TY), radius R, horizon Horizon. It checks per-lane horizon/radius like
-// FirstMeeting but does not validate the attributes (see RendezvousBatch);
+// FirstMeetingFramed but does not validate the attributes (see RendezvousBatch);
 // results and errors are bit-identical to the scalar calls.
 func FirstMeetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Result, []error) {
 	return meetingBatch(program, ln, opt, false)

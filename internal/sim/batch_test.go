@@ -148,9 +148,7 @@ func TestFirstMeetingBatchMatchesScalar(t *testing.T) {
 	if errs[0] != nil {
 		t.Fatalf("batch: %v", errs[0])
 	}
-	a := frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
-	b := attrs.Apply(algo.CumulativeSearch(), d)
-	want, err := FirstMeeting(a, b, 0.25, Options{Horizon: 150})
+	want, err := FirstMeetingFramed(algo.CumulativeSearch(), referenceFrame, algo.CumulativeSearch(), attrs.Frame(d), 0.25, Options{Horizon: 150})
 	if err != nil {
 		t.Fatalf("scalar: %v", err)
 	}

@@ -49,7 +49,7 @@ func (c *countCtx) Err() error {
 // the context's cause.
 func TestFirstMeetingCanceledMidWalk(t *testing.T) {
 	a, b := ticker(geom.V(0, 0)), ticker(geom.V(10, 0))
-	_, err := FirstMeeting(a, b, 0.25, Options{Horizon: 1e6, Ctx: &countCtx{failAt: 3}})
+	_, err := FirstMeetingFramed(a, referenceFrame, b, referenceFrame, 0.25, Options{Horizon: 1e6, Ctx: &countCtx{failAt: 3}})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}
@@ -62,11 +62,11 @@ func TestFirstMeetingCanceledMidWalk(t *testing.T) {
 
 	// An attached-but-never-canceled context changes nothing: results are
 	// bit-identical to the nil-context walk.
-	plain, err := FirstMeeting(ticker(geom.V(0, 0)), ticker(geom.V(10, 0)), 0.25, Options{Horizon: 1000})
+	plain, err := FirstMeetingFramed(ticker(geom.V(0, 0)), referenceFrame, ticker(geom.V(10, 0)), referenceFrame, 0.25, Options{Horizon: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := FirstMeeting(ticker(geom.V(0, 0)), ticker(geom.V(10, 0)), 0.25, Options{Horizon: 1000, Ctx: context.Background()})
+	ctxed, err := FirstMeetingFramed(ticker(geom.V(0, 0)), referenceFrame, ticker(geom.V(10, 0)), referenceFrame, 0.25, Options{Horizon: 1000, Ctx: context.Background()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSearchCanceled(t *testing.T) {
 }
 
 // TestRendezvousCanceled: the cancellation threads through the
-// frame-application plumbing of Rendezvous, not just raw FirstMeeting.
+// instance plumbing of Rendezvous, not just a bare FirstMeetingFramed.
 func TestRendezvousCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

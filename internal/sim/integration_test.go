@@ -34,9 +34,8 @@ func TestFirstMeetingAgainstDenseSampling(t *testing.T) {
 		if i%2 == 1 {
 			program = algo.Universal
 		}
-		a := frame.Reference().Apply(program(), geom.Zero)
-		b := attrs.Apply(program(), d)
-		res, err := FirstMeeting(a, b, r, Options{Horizon: 5e4})
+		fb := attrs.Frame(d)
+		res, err := FirstMeetingFramed(program(), referenceFrame, program(), fb, r, Options{Horizon: 5e4})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -48,8 +47,8 @@ func TestFirstMeetingAgainstDenseSampling(t *testing.T) {
 		}
 
 		// Dense sampling up to just before the detected meeting.
-		pa := trajectory.NewPath(frame.Reference().Apply(program(), geom.Zero))
-		pb := trajectory.NewPath(attrs.Apply(program(), d))
+		pa := trajectory.NewPath(program(), &referenceFrame)
+		pb := trajectory.NewPath(program(), &fb)
 		// Combined speed ≤ 1 + v ≤ 2; between samples the gap can change by
 		// at most 2·step.
 		margin := 2 * step
@@ -81,7 +80,7 @@ func TestSearchAgainstDenseSampling(t *testing.T) {
 		if !res.Met {
 			t.Fatalf("case %d: target %v not found", i, target)
 		}
-		p := trajectory.NewPath(algo.CumulativeSearch())
+		p := trajectory.NewPath(algo.CumulativeSearch(), nil)
 		for tt := 0.0; tt < res.Time-step; tt += step {
 			if gap := p.Position(tt).Dist(target); gap < r-step {
 				t.Errorf("case %d: sampled gap %v < r=%v at t=%v before detection at %v",

@@ -17,8 +17,8 @@
 // There are two walks, one per problem. Search drives the program
 // generator directly with a callback: one stream against a static target
 // needs no merge, no cursor and no second Mover. The rendezvous walk, meet,
-// merges two streams and is the one loop behind FirstMeeting,
-// FirstMeetingFramed and every lane of the batched rendezvous kernels. A
+// merges two streams and is the one loop behind FirstMeetingFramed (and
+// so Rendezvous) and every lane of the batched rendezvous kernels. A
 // stream pulls value-typed segments either through its own
 // trajectory.Cursor — an explicit resumable cursor over the source, instead
 // of iter.Pull coroutines — or, on a batch lane, from a Tape of raw
@@ -28,15 +28,19 @@
 // would add per-call lane slices to the hot path the allocation gates pin.
 //
 // A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
-// whole walk, so the rendezvous walks apply it at placement rather than per
-// segment: Rendezvous and RendezvousAsymmetric (through FirstMeetingFramed)
-// pull each robot's *local* program and place every raw segment under the
-// robot's segment.Frame, whose constants — operator norm, similarity
-// verdict, scale, handedness — are computed once. Durations and lengths go
-// through Frame.Scale and motions through motion.Mover.SetFramed; both run
-// the arithmetic of the framed segment in the same order, so the results
-// are bit-identical to FirstMeeting over the Transform-framed programs.
-// FirstMeeting itself walks opaque global sources as they are.
+// whole walk, so it is placement state, not part of any segment: Rendezvous
+// and RendezvousAsymmetric (through FirstMeetingFramed) pull each robot's
+// *local* program and place every raw segment under the robot's
+// segment.Frame, whose constants — operator norm, similarity verdict,
+// scale, handedness — are computed once. Durations and lengths go through
+// Frame.DurationAndLength (Frame.Scale on precomputed raw values) and
+// motions through motion.Mover.SetFramed. Fault and speed-modulation
+// combinators (trajectory.CutAt, ModulateSpeed, ...) act on the local
+// program, in the robot's own clock; a modulation's dilation stays outside
+// the frame (see segment.Frame). The placement arithmetic is pinned against
+// a frozen copy of the framed segments it replaced
+// (motion.FuzzSetFramedMatchesSet), and whole walks against Results
+// recorded from that composed path (TestRendezvousMatchesComposedCorpus).
 //
 // For whole grid rows of instances sharing one algorithm shape, the batched
 // SoA kernels (SearchBatch, RendezvousBatch, FirstMeetingBatch over
@@ -168,19 +172,16 @@ func detectOptions(opt Options, r float64) motion.Options {
 // lane, from a Tape shared by every lane that reads it. A tape segment is
 // read in place through a pointer into the tape, whose pages never move.
 //
-// With a frame, the source yields the robot's local program and the frame
-// is applied at placement: durations and lengths go through Frame.Scale and
-// the motion through Mover.SetFramed, both bit-identical to walking the
-// Transform-framed program. Without one the cursor yields global segments,
-// placed as they are.
+// The source yields the robot's local program, and the robot's frame is
+// applied at placement: durations and lengths go through the Frame and the
+// motion through Mover.SetFramed.
 type stream struct {
 	cur      trajectory.Cursor
 	tp       *Tape      // the shared tape, when the stream replays one
 	idx      int        // index of the next tape segment
 	ent      *tapeEntry // the current tape segment
 	fr       segment.Frame
-	framed   bool
-	seg      segment.Seg // current cursor segment (raw local when framed)
+	seg      segment.Seg // current cursor segment (raw, local)
 	segDur   float64     // its global duration, computed once per segment
 	segLen   float64     // its global path length, computed once per segment
 	start    float64     // absolute start time of the current segment
@@ -191,13 +192,10 @@ type stream struct {
 	end      float64 // absolute end of the current motion (+Inf when halted)
 }
 
-// init readies the stream over src under fr (nil: src is global) and pulls
-// its first segment.
+// init readies the stream over src under fr and pulls its first segment.
 func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 	s.cur.Init(src)
-	if fr != nil {
-		s.fr, s.framed = *fr, true
-	}
+	s.fr = *fr
 	s.next()
 }
 
@@ -205,7 +203,7 @@ func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 // walk state, and pulls its first segment. A tape stream never uses its
 // cursor, so there is nothing to close.
 func (s *stream) reset(tp *Tape, fr *segment.Frame) {
-	*s = stream{tp: tp, fr: *fr, framed: true}
+	*s = stream{tp: tp, fr: *fr}
 	s.next()
 }
 
@@ -220,17 +218,14 @@ func (s *stream) next() {
 		// (End() costs a sincos for arcs, so it is not computed per
 		// segment). The current segment is still the last one.
 		if s.has {
-			if s.framed {
-				last := s.fr.Apply(s.raw())
-				s.finalPos = last.End()
-			} else {
-				s.finalPos = s.raw().End()
-			}
+			_, s.finalPos = s.fr.Endpoints(s.raw())
 		}
 		s.has = false
 		return
 	}
-	if s.framed {
+	if raw := s.raw(); raw.Modulated() {
+		s.segDur, s.segLen = s.fr.DurationAndLength(raw)
+	} else {
 		s.segDur, s.segLen = s.fr.Scale(s.segDur, s.segLen)
 	}
 	s.has = true
@@ -258,8 +253,7 @@ func (s *stream) pull() bool {
 	return true
 }
 
-// raw returns the current segment as the source yielded it (local when
-// framed).
+// raw returns the current segment as the source yielded it.
 func (s *stream) raw() *segment.Seg {
 	if s.tp != nil {
 		return &s.ent.seg
@@ -287,11 +281,7 @@ func (s *stream) motionAt(t float64) {
 	}
 	s.odo.observe(s.start, s.segDur, s.segLen)
 	if advanced || s.end == 0 {
-		if s.framed {
-			s.mov.SetFramed(s.raw(), &s.fr, s.start, s.segDur)
-		} else {
-			s.mov.Set(s.raw(), s.start, s.segDur)
-		}
+		s.mov.SetFramed(s.raw(), &s.fr, s.start, s.segDur)
 		s.end = s.start + s.segDur
 	}
 }
@@ -299,47 +289,33 @@ func (s *stream) motionAt(t float64) {
 // close releases the stream's cursor.
 func (s *stream) close() { s.cur.Close() }
 
-// FirstMeeting simulates two global-frame trajectories from time 0 and
-// returns the first time their distance is at most r. Sources may be finite
-// (the mover halts at its final position) or infinite.
+// FirstMeetingFramed simulates the local programs programA and programB
+// placed under the frames fa and fb from time 0, and returns the first time
+// the robots' distance is at most r. Programs may be finite (the robot
+// halts at its final position) or infinite.
 //
 // The two streams are walked by one merged loop over value-typed segments:
 // each iteration holds one segment per robot, resolves first contact on the
 // overlap interval, and advances whichever stream ends first. No segment is
 // boxed and no pull coroutine runs; see trajectory.Cursor for how the push
 // generators are suspended and resumed.
-func FirstMeeting(a, b trajectory.Source, r float64, opt Options) (Result, error) {
-	return firstMeeting(a, nil, b, nil, r, opt)
-}
-
-// FirstMeetingFramed is FirstMeeting of the local programs programA and
-// programB placed under the frames fa and fb:
-// FirstMeeting(Transform(programA, fa), Transform(programB, fb), r, opt),
-// bit for bit. The frames are applied at placement (Mover.SetFramed), so
-// the walk builds no framed segment.
 func FirstMeetingFramed(programA trajectory.Source, fa segment.Frame, programB trajectory.Source, fb segment.Frame, r float64, opt Options) (Result, error) {
-	return firstMeeting(programA, &fa, programB, &fb, r, opt)
-}
-
-// firstMeeting runs meet over two cursor streams; a nil frame marks a
-// global source.
-func firstMeeting(a trajectory.Source, fa *segment.Frame, b trajectory.Source, fb *segment.Frame, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
 	}
 	// One allocation holds both streams: the cursors' cached collector
 	// closures capture pointers into it, so it escapes as a single object.
 	var w struct{ sa, sb stream }
-	w.sa.init(a, fa)
+	w.sa.init(programA, &fa)
 	defer w.sa.close()
-	w.sb.init(b, fb)
+	w.sb.init(programB, &fb)
 	defer w.sb.close()
 	return meet(&w.sa, &w.sb, r, opt)
 }
 
 // meet is the merged walk of two ready streams, the one loop behind
-// FirstMeeting, FirstMeetingFramed and every batch lane. opt.Horizon and r
-// must be positive.
+// FirstMeetingFramed and every batch lane. opt.Horizon and r must be
+// positive.
 func meet(sa, sb *stream, r float64, opt Options) (Result, error) {
 	mopt := detectOptions(opt, r)
 	var res Result
@@ -437,11 +413,10 @@ func (o *odometer) at(t float64) float64 {
 // program from the origin; a static target sits at target; the robot sees it
 // at distance r. It returns the first detection time.
 //
-// The results are bit-identical to
-// FirstMeeting(program, trajectory.Stationary(target), r, opt), but the
-// program is walked with a plain callback loop — no cursor at all — and the
-// per-segment motion lives in a reused Mover, so the search hot path
-// performs no per-segment allocations.
+// The program is in the global frame, so its segments are placed as they
+// are (Mover.Set). It is walked with a plain callback loop — no cursor at
+// all — and the per-segment motion lives in a reused Mover, so the search
+// hot path performs no per-segment allocations.
 func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) (Result, error) {
 	if opt.Horizon <= 0 || r <= 0 {
 		return Result{}, ErrBadOptions
@@ -573,8 +548,7 @@ var referenceFrame = frame.Reference().Frame(geom.Zero)
 // distance first drops to in.R.
 //
 // Each robot walks the local program through its own cursor and applies its
-// frame at placement (FirstMeetingFramed); the result is bit-identical to
-// FirstMeeting(Reference().Apply(program, 0), Attrs.Apply(program, D)).
+// frame at placement (FirstMeetingFramed).
 func Rendezvous(program trajectory.Source, in Instance, opt Options) (Result, error) {
 	return RendezvousAsymmetric(program, program, in, opt)
 }

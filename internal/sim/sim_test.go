@@ -293,11 +293,12 @@ func TestRelativeTrajectoryMatchesTCirc(t *testing.T) {
 	d := geom.V(0.4, 0.9)
 	attrs := frame.Attributes{V: v, Tau: 1, Phi: phi, Chi: chi}
 
-	ra := trajectory.NewPath(frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero))
+	ra := trajectory.NewPath(algo.CumulativeSearch(), &referenceFrame)
 	defer ra.Close()
-	rb := trajectory.NewPath(attrs.Apply(algo.CumulativeSearch(), d))
+	fb := attrs.Frame(d)
+	rb := trajectory.NewPath(algo.CumulativeSearch(), &fb)
 	defer rb.Close()
-	local := trajectory.NewPath(algo.CumulativeSearch())
+	local := trajectory.NewPath(algo.CumulativeSearch(), nil)
 	defer local.Close()
 
 	tcirc := geom.EquivalentSearchMatrix(v, phi, int(chi))

@@ -7,12 +7,14 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/algo"
 	"repro/internal/batch"
 	"repro/internal/feasibility"
 	"repro/internal/frame"
 	"repro/internal/geom"
+	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
@@ -216,5 +218,17 @@ func TestTapePages(t *testing.T) {
 	}
 	if n := int(long.n.Load()); recorded > 2*n || n < 1000 {
 		t.Fatalf("long row: %d segments recorded in pages of %d in total %v", n, recorded, long.pageCaps())
+	}
+}
+
+// TestSegmentSizes pins the per-segment footprint: a segment holds its
+// payload and speed-modulation dilation only (a robot's frame is placement
+// state), and a tape entry adds just its raw duration and length.
+func TestSegmentSizes(t *testing.T) {
+	if n := unsafe.Sizeof(segment.Seg{}); n > 80 {
+		t.Errorf("segment.Seg is %d bytes, want at most 80", n)
+	}
+	if n := unsafe.Sizeof(tapeEntry{}); n > 96 {
+		t.Errorf("tapeEntry is %d bytes, want at most 96", n)
 	}
 }

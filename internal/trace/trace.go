@@ -17,6 +17,7 @@ import (
 	"strconv"
 
 	"repro/internal/geom"
+	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
@@ -32,19 +33,27 @@ type Trace struct {
 	Samples []Sample `json:"samples"`
 }
 
-// Record samples the given trajectories on [0, until] at the given step.
-// Names label the columns; len(names) must equal len(sources). The final
-// sample lands exactly on until.
-func Record(sources []trajectory.Source, names []string, until, step float64) (*Trace, error) {
-	if len(sources) == 0 || len(sources) != len(names) {
-		return nil, errors.New("trace: need matching non-empty sources and names")
+// MaxSamples caps the number of samples Record takes: a step that would
+// need more is refused before anything is allocated.
+const MaxSamples = 1 << 22
+
+// Record samples robots on [0, until] at the given step: robot i runs
+// programs[i] under frames[i] (see trajectory.Path), and names[i] labels its
+// columns. The final sample lands exactly on until. until and step must be
+// positive and finite, and until/step at most MaxSamples.
+func Record(programs []trajectory.Source, frames []segment.Frame, names []string, until, step float64) (*Trace, error) {
+	if len(programs) == 0 || len(programs) != len(frames) || len(programs) != len(names) {
+		return nil, errors.New("trace: need matching non-empty programs, frames and names")
 	}
-	if until <= 0 || step <= 0 {
-		return nil, errors.New("trace: until and step must be positive")
+	if !(until > 0 && step > 0) || math.IsInf(until, 0) || math.IsInf(step, 0) {
+		return nil, fmt.Errorf("trace: until (%v) and step (%v) must be positive and finite", until, step)
 	}
-	paths := make([]*trajectory.Path, len(sources))
-	for i, src := range sources {
-		paths[i] = trajectory.NewPath(src)
+	if until/step > MaxSamples {
+		return nil, fmt.Errorf("trace: until %v at step %v needs more than %d samples", until, step, MaxSamples)
+	}
+	paths := make([]*trajectory.Path, len(programs))
+	for i, program := range programs {
+		paths[i] = trajectory.NewPath(program, &frames[i])
 		defer paths[i].Close()
 	}
 	n := int(math.Ceil(until/step)) + 1

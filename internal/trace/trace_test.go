@@ -10,19 +10,22 @@ import (
 	"repro/internal/algo"
 	"repro/internal/frame"
 	"repro/internal/geom"
+	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
-func twoRobotSources() ([]trajectory.Source, []string) {
-	a := frame.Reference().Apply(algo.CumulativeSearch(), geom.Zero)
+// twoRobotSources is Algorithm 4 run by R and by R′ at speed 1/2 from
+// (1, 0): the programs, the robots' frames and the column names.
+func twoRobotSources() ([]trajectory.Source, []segment.Frame, []string) {
 	attrs := frame.Attributes{V: 0.5, Tau: 1, Phi: 0, Chi: frame.CCW}
-	b := attrs.Apply(algo.CumulativeSearch(), geom.V(1, 0))
-	return []trajectory.Source{a, b}, []string{"R", "Rp"}
+	return []trajectory.Source{algo.CumulativeSearch(), algo.CumulativeSearch()},
+		[]segment.Frame{frame.Reference().Frame(geom.Zero), attrs.Frame(geom.V(1, 0))},
+		[]string{"R", "Rp"}
 }
 
 func TestRecordBasics(t *testing.T) {
-	srcs, names := twoRobotSources()
-	tr, err := Record(srcs, names, 10, 0.5)
+	srcs, frames, names := twoRobotSources()
+	tr, err := Record(srcs, frames, names, 10, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,24 +46,53 @@ func TestRecordBasics(t *testing.T) {
 }
 
 func TestRecordValidation(t *testing.T) {
-	srcs, names := twoRobotSources()
-	if _, err := Record(nil, nil, 10, 0.5); err == nil {
+	srcs, frames, names := twoRobotSources()
+	if _, err := Record(nil, nil, nil, 10, 0.5); err == nil {
 		t.Error("empty sources accepted")
 	}
-	if _, err := Record(srcs, names[:1], 10, 0.5); err == nil {
+	if _, err := Record(srcs, frames, names[:1], 10, 0.5); err == nil {
 		t.Error("mismatched names accepted")
 	}
-	if _, err := Record(srcs, names, 0, 0.5); err == nil {
+	if _, err := Record(srcs, frames, names, 0, 0.5); err == nil {
 		t.Error("zero until accepted")
 	}
-	if _, err := Record(srcs, names, 10, 0); err == nil {
+	if _, err := Record(srcs, frames, names, 10, 0); err == nil {
 		t.Error("zero step accepted")
+	}
+	if _, err := Record(srcs, frames[:1], names, 10, 0.5); err == nil {
+		t.Error("mismatched frames accepted")
+	}
+}
+
+// TestRecordRejectsUnboundedSampling: a non-finite step or horizon, or one
+// that needs more than MaxSamples samples, is refused before any sample
+// storage is allocated (a NaN step once panicked in makeslice).
+func TestRecordRejectsUnboundedSampling(t *testing.T) {
+	srcs, frames, names := twoRobotSources()
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name        string
+		until, step float64
+	}{
+		{"NaN step", 10, nan},
+		{"NaN until", nan, 0.5},
+		{"+Inf step", 10, inf},
+		{"-Inf step", 10, -inf},
+		{"+Inf until", inf, 0.5},
+		{"-Inf until", -inf, 0.5},
+		{"over the cap", 1, 1.0 / (MaxSamples + 1)},
+		{"subnormal step", 10, math.SmallestNonzeroFloat64},
+	}
+	for _, c := range cases {
+		if _, err := Record(srcs, frames, names, c.until, c.step); err == nil {
+			t.Errorf("%s: accepted until %v, step %v", c.name, c.until, c.step)
+		}
 	}
 }
 
 func TestGapAndMinGap(t *testing.T) {
-	srcs, names := twoRobotSources()
-	tr, err := Record(srcs, names, 50, 0.01)
+	srcs, frames, names := twoRobotSources()
+	tr, err := Record(srcs, frames, names, 50, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +118,8 @@ func TestGapAndMinGap(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	srcs, names := twoRobotSources()
-	tr, err := Record(srcs, names, 2, 1)
+	srcs, frames, names := twoRobotSources()
+	tr, err := Record(srcs, frames, names, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +146,8 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	srcs, names := twoRobotSources()
-	tr, err := Record(srcs, names, 3, 1)
+	srcs, frames, names := twoRobotSources()
+	tr, err := Record(srcs, frames, names, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,10 @@ import (
 // paper discusses ([12] and the compass-error literature) treats such
 // deviations as adversarial; these helpers let the simulator measure their
 // effect on the paper's algorithms.
+//
+// Every time argument is in the source's own clock. Applied to a robot's
+// local program, the fault happens at that local time; under a frame with
+// clock dilation τ it is seen at global time τ·t.
 
 // CutAt truncates src at exactly time t: segments before t pass through
 // unchanged, the segment straddling t is split exactly (segment.Prefix), and

@@ -23,7 +23,7 @@ func TestCutAtExactDuration(t *testing.T) {
 	}
 	// A crash before moving pins the robot at its start, not at the origin.
 	earlyCrash := CutAt(FromSlice([]segment.Seg{line(5, 5, 6, 5)}), -1)
-	p := NewPath(earlyCrash)
+	p := NewPath(earlyCrash, nil)
 	defer p.Close()
 	if got := p.Position(100); got != geom.V(5, 5) {
 		t.Errorf("crash-at-start position = %v, want (5,5)", got)
@@ -38,9 +38,9 @@ func TestCutAtPositionsMatch(t *testing.T) {
 		})
 	}
 	cut := 3.3
-	full := NewPath(src())
+	full := NewPath(src(), nil)
 	defer full.Close()
-	cutp := NewPath(CutAt(src(), cut))
+	cutp := NewPath(CutAt(src(), cut), nil)
 	defer cutp.Close()
 	for _, tt := range []float64{0, 1, 2.5, 3.3} {
 		if !cutp.Position(tt).ApproxEqual(full.Position(tt), 1e-12) {
@@ -68,7 +68,7 @@ func TestCutAtInfinite(t *testing.T) {
 
 func TestDelayStart(t *testing.T) {
 	src := func() Source { return FromSlice([]segment.Seg{line(1, 1, 2, 1)}) }
-	delayed := NewPath(DelayStart(src(), 3))
+	delayed := NewPath(DelayStart(src(), 3), nil)
 	defer delayed.Close()
 	if got := delayed.Position(2); got != geom.V(1, 1) {
 		t.Errorf("during delay at %v, want (1,1)", got)
@@ -90,7 +90,7 @@ func TestFreezeDuring(t *testing.T) {
 	src := func() Source {
 		return FromSlice([]segment.Seg{line(0, 0, 4, 0)}) // [0, 4]
 	}
-	frozen := NewPath(FreezeDuring(src(), 1, 3))
+	frozen := NewPath(FreezeDuring(src(), 1, 3), nil)
 	defer frozen.Close()
 
 	tests := []struct {
@@ -124,7 +124,7 @@ func TestFreezeDuringArc(t *testing.T) {
 		return FromSlice([]segment.Seg{segment.FullCircle(geom.Zero, 1, 0).Seg()})
 	}
 	freezeAt := math.Pi / 2 // quarter way round, at (0, 1)
-	frozen := NewPath(FreezeDuring(src(), freezeAt, freezeAt+5))
+	frozen := NewPath(FreezeDuring(src(), freezeAt, freezeAt+5), nil)
 	defer frozen.Close()
 	at := frozen.Position(freezeAt + 2.5)
 	if !at.ApproxEqual(geom.V(0, 1), 1e-9) {
@@ -168,11 +168,10 @@ func TestPrefixSegments(t *testing.T) {
 	if got := segment.Prefix(l, -1); got.Duration() != 0 {
 		t.Errorf("negative prefix duration = %v", got.Duration())
 	}
-	// Transformed prefix.
-	m := geom.Affine{M: geom.FrameMatrix(0.5, 1.0, +1), T: geom.V(1, 1)}
-	tr := a.Transformed(m, 2)
+	// Dilated prefix.
+	tr := a.Dilated(2)
 	pre := segment.Prefix(tr, tr.Duration()/4)
 	if !pre.End().ApproxEqual(tr.Position(tr.Duration()/4), 1e-9) {
-		t.Errorf("transformed prefix end = %v, want %v", pre.End(), tr.Position(tr.Duration()/4))
+		t.Errorf("dilated prefix end = %v, want %v", pre.End(), tr.Position(tr.Duration()/4))
 	}
 }

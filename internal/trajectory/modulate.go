@@ -15,7 +15,8 @@ import (
 // (Section 5): the robot still executes the same geometric program, but its
 // instantaneous speed fluctuates. All factors must be positive. The dilation
 // folds into each Seg value (segment.Seg.Dilated), so modulation allocates
-// nothing per segment.
+// nothing per segment. Durations are in src's own clock: under a robot's
+// frame the dilation applies outside the frame's clock (see segment.Frame).
 func ModulateSpeed(src Source, factors []float64) Source {
 	if len(factors) == 0 {
 		return src

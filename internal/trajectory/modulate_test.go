@@ -26,7 +26,7 @@ func TestModulateSpeedDurations(t *testing.T) {
 		t.Errorf("gap=%v n=%d", gap, n)
 	}
 	// First segment now takes 0.5: position at t=0.25 is (0.5, 0).
-	p := NewPath(ModulateSpeed(src(), []float64{2, 0.5}))
+	p := NewPath(ModulateSpeed(src(), []float64{2, 0.5}), nil)
 	defer p.Close()
 	if got := p.Position(0.25); !got.ApproxEqual(geom.V(0.5, 0), 1e-12) {
 		t.Errorf("Position(0.25) = %v, want (0.5, 0)", got)

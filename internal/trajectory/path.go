@@ -15,17 +15,27 @@ type timed struct {
 // times. Segments are cached as they are pulled, so queries may be made in
 // any order; the cache grows only as far forward as the largest time
 // queried. Call Close when done to release the underlying cursor.
+//
+// A Path places its source under a robot's frame: each raw segment's
+// duration and every position go through the frame, so the path is the
+// robot's global trajectory.
 type Path struct {
 	cur       Cursor
+	fr        *segment.Frame
 	segs      []timed
 	total     float64 // end time of last cached segment
 	exhausted bool
 }
 
-// NewPath starts consuming src. The path begins at time 0 at the first
-// segment's start point.
-func NewPath(src Source) *Path {
-	p := &Path{}
+// NewPath starts consuming src, placed under the frame fr (nil: the
+// identity map on the source's own clock). The path begins at time 0 at the
+// first segment's start point.
+func NewPath(src Source, fr *segment.Frame) *Path {
+	if fr == nil {
+		id := segment.NewFrame(geom.IdentityAffine, 1)
+		fr = &id
+	}
+	p := &Path{fr: fr}
 	p.cur.Init(src)
 	return p
 }
@@ -49,7 +59,7 @@ func (p *Path) extendTo(t float64) {
 			p.cur.Close()
 			return
 		}
-		d := seg.Duration()
+		d, _ := p.fr.DurationAndLength(&seg)
 		p.segs = append(p.segs, timed{seg: seg, start: p.total, end: p.total + d})
 		p.total += d
 	}
@@ -79,18 +89,20 @@ func (p *Path) Position(t float64) geom.Vec {
 		return geom.Zero
 	}
 	if t <= 0 {
-		return p.segs[0].seg.Start()
+		start, _ := p.fr.Endpoints(&p.segs[0].seg)
+		return start
 	}
 	if t >= p.total {
-		return p.segs[len(p.segs)-1].seg.End()
+		_, end := p.fr.Endpoints(&p.segs[len(p.segs)-1].seg)
+		return end
 	}
-	ts := p.segs[p.find(t)]
-	return ts.seg.Position(t - ts.start)
+	ts := &p.segs[p.find(t)]
+	return p.fr.Position(&ts.seg, t-ts.start)
 }
 
-// SegmentAt returns the segment containing absolute time t together with
-// its absolute start time. ok is false when t is past the end of a finite
-// source (or the source is empty).
+// SegmentAt returns the raw segment containing absolute time t together
+// with its absolute start time. ok is false when t is past the end of a
+// finite source (or the source is empty).
 func (p *Path) SegmentAt(t float64) (seg segment.Seg, start float64, ok bool) {
 	if t < 0 {
 		t = 0

@@ -10,6 +10,13 @@
 // Cursor, an explicit resumable cursor that buffers a window of upcoming
 // segments and re-invokes or streams the generator as needed — no
 // iter.Pull, no per-segment coroutine switches.
+//
+// A Source is a program in its own frame and clock. A robot's frame is not
+// applied to the stream: walks place each raw segment under the robot's
+// segment.Frame (Path takes one too). The fault and modulation combinators
+// (CutAt, DelayStart, FreezeDuring, ModulateSpeed) therefore act in the
+// source's own clock, and a modulation's dilation stays outside any frame
+// the program is later placed under.
 package trajectory
 
 import (
@@ -65,32 +72,6 @@ func Repeat(gen func(round int) Source) Source {
 				}
 			}
 		}
-	}
-}
-
-// Transform returns a Source applying the affine map m and time dilation
-// timeScale to every segment of src. This is how a reference frame is
-// applied to a whole trajectory. Each generator invocation builds one
-// segment.Frame and folds it into every yielded Seg value rather than
-// wrapping it, so frame application allocates nothing per segment.
-func Transform(src Source, m geom.Affine, timeScale float64) Source {
-	return func(yield func(segment.Seg) bool) {
-		if timeScale <= 0 {
-			// NewFrame would panic; leave the panic to the first segment,
-			// so an empty source stays valid under any frame.
-			src(func(s segment.Seg) bool {
-				return yield(s.Transformed(m, timeScale))
-			})
-			return
-		}
-		f := segment.NewFrame(m, timeScale)
-		// Direct nested callback, not `for s := range src`: the range sugar
-		// compiles to a fresh loop-body closure plus boxed loop state per
-		// invocation, which this (one closure per invocation) avoids.
-		src(func(s segment.Seg) bool {
-			fc := f // a copy: taking f's own address would move it to the heap
-			return yield(fc.Apply(&s))
-		})
 	}
 }
 

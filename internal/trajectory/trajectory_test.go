@@ -69,33 +69,37 @@ func TestRepeatIsInfinite(t *testing.T) {
 	}
 }
 
+// TestTransform: a Path under a frame places its source's raw segments —
+// durations stretch by the frame's clock, points map through its affine map.
 func TestTransform(t *testing.T) {
 	src := FromSlice([]segment.Seg{line(0, 0, 2, 0)})
 	m := geom.Affine{M: geom.Rotation(math.Pi / 2).Scale(0.5), T: geom.V(1, 1)}
-	out := Collect(Transform(src, m, 2))
-	if len(out) != 1 {
-		t.Fatalf("got %d segments", len(out))
+	fr := segment.NewFrame(m, 2)
+	p := NewPath(src, &fr)
+	defer p.Close()
+	if got := p.Position(0); !got.ApproxEqual(geom.V(1, 1), 1e-12) {
+		t.Errorf("Start = %v, want (1,1)", got)
 	}
-	if got, want := out[0].Duration(), 4.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Duration = %v, want %v", got, want)
+	if got := p.Position(2); !got.ApproxEqual(geom.V(1, 1.5), 1e-12) {
+		t.Errorf("Position(2) = %v, want (1,1.5)", got)
 	}
-	if got := out[0].End(); !got.ApproxEqual(geom.V(1, 2), 1e-12) {
+	if got := p.Position(10); !got.ApproxEqual(geom.V(1, 2), 1e-12) {
 		t.Errorf("End = %v, want (1,2)", got)
+	}
+	if total, known := p.EndKnown(); !known || math.Abs(total-4) > 1e-12 {
+		t.Errorf("Duration = %v (known %v), want 4", total, known)
 	}
 }
 
-// TestTransformNonPositiveScale: a non-positive time scale panics at the
-// first segment, as Seg.Transformed does, so an empty source stays valid.
+// TestTransformNonPositiveScale: a frame with a non-positive time scale
+// panics when it is built.
 func TestTransformNonPositiveScale(t *testing.T) {
-	if n := len(Collect(Transform(FromSlice(nil), geom.IdentityAffine, 0))); n != 0 {
-		t.Fatalf("empty source yielded %d segments", n)
-	}
 	defer func() {
-		if p := recover(); p != "segment: Transformed with non-positive time scale 0" {
-			t.Fatalf("panic %v, want Transformed's non-positive time scale panic", p)
+		if p := recover(); p != "segment: NewFrame with non-positive time scale 0" {
+			t.Fatalf("panic %v, want NewFrame's non-positive time scale panic", p)
 		}
 	}()
-	Collect(Transform(FromSlice([]segment.Seg{line(0, 0, 1, 0)}), geom.IdentityAffine, 0))
+	segment.NewFrame(geom.IdentityAffine, 0)
 }
 
 func TestTruncate(t *testing.T) {
@@ -142,7 +146,7 @@ func TestPathPosition(t *testing.T) {
 		line(0, 0, 2, 0),                       // t in [0,2]
 		segment.NewWait(geom.V(2, 0), 1).Seg(), // t in [2,3]
 		line(2, 0, 2, 2),                       // t in [3,5]
-	}))
+	}), nil)
 	defer p.Close()
 
 	tests := []struct {
@@ -167,7 +171,7 @@ func TestPathPosition(t *testing.T) {
 }
 
 func TestPathBackwardQueries(t *testing.T) {
-	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 2, 0)}))
+	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 2, 0)}), nil)
 	defer p.Close()
 	if got := p.Position(1.5); !got.ApproxEqual(geom.V(1.5, 0), 1e-12) {
 		t.Errorf("forward query = %v", got)
@@ -179,7 +183,7 @@ func TestPathBackwardQueries(t *testing.T) {
 }
 
 func TestPathSegmentAt(t *testing.T) {
-	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), segment.NewWait(geom.V(1, 0), 2).Seg()}))
+	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), segment.NewWait(geom.V(1, 0), 2).Seg()}), nil)
 	defer p.Close()
 
 	seg, start, ok := p.SegmentAt(0.5)
@@ -222,7 +226,7 @@ func TestPathLazyConsumption(t *testing.T) {
 			}
 		}
 	})
-	p := NewPath(src)
+	p := NewPath(src, nil)
 	defer p.Close()
 	p.Position(2.5)
 	// The cursor buffers one read-ahead window (64 segments) in a single
@@ -237,7 +241,7 @@ func TestPathLazyConsumption(t *testing.T) {
 }
 
 func TestPathEndKnown(t *testing.T) {
-	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0)}))
+	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0)}), nil)
 	defer p.Close()
 	if _, known := p.EndKnown(); known {
 		t.Error("end known before any query")
@@ -250,7 +254,7 @@ func TestPathEndKnown(t *testing.T) {
 }
 
 func TestPathEmptySource(t *testing.T) {
-	p := NewPath(FromSlice(nil))
+	p := NewPath(FromSlice(nil), nil)
 	defer p.Close()
 	if got := p.Position(1); got != geom.Zero {
 		t.Errorf("empty path Position = %v, want origin", got)
@@ -261,7 +265,7 @@ func TestPathEmptySource(t *testing.T) {
 }
 
 func TestStationary(t *testing.T) {
-	p := NewPath(Stationary(geom.V(4, 2)))
+	p := NewPath(Stationary(geom.V(4, 2)), nil)
 	defer p.Close()
 	for _, tt := range []float64{0, 1, 1e9} {
 		if got := p.Position(tt); got != geom.V(4, 2) {
