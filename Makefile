@@ -177,7 +177,9 @@ shardcheck:
 # and arc×static closed forms against a dense reference; the equal-ω arc×arc
 # closed form against the safe-advance fallback; placement of raw segments
 # under a robot's frame (segment.Frame, Mover.SetFramed) against a frozen
-# copy of the framed-segment arithmetic it replaced; the batch-vs-scalar
+# copy of the framed-segment arithmetic it replaced; the pull generators
+# of every program, with their supplied durations and lengths, against a
+# frozen copy of the push generators they replaced; the batch-vs-scalar
 # kernel differential; the shared-clock gathering walk
 # against the frozen per-robot walk; journal crash recovery — arbitrary
 # journal bytes must load without error and yield exactly the CRC-valid
@@ -201,6 +203,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzSetFramedMatchesSet -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzGenMatchesFrozen -fuzztime $(FUZZTIME) ./internal/algo
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache
 	$(GO) test -run NONE -fuzz FuzzHandlers -fuzztime $(FUZZTIME) ./cmd/rvserved

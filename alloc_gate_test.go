@@ -10,10 +10,10 @@ import (
 // cursor allocations, without needing a benchmark run.
 //
 // The ceilings are the PR-5 acceptance numbers (≤10 allocs per simulated
-// instance). Measured: 3 for rendezvous, from one walk-state struct and two
-// cursor collector closures (the walk applies the frames at placement, so
-// the two frame-transform closures it once needed are gone), and 3 for
-// search.
+// instance). Measured: 3 for rendezvous, from one walk-state struct and the
+// two robots' program generators (the walk applies the frames at placement,
+// so the two frame-transform closures it once needed are gone), and 2 for
+// search, its walk state and its generator.
 // They are deliberately exact, not relative: a regression to even 15
 // allocs/op means a hot-path structure changed and must be justified by
 // re-pinning the number here.
@@ -28,7 +28,7 @@ func TestRendezvousHotAllocGate(t *testing.T) {
 		D:     XY(1, 0),
 		R:     0.25,
 	}
-	// Warm the cursor buffer pool so the gate measures steady state.
+	// Warm up so the gate measures steady state.
 	if res, err := Rendezvous(CumulativeSearch(), in, Options{Horizon: 1e4}); err != nil || !res.Met {
 		t.Fatalf("warmup: met=%v err=%v", res.Met, err)
 	}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/segment"
 	"repro/internal/sim"
 	"repro/internal/sweep"
+	"repro/internal/trajectory"
 )
 
 // benchExperiment runs one experiment table per iteration.
@@ -233,6 +234,25 @@ func BenchmarkRendezvousUniversal(b *testing.B) {
 	}
 }
 
+// BenchmarkRendezvousLongWalk measures one long scalar rendezvous: v = 0.8,
+// d = 2, r = 0.05 under Algorithm 4, which meets after 2,074 intervals. Its
+// B/op does not grow with the walk's length (see
+// sim.TestRendezvousLongWalkAllocGate).
+func BenchmarkRendezvousLongWalk(b *testing.B) {
+	in := Instance{
+		Attrs: Attributes{V: 0.8, Tau: 1, Phi: 0, Chi: CCW},
+		D:     XY(2, 0),
+		R:     0.05,
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := Rendezvous(CumulativeSearch(), in, Options{Horizon: 1e6})
+		if err != nil || !res.Met || res.Intervals != 2074 {
+			b.Fatalf("met=%v intervals=%d err=%v", res.Met, res.Intervals, err)
+		}
+	}
+}
+
 // BenchmarkSearchDeepRound measures a search that must reach round 4 of
 // Algorithm 4 (hundreds of thousands of segments).
 func BenchmarkSearchDeepRound(b *testing.B) {
@@ -293,16 +313,18 @@ func BenchmarkFirstContactConservative(b *testing.B) {
 }
 
 // BenchmarkTrajectoryGeneration measures pure segment-stream throughput for
-// the paper's Algorithm 4 (no simulation).
+// the paper's Algorithm 4 (no simulation), pulled the way the walks pull
+// it: trajectory.Cursor.Pull, each segment read in the generator's storage
+// with its duration and length.
 func BenchmarkTrajectoryGeneration(b *testing.B) {
 	for b.Loop() {
-		n := 0
-		for range algo.CumulativeSearch() {
-			n++
-			if n == 100_000 {
-				break
+		cur := trajectory.NewCursor(algo.CumulativeSearch())
+		for range 100_000 {
+			if _, _, _, ok := cur.Pull(); !ok {
+				b.Fatal("Algorithm 4 ended")
 			}
 		}
+		cur.Close()
 	}
 	b.ReportMetric(100_000, "segments/op")
 }

@@ -40,7 +40,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *d <= 0 || *r <= 0 {
+	if !(*d > 0) || !(*r > 0) {
 		fmt.Fprintln(os.Stderr, "searchsim: -d and -r must be positive")
 		return 1
 	}

@@ -1,8 +1,6 @@
 package algo
 
 import (
-	"repro/internal/geom"
-	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
@@ -16,16 +14,7 @@ import (
 // closed form and the phase-structure lemmas of Section 4 stop holding
 // exactly.
 func SearchRoundNoWait(k int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		for j := 0; j <= 2*k-1; j++ {
-			delta, rho := RoundAnnulus(j, k)
-			for s := range SearchAnnulus(delta, 2*delta, rho) {
-				if !yield(s) {
-					return
-				}
-			}
-		}
-	}
+	return program(gen{sched: schedOnce, n: k})
 }
 
 // UniversalNoRev is Algorithm 7 with the SearchAllRev pass replaced by an
@@ -36,14 +25,7 @@ func SearchRoundNoWait(k int) trajectory.Source {
 // that revisit the origin's neighbourhood); this variant shows which τ
 // regimes that matters for.
 func UniversalNoRev() trajectory.Source {
-	return trajectory.Repeat(func(n int) trajectory.Source {
-		s := SearchAllDuration(n)
-		return trajectory.Concat(
-			trajectory.FromSlice([]segment.Seg{segment.NewWait(geom.Zero, 2*s).Seg()}),
-			SearchAll(n),
-			trajectory.FromSlice([]segment.Seg{segment.NewWait(geom.Zero, s).Seg()}),
-		)
-	})
+	return program(gen{sched: schedNoRev, n: 1, wait: true})
 }
 
 // UniversalNoInactive is Algorithm 7 without the inactive (waiting) phases:
@@ -53,7 +35,5 @@ func UniversalNoRev() trajectory.Source {
 // accidentally, but no round bound holds. Included to demonstrate that the
 // waiting phases are load-bearing.
 func UniversalNoInactive() trajectory.Source {
-	return trajectory.Repeat(func(n int) trajectory.Source {
-		return trajectory.Concat(SearchAll(n), SearchAllRev(n))
-	})
+	return program(gen{sched: schedNoInactive, n: 1, wait: true})
 }

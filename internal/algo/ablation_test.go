@@ -21,7 +21,7 @@ func TestSearchRoundNoWaitDuration(t *testing.T) {
 }
 
 func TestSearchRoundNoWaitHasNoWaits(t *testing.T) {
-	for s := range SearchRoundNoWait(2) {
+	for s := range SearchRoundNoWait(2).All() {
 		if s.Kind() == segment.KindWait {
 			t.Fatal("SearchRoundNoWait emitted a wait")
 		}
@@ -32,7 +32,7 @@ func TestUniversalNoRevSchedule(t *testing.T) {
 	// Round n still lasts exactly 4·S(n): wait 2S + sweep S + wait S.
 	var elapsed float64
 	n := 1
-	for s := range UniversalNoRev() {
+	for s := range UniversalNoRev().All() {
 		elapsed += s.Duration()
 		if n == 3 {
 			break
@@ -56,7 +56,7 @@ func TestUniversalNoRevSchedule(t *testing.T) {
 
 func TestUniversalNoInactiveHasNoLongWaits(t *testing.T) {
 	var checked int
-	for s := range UniversalNoInactive() {
+	for s := range UniversalNoInactive().All() {
 		if w, ok := s.AsWait(); ok && w.At == geom.Zero {
 			// Only the intra-round FinalWait waits are allowed, never the
 			// 2S(n) inactive phases.

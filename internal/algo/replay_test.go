@@ -17,7 +17,7 @@ func TestUniversalPhaseStartMatchesStreamWalk(t *testing.T) {
 	wantA := make([]float64, maxN+1)
 	elapsed := 0.0
 	n := 1
-	for seg := range Universal() {
+	for seg := range Universal().All() {
 		if w, ok := seg.AsWait(); ok && w.At == geom.Zero && w.Time == 2*SearchAllDuration(n) {
 			wantI[n] = elapsed
 			wantA[n] = elapsed + w.Time

@@ -7,11 +7,14 @@
 // unit speed, unit clock, the robot's own origin and axes. The frame package
 // maps them into the global frame of a robot with arbitrary attributes.
 //
-// Generators are written as yield-helper chains (yieldSearchCircle →
-// yieldSearchAnnulus → ...) rather than nested Source closures, so producing
-// a segment stream allocates nothing per round or per sub-structure: the
-// public constructors return one closure each, and every segment is pushed
-// as a value (segment.Seg).
+// Every program of Algorithms 1–7, and the ablations, is one explicit,
+// copyable generator state (gen, in gen.go): a schedule of Search(k) rounds
+// and waits, and the position inside the current round (annulus j, circle
+// i, step). Walks pull it through trajectory.Gen; producing a segment
+// allocates nothing, and each segment comes with its duration and length in
+// closed form, bit-identical to segment.Seg.DurationAndLength. The
+// baselines repeat SearchCircle through trajectory.Repeat, itself a pull
+// generator.
 //
 // Naming follows the paper:
 //
@@ -27,27 +30,14 @@ package algo
 import (
 	"math"
 
-	"repro/internal/geom"
-	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
-
-// yieldSearchCircle pushes the segments of Algorithm 1 and reports whether
-// the consumer wants more.
-func yieldSearchCircle(yield func(segment.Seg) bool, delta float64) bool {
-	out := geom.V(delta, 0)
-	return yield(segment.UnitLine(geom.Zero, out).Seg()) &&
-		yield(segment.FullCircle(geom.Zero, delta, 0).Seg()) &&
-		yield(segment.UnitLine(out, geom.Zero).Seg())
-}
 
 // SearchCircle is Algorithm 1: move along the +x axis from the origin to
 // radial position δ, traverse the circle of radius δ counter-clockwise, and
 // return to the origin. Total duration 2(π+1)δ.
 func SearchCircle(delta float64) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		yieldSearchCircle(yield, delta)
-	}
+	return annulusProgram(delta, 0, 0)
 }
 
 // AnnulusCircleCount returns m = ⌈(δ2−δ1)/(2ρ)⌉, the last circle index of
@@ -56,24 +46,11 @@ func AnnulusCircleCount(delta1, delta2, rho float64) int {
 	return int(math.Ceil((delta2 - delta1) / (2 * rho)))
 }
 
-// yieldSearchAnnulus pushes the segments of Algorithm 2.
-func yieldSearchAnnulus(yield func(segment.Seg) bool, delta1, delta2, rho float64) bool {
-	m := AnnulusCircleCount(delta1, delta2, rho)
-	for i := 0; i <= m; i++ {
-		if !yieldSearchCircle(yield, delta1+2*float64(i)*rho) {
-			return false
-		}
-	}
-	return true
-}
-
 // SearchAnnulus is Algorithm 2: repeatedly SearchCircle(δ1 + 2iρ) for
 // i = 0..⌈(δ2−δ1)/(2ρ)⌉, bringing the robot within ρ of every point of the
 // annulus with inner radius δ1 and outer radius δ2.
 func SearchAnnulus(delta1, delta2, rho float64) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		yieldSearchAnnulus(yield, delta1, delta2, rho)
-	}
+	return annulusProgram(delta1, rho, AnnulusCircleCount(delta1, delta2, rho))
 }
 
 // RoundAnnulus returns the inner radius δ(j,k) = 2^(−k+j) and granularity
@@ -91,71 +68,28 @@ func FinalWait(k int) float64 {
 	return 3 * (math.Pi + 1) * (math.Ldexp(1, k) + math.Ldexp(1, -k))
 }
 
-// yieldSearchRound pushes the segments of Algorithm 3, Search(k).
-func yieldSearchRound(yield func(segment.Seg) bool, k int) bool {
-	for j := 0; j <= 2*k-1; j++ {
-		delta, rho := RoundAnnulus(j, k)
-		if !yieldSearchAnnulus(yield, delta, 2*delta, rho) {
-			return false
-		}
-	}
-	return yield(segment.NewWait(geom.Zero, FinalWait(k)).Seg())
-}
-
 // SearchRound is Algorithm 3, Search(k): for j = 0..2k−1 search the annulus
 // with radii δ(j,k), δ(j+1,k) at granularity ρ(j,k), then wait FinalWait(k)
 // at the origin. Total duration 3(π+1)(k+1)·2^(k+1).
 func SearchRound(k int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		yieldSearchRound(yield, k)
-	}
+	return program(gen{sched: schedOnce, n: k, wait: true})
 }
 
 // CumulativeSearch is Algorithm 4: perform Search(1), Search(2), ... without
 // end. It is the paper's near-optimal search algorithm (Theorem 1) and also
 // its rendezvous algorithm for robots with symmetric clocks (Theorem 2).
 func CumulativeSearch() trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		for k := 1; ; k++ {
-			if !yieldSearchRound(yield, k) {
-				return
-			}
-		}
-	}
-}
-
-// yieldSearchAll pushes the segments of Algorithm 5.
-func yieldSearchAll(yield func(segment.Seg) bool, n int) bool {
-	for k := 1; k <= n; k++ {
-		if !yieldSearchRound(yield, k) {
-			return false
-		}
-	}
-	return true
+	return trajectory.New(func() trajectory.Gen { return &gen{sched: schedCumulative, wait: true} })
 }
 
 // SearchAll is Algorithm 5: Search(1), Search(2), ..., Search(n).
 func SearchAll(n int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		yieldSearchAll(yield, n)
-	}
-}
-
-// yieldSearchAllRev pushes the segments of Algorithm 6.
-func yieldSearchAllRev(yield func(segment.Seg) bool, n int) bool {
-	for k := n; k >= 1; k-- {
-		if !yieldSearchRound(yield, k) {
-			return false
-		}
-	}
-	return true
+	return program(gen{sched: schedAll, n: n, wait: true})
 }
 
 // SearchAllRev is Algorithm 6: Search(n), Search(n−1), ..., Search(1).
 func SearchAllRev(n int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		yieldSearchAllRev(yield, n)
-	}
+	return program(gen{sched: schedAllRev, n: n, wait: true})
 }
 
 // SearchAllDuration returns S(n), the duration of SearchAll(n):
@@ -170,17 +104,5 @@ func SearchAllDuration(n int) float64 {
 // performs SearchAll(n) followed by SearchAllRev(n) (the active phase, also
 // of length 2S(n)).
 func Universal() trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		for n := 1; ; n++ {
-			if !yield(segment.NewWait(geom.Zero, 2*SearchAllDuration(n)).Seg()) {
-				return
-			}
-			if !yieldSearchAll(yield, n) {
-				return
-			}
-			if !yieldSearchAllRev(yield, n) {
-				return
-			}
-		}
-	}
+	return trajectory.New(func() trajectory.Gen { return &gen{sched: schedUniversal, n: 1, wait: true} })
 }

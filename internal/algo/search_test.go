@@ -84,7 +84,7 @@ func TestSearchAnnulusCoversRadii(t *testing.T) {
 	// Every radius in [δ1, δ2] must be within ρ of some traversed circle.
 	d1, d2, rho := 0.5, 1.0, 0.0625
 	var circles []float64
-	for s := range SearchAnnulus(d1, d2, rho) {
+	for s := range SearchAnnulus(d1, d2, rho).All() {
 		if arc, ok := s.AsArc(); ok {
 			circles = append(circles, arc.Radius)
 		}
@@ -155,7 +155,7 @@ func TestCumulativeSearchIsInfiniteAndContinuous(t *testing.T) {
 		prevEnd geom.Vec
 		first   = true
 	)
-	for s := range CumulativeSearch() {
+	for s := range CumulativeSearch().All() {
 		if !first && s.Start().Dist(prevEnd) > 1e-12 {
 			t.Fatalf("discontinuity at segment %d", n)
 		}
@@ -186,7 +186,7 @@ func TestSearchAllRevIsReversedOrder(t *testing.T) {
 	// The first arc of SearchAllRev(n) must belong to Search(n): its radius
 	// is δ(0,n) = 2^(−n); the first arc of SearchAll(n) has radius 2^(−1).
 	firstArcRadius := func(src trajectory.Source) float64 {
-		for s := range src {
+		for s := range src.All() {
 			if arc, ok := s.AsArc(); ok {
 				return arc.Radius
 			}
@@ -211,7 +211,7 @@ func TestUniversalRoundStructure(t *testing.T) {
 	)
 	wantRounds := 3
 	next := 1
-	for s := range Universal() {
+	for s := range Universal().All() {
 		if w, ok := s.AsWait(); ok && w.Time == 2*SearchAllDuration(next) && w.At == geom.Zero {
 			boundary = append(boundary, elapsed)
 			next++
@@ -237,7 +237,7 @@ func TestBaselinesAreInfinite(t *testing.T) {
 		"expanding-rings":  ExpandingRings(),
 	} {
 		n := 0
-		for range src {
+		for range src.All() {
 			n++
 			if n >= 50 {
 				break
@@ -254,7 +254,7 @@ func TestBaselinesAreInfinite(t *testing.T) {
 
 func TestKnownVisibilityRadii(t *testing.T) {
 	var radii []float64
-	for s := range KnownVisibilitySearch(0.5) {
+	for s := range KnownVisibilitySearch(0.5).All() {
 		if arc, ok := s.AsArc(); ok {
 			radii = append(radii, arc.Radius)
 			if len(radii) == 4 {
@@ -272,7 +272,7 @@ func TestKnownVisibilityRadii(t *testing.T) {
 
 func TestExpandingRingsRadii(t *testing.T) {
 	var radii []float64
-	for s := range ExpandingRings() {
+	for s := range ExpandingRings().All() {
 		if arc, ok := s.AsArc(); ok {
 			radii = append(radii, arc.Radius)
 			if len(radii) == 5 {

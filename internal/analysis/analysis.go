@@ -100,7 +100,7 @@ func normAngle(a float64) float64 {
 // trajectory.
 func DistanceToPath(p geom.Vec, src trajectory.Source) float64 {
 	d := math.Inf(1)
-	for seg := range src {
+	for seg := range src.All() {
 		if dd := DistanceToSegment(p, seg); dd < d {
 			d = dd
 		}

@@ -44,7 +44,7 @@ func TestReferenceIsIdentity(t *testing.T) {
 	}
 	fr := ref.Frame(geom.Zero)
 	var got float64
-	for s := range algo.SearchCircle(2) {
+	for s := range algo.SearchCircle(2).All() {
 		d, _ := fr.DurationAndLength(&s)
 		got += d
 	}

@@ -20,7 +20,7 @@ func phaseBoundaries(t *testing.T, a Attributes, maxN int) []float64 {
 		n          = 1
 	)
 	fr := a.Frame(geom.Zero)
-	for s := range algo.Universal() {
+	for s := range algo.Universal().All() {
 		dur, _ := fr.DurationAndLength(&s)
 		want := 2 * algo.SearchAllDuration(n) * a.Tau
 		if isWait(s) && math.Abs(dur-want) <= 1e-9*want {

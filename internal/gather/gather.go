@@ -23,8 +23,8 @@
 // the local duration × τ; speed, orientation and chirality move the
 // geometry but never the time grid. Robots with bit-equal τ therefore cross
 // segment boundaries at bit-identical times, so each distinct clock pulls
-// the local program through one trajectory.Cursor and computes each
-// segment's duration once, and every robot on it places the raw segment
+// the local program through one trajectory.Cursor, which supplies each
+// segment's raw duration, and every robot on it places the raw segment
 // under its own frame (segment.Frame with motion.Mover.SetFramed). A robot's motion is
 // refilled only when its clock moves to a new segment. The pairwise
 // meetings walk the local program under the two robots' frames too
@@ -65,7 +65,7 @@ func (in Instance) Validate() error {
 	if len(in.Robots) < 2 {
 		return errors.New("gather: need at least two robots")
 	}
-	if in.R <= 0 {
+	if !(in.R > 0) {
 		return errors.New("gather: visibility radius must be positive")
 	}
 	for i, r := range in.Robots {
@@ -117,7 +117,7 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	if err := in.Validate(); err != nil {
 		return Result{}, err
 	}
-	if opt.Horizon <= 0 {
+	if !(opt.Horizon > 0) {
 		return Result{}, sim.ErrBadOptions
 	}
 	var res Result
@@ -155,9 +155,9 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 type clock struct {
 	tau   float64
 	cur   trajectory.Cursor
-	seg   segment.Seg // current local-frame segment
-	dur   float64     // its global duration: seg.Duration() × τ
-	start float64     // absolute start time of seg
+	seg   *segment.Seg // current local-frame segment, read in place
+	dur   float64      // its global duration: the pulled raw duration × τ
+	start float64      // absolute start time of seg
 	has   bool
 	moved bool // seg changed (or the program ended) since robots last took it
 }
@@ -169,13 +169,12 @@ func (c *clock) next() {
 		c.start += c.dur
 	}
 	c.moved = true
-	seg, ok := c.cur.Next()
+	seg, d, _, ok := c.cur.Pull()
 	if !ok {
 		c.has = false // c.seg keeps the last segment for the final positions
 		return
 	}
-	c.seg = seg
-	c.dur = seg.Duration() * c.tau
+	c.seg, c.dur = seg, d*c.tau
 	c.has = true
 }
 
@@ -201,8 +200,6 @@ type diameterWalk struct {
 // group over the local program; frames[i] is robot i's frame.
 func newDiameterWalk(program trajectory.Source, robots []Robot, frames []segment.Frame) *diameterWalk {
 	w := &diameterWalk{
-		// Full capacity up front: the cursors' collectors point into the
-		// slice, so it must never move.
 		clocks: make([]clock, 0, len(robots)),
 		bodies: make([]body, len(robots)),
 		pos:    make([]geom.Vec, len(robots)),
@@ -253,13 +250,13 @@ func (w *diameterWalk) advance(now, horizon float64) (intervalEnd float64, allHa
 			continue
 		}
 		if c.has {
-			b.mov.SetFramed(&c.seg, b.frame, c.start, c.dur)
+			b.mov.SetFramed(c.seg, b.frame, c.start, c.dur)
 		} else {
 			// A halted robot parks at the end of its last segment (the
 			// origin of the global frame if the program was empty).
 			var final geom.Vec
 			if c.cur.Consumed() > 0 {
-				_, final = b.frame.Endpoints(&c.seg)
+				_, final = b.frame.Endpoints(c.seg)
 			}
 			b.mov.SetStatic(final)
 		}

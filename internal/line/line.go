@@ -61,28 +61,20 @@ func ZigZagPrefixTime(k int) float64 { return 4 * (math.Ldexp(1, k+1) - 1) }
 // SweepAll returns rounds 0..n of the zig-zag (finite), the line analogue
 // of the planar SearchAll.
 func SweepAll(n int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		for k := 0; k <= n; k++ {
-			for s := range zigZagRound(k) {
-				if !yield(s) {
-					return
-				}
-			}
-		}
+	rounds := make([]trajectory.Source, 0, max(n+1, 0))
+	for k := 0; k <= n; k++ {
+		rounds = append(rounds, zigZagRound(k))
 	}
+	return trajectory.Concat(rounds...)
 }
 
 // SweepAllRev returns rounds n..0 (finite), the analogue of SearchAllRev.
 func SweepAllRev(n int) trajectory.Source {
-	return func(yield func(segment.Seg) bool) {
-		for k := n; k >= 0; k-- {
-			for s := range zigZagRound(k) {
-				if !yield(s) {
-					return
-				}
-			}
-		}
+	rounds := make([]trajectory.Source, 0, max(n+1, 0))
+	for k := n; k >= 0; k-- {
+		rounds = append(rounds, zigZagRound(k))
 	}
+	return trajectory.Concat(rounds...)
 }
 
 // SweepAllTime returns the duration of SweepAll(n): 8(2^(n+1) − 1)... namely

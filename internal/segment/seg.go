@@ -71,6 +71,39 @@ func (a Arc) Seg() Seg {
 	return Seg{kind: KindArc, a: a.Center, s1: a.Radius, s2: a.StartAngle, s3: a.Sweep, s4: a.Speed}
 }
 
+// SetWait sets s to NewWait(at, duration).Seg() in place. Generators fill
+// the segment they hand out through these setters: assigning a converted
+// payload would build a temporary and copy it, and the setters write the
+// fields one by one.
+func (s *Seg) SetWait(at geom.Vec, duration float64) {
+	checkWait(duration)
+	s.kind, s.a, s.b = KindWait, at, geom.Vec{}
+	s.s1, s.s2, s.s3, s.s4, s.mod = duration, 0, 0, 0, 0
+}
+
+// SetLine sets s to NewLine(from, to, speed).Seg() in place.
+func (s *Seg) SetLine(from, to geom.Vec, speed float64) {
+	checkLine(from, to, speed)
+	s.kind, s.a, s.b = KindLine, from, to
+	s.s1, s.s2, s.s3, s.s4, s.mod = speed, 0, 0, 0, 0
+}
+
+// SetArc sets s to NewArc(center, radius, startAngle, sweep, speed).Seg()
+// in place.
+func (s *Seg) SetArc(center geom.Vec, radius, startAngle, sweep, speed float64) {
+	checkArc(radius, sweep, speed)
+	s.kind, s.a, s.b = KindArc, center, geom.Vec{}
+	s.s1, s.s2, s.s3, s.s4, s.mod = radius, startAngle, sweep, speed, 0
+}
+
+// panicf panics with a formatted message; kept out of line so that the
+// argument checks stay small enough for the constructors to inline.
+//
+//go:noinline
+func panicf(format string, arg float64) {
+	panic(fmt.Sprintf(format, arg))
+}
+
 // Kind returns the payload kind.
 func (s *Seg) Kind() Kind { return s.kind }
 

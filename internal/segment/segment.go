@@ -12,7 +12,6 @@
 package segment
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
@@ -29,10 +28,15 @@ type Line struct {
 // would make the duration undefined; this is a programming error, not a
 // runtime condition.
 func NewLine(from, to geom.Vec, speed float64) Line {
-	if speed <= 0 && from != to {
-		panic(fmt.Sprintf("segment: NewLine with non-positive speed %v", speed))
-	}
+	checkLine(from, to, speed)
 	return Line{From: from, To: to, Speed: speed}
+}
+
+// checkLine panics on the arguments NewLine rejects.
+func checkLine(from, to geom.Vec, speed float64) {
+	if speed <= 0 && from != to {
+		panicf("segment: NewLine with non-positive speed %v", speed)
+	}
 }
 
 // UnitLine returns a Line at unit speed, the reference robot's speed.
@@ -82,10 +86,15 @@ type Wait struct {
 // NewWait returns a Wait of the given non-negative duration. It panics on a
 // negative duration (programming error).
 func NewWait(at geom.Vec, duration float64) Wait {
-	if duration < 0 {
-		panic(fmt.Sprintf("segment: NewWait with negative duration %v", duration))
-	}
+	checkWait(duration)
 	return Wait{At: at, Time: duration}
+}
+
+// checkWait panics on the durations NewWait rejects.
+func checkWait(duration float64) {
+	if duration < 0 {
+		panicf("segment: NewWait with negative duration %v", duration)
+	}
 }
 
 // Duration returns the time needed to traverse the segment.
@@ -115,13 +124,18 @@ type Arc struct {
 // NewArc returns an Arc. It panics if radius is negative, or if speed is not
 // positive while the arc has positive length (programming errors).
 func NewArc(center geom.Vec, radius, startAngle, sweep, speed float64) Arc {
+	checkArc(radius, sweep, speed)
+	return Arc{Center: center, Radius: radius, StartAngle: startAngle, Sweep: sweep, Speed: speed}
+}
+
+// checkArc panics on the arguments NewArc rejects.
+func checkArc(radius, sweep, speed float64) {
 	if radius < 0 {
-		panic(fmt.Sprintf("segment: NewArc with negative radius %v", radius))
+		panicf("segment: NewArc with negative radius %v", radius)
 	}
 	if speed <= 0 && radius*math.Abs(sweep) > 0 {
-		panic(fmt.Sprintf("segment: NewArc with non-positive speed %v", speed))
+		panicf("segment: NewArc with non-positive speed %v", speed)
 	}
-	return Arc{Center: center, Radius: radius, StartAngle: startAngle, Sweep: sweep, Speed: speed}
 }
 
 // FullCircle returns a unit-speed counter-clockwise full traversal of the

@@ -337,3 +337,41 @@ func TestTransformedMaxSpeedBound(t *testing.T) {
 		}
 	}
 }
+
+// TestSettersMatchConstructors: the in-place setters write exactly the Seg
+// the constructors build, and panic on exactly the arguments they reject.
+func TestSettersMatchConstructors(t *testing.T) {
+	s := NewWait(geom.Zero, 1).Seg()
+	s = s.Dilated(2) // a stale dilation must not survive a setter
+	s.SetWait(geom.V(1, 2), 3)
+	if want := NewWait(geom.V(1, 2), 3).Seg(); s != want {
+		t.Errorf("SetWait = %#v, want %#v", s, want)
+	}
+	s.SetLine(geom.V(1, 2), geom.V(-3, 4), 0.5)
+	if want := NewLine(geom.V(1, 2), geom.V(-3, 4), 0.5).Seg(); s != want {
+		t.Errorf("SetLine = %#v, want %#v", s, want)
+	}
+	s.SetArc(geom.V(1, 2), 3, 0.25, -math.Pi, 2)
+	if want := NewArc(geom.V(1, 2), 3, 0.25, -math.Pi, 2).Seg(); s != want {
+		t.Errorf("SetArc = %#v, want %#v", s, want)
+	}
+	panics := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	for _, c := range []struct {
+		name       string
+		set, build func()
+	}{
+		{"wait", func() { s.SetWait(geom.Zero, -1) }, func() { NewWait(geom.Zero, -1) }},
+		{"line", func() { s.SetLine(geom.Zero, geom.V(1, 0), 0) }, func() { NewLine(geom.Zero, geom.V(1, 0), 0) }},
+		{"arc radius", func() { s.SetArc(geom.Zero, -1, 0, 1, 1) }, func() { NewArc(geom.Zero, -1, 0, 1, 1) }},
+		{"arc speed", func() { s.SetArc(geom.Zero, 1, 0, 1, 0) }, func() { NewArc(geom.Zero, 1, 0, 1, 0) }},
+	} {
+		got, want := panics(c.set), panics(c.build)
+		if got == nil || got != want {
+			t.Errorf("%s: setter panics with %v, constructor with %v", c.name, got, want)
+		}
+	}
+}

@@ -21,19 +21,19 @@ import (
 //   - SearchBatch exploits the search walk's lockstep invariant — the scalar
 //     walk always advances t to the current segment's end, so every
 //     still-active lane of a shared program sits at the same absolute time.
-//     One segment pull, one DurationAndLength, one odometer step and one
-//     Mover.Set therefore serve all lanes, and per-lane work reduces to the
+//     One segment pull (which supplies the duration and length), one
+//     odometer step and one Mover.Set therefore serve all lanes, and per-lane work reduces to the
 //     closed-form contact check, evaluated by motion.StaticSweep as a tight
 //     loop with the kind switch hoisted out.
 //
 //   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
 //     independently through the scalar walk, meet — but their streams read
-//     one Tape of raw segments with the raw duration/length computed once,
-//     and each lane's frame constants are computed once per lane
+//     one Tape of raw segments with the raw duration/length the generator
+//     supplied, and each lane's frame constants are computed once per lane
 //     (segment.Frame): a lane places raw tape segments under its frame
-//     (Frame.Scale, Mover.SetFramed). Generation,
-//     trig, and cursor overhead amortize across the batch. The two
+//     (Frame.Scale, Mover.SetFramed). Generation and trig amortize across
+//     the batch. The two
 //     functions read a private tape; Tape.Rendezvous reads a tape shared
 //     by several calls, which may run on several goroutines at once, so a
 //     sweep's lane chunks share one recording of the program.
@@ -55,7 +55,7 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 	mopts := make([]motion.Options, n)
 	active := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if ln.Horizon[i] <= 0 || ln.R[i] <= 0 {
+		if !(ln.Horizon[i] > 0) || !(ln.R[i] > 0) {
 			errs[i] = ErrBadOptions
 			continue
 		}
@@ -67,19 +67,24 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 
 	// Shared walk state: identical to searchWalk minus the per-lane fields.
 	// All active lanes share t (the lockstep invariant), the odometer, and
-	// the current segment's Mover.
+	// the current segment's Mover. At the end of the program, seg is still
+	// the last segment.
 	var (
+		cur      trajectory.Cursor
+		seg      *segment.Seg
 		odo      odometer
 		mov      motion.Mover
-		lastSeg  segment.Seg
-		haveSeg  bool
 		t, start float64
 	)
+	cur.Init(program)
+	defer cur.Close()
 	segs := 0
-	for seg := range program {
-		if len(active) == 0 {
-			return results, errs
+	for len(active) > 0 {
+		next, dur, plen, ok := cur.Pull()
+		if !ok {
+			break
 		}
+		seg = next
 		// The shared walk polls the context like the scalar loops do; on
 		// cancellation every still-active lane fails with the same error
 		// (finished lanes keep their results — they are already final).
@@ -91,15 +96,13 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 			return results, errs
 		}
 		segs++
-		dur, plen := seg.DurationAndLength()
 		segStart := start
 		start = segStart + dur
-		lastSeg, haveSeg = seg, true
 		if dur == 0 {
 			continue // a walker never surfaces zero-duration segments
 		}
 		odo.observe(segStart, dur, plen)
-		mov.Set(&seg, segStart, dur)
+		mov.Set(seg, segStart, dur)
 		sw := mov.StaticSweep(t)
 
 		// Compact the active set in place: kept aliases active's array, and
@@ -165,8 +168,8 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 		// Program exhausted before every horizon: the robot parks at its
 		// final position and each remaining lane sees a constant gap.
 		var finalPos geom.Vec
-		if haveSeg {
-			finalPos = lastSeg.End()
+		if cur.Consumed() > 0 {
+			finalPos = seg.End()
 		}
 		odo.halt()
 		mov.SetStatic(finalPos)
@@ -212,10 +215,10 @@ func finishSearchHorizon(res *Result, odo *odometer, mov *motion.Mover, horizon,
 // Tape is a rendezvous program recorded once and read by any number of
 // batch calls. Every lane walks the same raw local program, since frames
 // are applied at placement, so one tape can serve every row and every lane
-// chunk of a sweep: the program is generated once per tape, and each
-// segment's raw duration and length are computed once — the quantities
-// every lane's framed walk rescales with two multiplications
-// (segment.Frame.Scale).
+// chunk of a sweep: the program is generated once per tape, straight into
+// the tape's pages, with each segment's raw duration and length as its
+// generator supplies them — the quantities every lane's framed walk
+// rescales with two multiplications (segment.Frame.Scale).
 //
 // A Tape is safe for concurrent readers: Rendezvous may run on several
 // goroutines at once, each with its own lanes. Recorded segments live in
@@ -269,7 +272,7 @@ func (tp *Tape) init(program trajectory.Source) {
 	tp.dir.Store(&tp.head)
 }
 
-// Close releases the tape's cursor. No reader may be in flight.
+// Close stops the tape's cursor. No reader may be in flight.
 func (tp *Tape) Close() { tp.cur.Close() }
 
 // tapeSlot locates segment i: its page and the offset in that page.
@@ -299,16 +302,17 @@ func (tp *Tape) entry(i int) *tapeEntry {
 	return &(*tp.dir.Load())[page][off]
 }
 
-// record pulls segments from the cursor until segment i and the rest of
-// its tapeStep block are published, and reports whether segment i exists.
-// A new page is linked into the directory before the count that makes it
-// readable is published.
+// record pulls segments from the cursor, with the raw durations and
+// lengths it supplies, until segment i and the rest of its tapeStep block
+// are published, and reports whether segment i exists. A new page is
+// linked into the directory before the count that makes it readable is
+// published.
 func (tp *Tape) record(i int) bool {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	n := int(tp.n.Load())
 	for ; !tp.done && (n <= i || n%tapeStep != 0); n++ {
-		seg, ok := tp.cur.Next()
+		seg, dur, length, ok := tp.cur.Pull()
 		if !ok {
 			tp.done = true
 			break
@@ -317,9 +321,7 @@ func (tp *Tape) record(i int) bool {
 		if off == 0 {
 			tp.addPage(page)
 		}
-		e := &(*tp.dir.Load())[page][off]
-		e.seg = seg
-		e.dur, e.len = seg.DurationAndLength()
+		(*tp.dir.Load())[page][off] = tapeEntry{seg: *seg, dur: dur, len: length}
 	}
 	tp.n.Store(int64(n))
 	return i < n
@@ -396,7 +398,7 @@ func (tp *Tape) meet(ln *batch.Lanes, opt Options, validate bool, st *lanePair) 
 		}
 		lopt := opt
 		lopt.Horizon = ln.Horizon[i]
-		if lopt.Horizon <= 0 || in.R <= 0 {
+		if !(lopt.Horizon > 0) || !(in.R > 0) {
 			errs[i] = ErrBadOptions
 			continue
 		}

@@ -42,7 +42,7 @@ func searchPrograms() map[string]func() trajectory.Source {
 		"alg4":      algo.CumulativeSearch,
 		"truncated": func() trajectory.Source { return trajectory.Truncate(algo.CumulativeSearch(), 40) },
 		"circle":    func() trajectory.Source { return algo.SearchCircle(1.5) },
-		"empty":     func() trajectory.Source { return func(func(segment.Seg) bool) {} },
+		"empty":     func() trajectory.Source { return trajectory.FromSeq(func(func(segment.Seg) bool) {}) },
 	}
 }
 

@@ -14,18 +14,20 @@
 // are exact, so measured meeting times are directly comparable with the
 // paper's closed-form analysis.
 //
-// There are two walks, one per problem. Search drives the program
-// generator directly with a callback: one stream against a static target
-// needs no merge, no cursor and no second Mover. The rendezvous walk, meet,
-// merges two streams and is the one loop behind FirstMeetingFramed (and
-// so Rendezvous) and every lane of the batched rendezvous kernels. A
-// stream pulls value-typed segments either through its own
-// trajectory.Cursor — an explicit resumable cursor over the source, instead
-// of iter.Pull coroutines — or, on a batch lane, from a Tape of raw
-// segments shared by every lane that reads it. Both walks are
-// allocation-free per segment; the per-segment motions live in
-// caller-owned motion.Mover storage. Search is not folded into a one-lane SearchBatch because that
-// would add per-call lane slices to the hot path the allocation gates pin.
+// There are two walks, one per problem. Search pulls the program's
+// generator in one loop: one stream against a static target needs no merge
+// and no second Mover. The rendezvous walk, meet, merges two streams and is
+// the one loop behind FirstMeetingFramed (and so Rendezvous) and every lane
+// of the batched rendezvous kernels. A stream pulls value-typed segments
+// either from its own trajectory.Cursor — the program's generator state,
+// pulled directly, each segment read in the generator's storage with its
+// raw duration and length — or, on a batch lane, from a Tape of raw
+// segments shared by every lane that reads it. No walk generates a segment twice or recomputes a
+// duration its generator supplied. Both walks are allocation-free per
+// segment, and a walk's allocations do not grow with its length; the
+// per-segment motions live in caller-owned motion.Mover storage. Search is
+// not folded into a one-lane SearchBatch because that would add per-call
+// lane slices to the hot path the allocation gates pin.
 //
 // A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
 // whole walk, so it is placement state, not part of any segment: Rendezvous
@@ -121,7 +123,8 @@ func pollCtx(ctx context.Context, intervals int) error {
 	return nil
 }
 
-// ErrBadOptions is returned for a non-positive horizon or radius.
+// ErrBadOptions is returned for a horizon or radius that is not positive
+// (NaN included).
 var ErrBadOptions = errors.New("sim: horizon and radius must be positive")
 
 // Result reports the outcome of a simulation.
@@ -168,23 +171,23 @@ func detectOptions(opt Options, r float64) motion.Options {
 // its segments, the current segment placed on the absolute time axis, the
 // odometer, and the reusable motion storage.
 //
-// The segments come from the stream's own resumable cursor or, on a batch
-// lane, from a Tape shared by every lane that reads it. A tape segment is
-// read in place through a pointer into the tape, whose pages never move.
+// The segments come from the stream's own cursor, which hands out each one
+// with its raw duration and length in its generator's storage, or, on a
+// batch lane, from a Tape shared by every lane that reads it, whose pages
+// never move. Either way the stream reads the current segment in place.
 //
 // The source yields the robot's local program, and the robot's frame is
 // applied at placement: durations and lengths go through the Frame and the
 // motion through Mover.SetFramed.
 type stream struct {
 	cur      trajectory.Cursor
-	tp       *Tape      // the shared tape, when the stream replays one
-	idx      int        // index of the next tape segment
-	ent      *tapeEntry // the current tape segment
+	tp       *Tape        // the shared tape, when the stream replays one
+	idx      int          // index of the next tape segment
+	seg      *segment.Seg // the current segment (raw, local), read in place
 	fr       segment.Frame
-	seg      segment.Seg // current cursor segment (raw, local)
-	segDur   float64     // its global duration, computed once per segment
-	segLen   float64     // its global path length, computed once per segment
-	start    float64     // absolute start time of the current segment
+	segDur   float64 // its global duration: the pulled raw one, placed
+	segLen   float64 // its global path length: the pulled raw one, placed
+	start    float64 // absolute start time of the current segment
 	has      bool
 	finalPos geom.Vec
 	odo      odometer
@@ -218,13 +221,15 @@ func (s *stream) next() {
 		// (End() costs a sincos for arcs, so it is not computed per
 		// segment). The current segment is still the last one.
 		if s.has {
-			_, s.finalPos = s.fr.Endpoints(s.raw())
+			_, s.finalPos = s.fr.Endpoints(s.seg)
 		}
 		s.has = false
 		return
 	}
-	if raw := s.raw(); raw.Modulated() {
-		s.segDur, s.segLen = s.fr.DurationAndLength(raw)
+	// A modulated segment is placed from its payload: its dilation applies
+	// outside the frame's clock.
+	if s.seg.Modulated() {
+		s.segDur, s.segLen = s.fr.DurationAndLength(s.seg)
 	} else {
 		s.segDur, s.segLen = s.fr.Scale(s.segDur, s.segLen)
 	}
@@ -240,25 +245,16 @@ func (s *stream) pull() bool {
 		if e == nil {
 			return false
 		}
-		s.ent, s.segDur, s.segLen = e, e.dur, e.len
+		s.seg, s.segDur, s.segLen = &e.seg, e.dur, e.len
 		s.idx++
 		return true
 	}
-	seg, ok := s.cur.Next()
+	seg, dur, length, ok := s.cur.Pull()
 	if !ok {
 		return false
 	}
-	s.seg = seg
-	s.segDur, s.segLen = s.seg.DurationAndLength()
+	s.seg, s.segDur, s.segLen = seg, dur, length
 	return true
-}
-
-// raw returns the current segment as the source yielded it.
-func (s *stream) raw() *segment.Seg {
-	if s.tp != nil {
-		return &s.ent.seg
-	}
-	return &s.seg
 }
 
 // motionAt positions the stream's motion at absolute time t: it advances
@@ -281,7 +277,7 @@ func (s *stream) motionAt(t float64) {
 	}
 	s.odo.observe(s.start, s.segDur, s.segLen)
 	if advanced || s.end == 0 {
-		s.mov.SetFramed(s.raw(), &s.fr, s.start, s.segDur)
+		s.mov.SetFramed(s.seg, &s.fr, s.start, s.segDur)
 		s.end = s.start + s.segDur
 	}
 }
@@ -296,15 +292,14 @@ func (s *stream) close() { s.cur.Close() }
 //
 // The two streams are walked by one merged loop over value-typed segments:
 // each iteration holds one segment per robot, resolves first contact on the
-// overlap interval, and advances whichever stream ends first. No segment is
-// boxed and no pull coroutine runs; see trajectory.Cursor for how the push
-// generators are suspended and resumed.
+// overlap interval, and advances whichever stream ends first. Each stream
+// pulls its program's generator directly (trajectory.Cursor): no segment is
+// boxed, buffered or generated twice.
 func FirstMeetingFramed(programA trajectory.Source, fa segment.Frame, programB trajectory.Source, fb segment.Frame, r float64, opt Options) (Result, error) {
-	if opt.Horizon <= 0 || r <= 0 {
+	if !(opt.Horizon > 0) || !(r > 0) {
 		return Result{}, ErrBadOptions
 	}
-	// One allocation holds both streams: the cursors' cached collector
-	// closures capture pointers into it, so it escapes as a single object.
+	// One allocation holds both streams.
 	var w struct{ sa, sb stream }
 	w.sa.init(programA, &fa)
 	defer w.sa.close()
@@ -414,23 +409,28 @@ func (o *odometer) at(t float64) float64 {
 // at distance r. It returns the first detection time.
 //
 // The program is in the global frame, so its segments are placed as they
-// are (Mover.Set). It is walked with a plain callback loop — no cursor at
-// all — and the per-segment motion lives in a reused Mover, so the search
-// hot path performs no per-segment allocations.
+// are (Mover.Set). It is walked by one pull loop over the program's
+// generator, which supplies each segment's duration and length, and the
+// per-segment motion lives in a reused Mover, so the search hot path
+// performs no per-segment allocations.
 func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) (Result, error) {
-	if opt.Horizon <= 0 || r <= 0 {
+	if !(opt.Horizon > 0) || !(r > 0) {
 		return Result{}, ErrBadOptions
 	}
 	mopt := detectOptions(opt, r)
 	var tgt motion.Mover
 	tgt.SetStatic(target)
 
-	// The range-over-func loop body compiles to a closure over the walk
-	// state; keeping the state in one struct makes that a single capture
-	// (one allocation) instead of one heap box per local.
-	w := searchWalk{tgt: tgt, target: target, r: r, horizon: opt.Horizon, mopt: mopt, ctx: opt.Ctx}
-	for seg := range program {
-		if !w.step(&seg) {
+	w := &searchWalk{tgt: tgt, target: target, r: r, horizon: opt.Horizon, mopt: mopt, ctx: opt.Ctx}
+	w.cur.Init(program)
+	defer w.cur.Close()
+	for {
+		// At the end, w.seg is still the last segment.
+		seg, dur, plen, ok := w.cur.Pull()
+		if !ok {
+			break
+		}
+		if w.seg = seg; !w.step(dur, plen) {
 			break
 		}
 	}
@@ -441,8 +441,8 @@ func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) 
 		// The program was exhausted before the horizon: the robot parks at
 		// its final position and the gap is constant forever.
 		var finalPos geom.Vec
-		if w.haveSeg {
-			finalPos = w.lastSeg.End()
+		if w.cur.Consumed() > 0 {
+			finalPos = w.seg.End()
 		}
 		w.odo.halt()
 		w.res.Intervals++
@@ -459,11 +459,11 @@ func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) 
 
 // searchWalk is the mutable state of one Search walk.
 type searchWalk struct {
+	cur        trajectory.Cursor
+	seg        *segment.Seg // the current program segment
 	res        Result
 	odo        odometer
 	mov, tgt   motion.Mover
-	lastSeg    segment.Seg // last non-degenerate program segment seen
-	haveSeg    bool
 	retErr     error
 	t, start   float64
 	finished   bool // contact found, error, or horizon reached mid-stream
@@ -473,23 +473,21 @@ type searchWalk struct {
 	ctx        context.Context
 }
 
-// step processes one program segment and reports whether the walk wants
-// more segments.
-func (w *searchWalk) step(seg *segment.Seg) bool {
+// step processes the current program segment, of duration dur and length
+// plen, and reports whether the walk wants more segments.
+func (w *searchWalk) step(dur, plen float64) bool {
 	if err := pollCtx(w.ctx, w.res.Intervals); err != nil {
 		w.retErr = err
 		w.finished = true
 		return false
 	}
-	dur, plen := seg.DurationAndLength()
 	segStart := w.start
 	w.start = segStart + dur
-	w.lastSeg, w.haveSeg = *seg, true // End() is computed only on exhaustion
 	if dur == 0 {
 		return true // a walker never surfaces zero-duration segments
 	}
 	w.odo.observe(segStart, dur, plen)
-	w.mov.Set(seg, segStart, dur)
+	w.mov.Set(w.seg, segStart, dur)
 	intervalEnd := math.Min(w.horizon, segStart+dur)
 	w.res.Intervals++
 	hit, found, err := motion.Contact(&w.mov, &w.tgt, w.r, w.t, intervalEnd, w.mopt)
@@ -529,7 +527,7 @@ func (in Instance) Validate() error {
 	if err := in.Attrs.Validate(); err != nil {
 		return err
 	}
-	if in.R <= 0 {
+	if !(in.R > 0) {
 		return errors.New("sim: visibility radius must be positive")
 	}
 	if in.D == (geom.Vec{}) {
@@ -547,7 +545,7 @@ var referenceFrame = frame.Reference().Frame(geom.Zero)
 // displacement in.D under in.Attrs. Rendezvous is declared when their
 // distance first drops to in.R.
 //
-// Each robot walks the local program through its own cursor and applies its
+// Each robot pulls the local program through its own cursor and applies its
 // frame at placement (FirstMeetingFramed).
 func Rendezvous(program trajectory.Source, in Instance, opt Options) (Result, error) {
 	return RendezvousAsymmetric(program, program, in, opt)

@@ -75,17 +75,17 @@ func TestRunEmptyAndErrors(t *testing.T) {
 }
 
 // TestRunPartialFailure: one failing job aborts the run, the reported error
-// is the failing job's, and it carries the job index.
+// is the failing job's, and it carries the job index. The abort is checked
+// on the claim loop itself, without timing: every job after the failing one
+// waits until the loop's stop flag is set, so a worker runs at most one
+// such job, and no more than 6 + workers of the 1000 jobs ever start.
 func TestRunPartialFailure(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		var executed atomic.Int64
 		_, err := RunSampled(1000, func(i int, _ sampler.Draws) (int, error) {
-			executed.Add(1)
 			if i == 5 {
 				return 0, fmt.Errorf("job 5: %w", boom)
 			}
-			time.Sleep(time.Microsecond)
 			return i, nil
 		}, Options{Workers: workers})
 		if !errors.Is(err, boom) {
@@ -95,9 +95,30 @@ func TestRunPartialFailure(t *testing.T) {
 		if !errors.As(err, &je) || je.Index != 5 {
 			t.Fatalf("workers=%d: err = %#v, want JobError{Index: 5}", workers, err)
 		}
+
 		// The failure must abort the batch: nowhere near all 1000 jobs ran.
-		if n := executed.Load(); n == 1000 {
-			t.Errorf("workers=%d: all jobs executed despite early failure", workers)
+		var executed atomic.Int64
+		c := &claims{ctx: context.Background(), owned: 1000}
+		c.job = func(i int) error {
+			executed.Add(1)
+			if i == 5 {
+				return fmt.Errorf("job 5: %w", boom)
+			}
+			for i > 5 && !c.stop.Load() {
+				runtime.Gosched()
+			}
+			return nil
+		}
+		for range workers {
+			c.wg.Add(1)
+			go func() { defer c.wg.Done(); c.work() }()
+		}
+		c.wg.Wait()
+		if c.failed != 5 || !errors.Is(c.err, boom) {
+			t.Fatalf("workers=%d: claim loop failed at %d with %v, want job 5's boom", workers, c.failed, c.err)
+		}
+		if n, most := executed.Load(), int64(6+workers); n > most {
+			t.Errorf("workers=%d: %d jobs executed despite early failure, want at most %d", workers, n, most)
 		}
 	}
 }

@@ -2,24 +2,27 @@ package trajectory
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/segment"
 )
 
-// counting returns an infinite source of unit lines whose i-th segment runs
-// from (i,0) to (i+1,0), and a counter of generator invocations.
-func counting(invocations *int) Source {
-	return func(yield func(segment.Seg) bool) {
+// counting returns an infinite push source of unit lines whose i-th
+// segment runs from (i,0) to (i+1,0), adapted by FromSeq, and counters of
+// generator invocations and returns.
+func counting(invocations, returns *int) Source {
+	return FromSeq(func(yield func(segment.Seg) bool) {
 		*invocations++
+		defer func() { *returns++ }()
 		for i := 0; ; i++ {
 			from := geom.V(float64(i), 0)
 			if !yield(segment.UnitLine(from, from.Add(geom.V(1, 0))).Seg()) {
 				return
 			}
 		}
-	}
+	})
 }
 
 func TestCursorOrderAndExhaustion(t *testing.T) {
@@ -47,60 +50,43 @@ func TestCursorOrderAndExhaustion(t *testing.T) {
 	}
 }
 
-// TestCursorRestartSkip drives the cursor past several window refills and
-// checks that the restart-skip resume hands out exactly the generator's
-// sequence, in order, with no duplicates or gaps.
-func TestCursorRestartSkip(t *testing.T) {
-	invocations := 0
-	c := NewCursor(counting(&invocations))
-	defer c.Close()
-	const n = cursorInitialBuf*4 + 7 // forces at least two refills
+// TestCursorPushAdapterCloseMidStream walks a push closure far through
+// FromSeq's adapter: the cursor hands out the exact sequence with its
+// durations and lengths from one invocation of the closure, and Close
+// mid-stream unwinds the closure before it returns.
+func TestCursorPushAdapterCloseMidStream(t *testing.T) {
+	invocations, returns := 0, 0
+	c := NewCursor(counting(&invocations, &returns))
+	const n = 2*8192 + 123
 	for i := 0; i < n; i++ {
-		seg, ok := c.Next()
+		seg, dur, length, ok := c.Pull()
 		if !ok {
-			t.Fatalf("Next %d: exhausted", i)
+			t.Fatalf("Pull %d: exhausted", i)
 		}
 		if got := seg.Start(); got != geom.V(float64(i), 0) {
 			t.Fatalf("segment %d starts at %v, want (%d,0)", i, got, i)
 		}
-	}
-	if invocations < 2 {
-		t.Errorf("expected restart-skip re-invocations, generator ran %d time(s)", invocations)
-	}
-}
-
-// TestCursorStreamingEscape walks far past the streaming threshold: the
-// cursor must hand generation to the batching producer and still deliver the
-// exact sequence.
-func TestCursorStreamingEscape(t *testing.T) {
-	invocations := 0
-	c := NewCursor(counting(&invocations))
-	defer c.Close()
-	const n = cursorStreamAtLeast*2 + 123
-	for i := 0; i < n; i++ {
-		seg, ok := c.Next()
-		if !ok {
-			t.Fatalf("Next %d: exhausted", i)
-		}
-		if got := seg.Start(); got != geom.V(float64(i), 0) {
-			t.Fatalf("segment %d starts at %v, want (%d,0)", i, got, i)
+		if d, l := seg.DurationAndLength(); dur != d || length != l {
+			t.Fatalf("segment %d: pulled (%v, %v), DurationAndLength (%v, %v)", i, dur, length, d, l)
 		}
 	}
-	if !c.streaming {
-		t.Error("cursor did not escape to streaming past the threshold")
+	if invocations != 1 || returns != 0 {
+		t.Errorf("closure invoked %d times and returned %d times, want 1 and 0", invocations, returns)
 	}
-	// Close mid-stream: the producer must stop (it unwinds on the stop
-	// signal at its next send; nothing to assert beyond not deadlocking).
 	c.Close()
+	if returns != 1 {
+		t.Error("Close did not unwind the push closure")
+	}
 	if _, ok := c.Next(); ok {
 		t.Error("Next after Close reported a segment")
 	}
+	c.Close() // a second Close is a no-op
 }
 
-// TestCursorFiniteAcrossRefills: a finite source longer than one window is
-// fully delivered and then reports exhaustion.
+// TestCursorFiniteAcrossRefills: a finite source of a few hundred segments
+// is fully delivered and then reports exhaustion.
 func TestCursorFiniteAcrossRefills(t *testing.T) {
-	const n = cursorInitialBuf*3 + 5
+	const n = 3*64 + 5
 	segs := make([]segment.Seg, n)
 	for i := range segs {
 		from := geom.V(float64(i), 0)
@@ -128,11 +114,11 @@ func TestCursorEmptySource(t *testing.T) {
 	}
 }
 
-// walkAndClose pulls n segments from a fresh cursor over an infinite source
-// and closes it mid-stream.
+// walkAndClose pulls n segments from a fresh cursor over an infinite push
+// source and closes it mid-stream.
 func walkAndClose(t *testing.T, n int) {
-	invocations := 0
-	c := NewCursor(counting(&invocations))
+	invocations, returns := 0, 0
+	c := NewCursor(counting(&invocations, &returns))
 	for i := range n {
 		if _, ok := c.Next(); !ok {
 			t.Fatalf("Next %d: exhausted", i)
@@ -141,23 +127,22 @@ func walkAndClose(t *testing.T, n int) {
 	c.Close()
 }
 
-// TestCursorStreamAllocsIndependentOfLength: once streaming, a walk
-// allocates nothing per batch — the stream recycles a fixed set of batches —
-// so a 2×10⁵-segment and a 5×10⁵-segment walk allocate the same number of
-// objects. Each walk ends with a Close in the middle of the stream. The
-// count is the fewest over several walks: under the race detector sync.Pool
-// drops a random quarter of its puts, so a walk may reallocate its pooled
-// first window.
-func TestCursorStreamAllocsIndependentOfLength(t *testing.T) {
+// TestCursorAllocsIndependentOfLength: a cursor allocates nothing per
+// segment, even over FromSeq's pull coroutine, so a 2×10⁵-segment and a
+// 5×10⁵-segment walk allocate the same number of objects. Each walk ends
+// with a Close in the middle of the stream. The count is the fewest over
+// several walks, with the collector off.
+func TestCursorAllocsIndependentOfLength(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fewest := func(n int) float64 {
 		best := math.Inf(1)
-		for range 8 {
+		for range 4 {
 			best = min(best, testing.AllocsPerRun(1, func() { walkAndClose(t, n) }))
 		}
 		return best
 	}
 	short, long := fewest(200_000), fewest(500_000)
 	if short != long {
-		t.Errorf("streaming walk allocs grow with length: %v for 2e5 segments, %v for 5e5", short, long)
+		t.Errorf("cursor walk allocs grow with length: %v for 2e5 segments, %v for 5e5", short, long)
 	}
 }

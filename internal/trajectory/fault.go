@@ -13,7 +13,8 @@ import (
 //
 // Every time argument is in the source's own clock. Applied to a robot's
 // local program, the fault happens at that local time; under a frame with
-// clock dilation τ it is seen at global time τ·t.
+// clock dilation τ it is seen at global time τ·t. Each combinator is a
+// generator over its source's generator, and uses the durations it pulls.
 
 // CutAt truncates src at exactly time t: segments before t pass through
 // unchanged, the segment straddling t is split exactly (segment.Prefix), and
@@ -21,24 +22,38 @@ import (
 // crash fault. A non-positive t pins the robot at its starting position (it
 // crashed before moving).
 func CutAt(src Source, t float64) Source {
-	return func(yield func(segment.Seg) bool) {
-		var elapsed float64
-		for s := range src {
-			if t <= 0 {
-				yield(segment.Wait{At: s.Start()}.Seg())
-				return
-			}
-			d := s.Duration()
-			if elapsed+d >= t {
-				yield(segment.Prefix(s, t-elapsed))
-				return
-			}
-			if !yield(s) {
-				return
-			}
-			elapsed += d
-		}
+	return New(func() Gen { return &cutGen{inner: inner{src.Start()}, t: t} })
+}
+
+// cutGen is CutAt's generator.
+type cutGen struct {
+	inner
+	t, elapsed float64
+	done       bool
+	seg        segment.Seg
+}
+
+func (g *cutGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	if g.done {
+		return nil, 0, 0, false
 	}
+	in, d, l, ok := g.in.Next()
+	if !ok {
+		g.done = true
+		return nil, 0, 0, false
+	}
+	switch {
+	case g.t <= 0:
+		g.seg = segment.Wait{At: in.Start()}.Seg()
+	case g.elapsed+d >= g.t:
+		g.seg = segment.Prefix(*in, g.t-g.elapsed)
+	default:
+		g.elapsed += d
+		return in, d, l, true
+	}
+	g.done = true
+	dur, length = g.seg.DurationAndLength()
+	return &g.seg, dur, length, true
 }
 
 // DelayStart prepends a wait of length delay at the trajectory's starting
@@ -47,23 +62,40 @@ func DelayStart(src Source, delay float64) Source {
 	if delay <= 0 {
 		return src
 	}
-	return func(yield func(segment.Seg) bool) {
-		first := true
-		for s := range src {
-			if first {
-				first = false
-				if !yield(segment.NewWait(s.Start(), delay).Seg()) {
-					return
-				}
-			}
-			if !yield(s) {
-				return
-			}
+	return New(func() Gen { return &delayGen{inner: inner{src.Start()}, delay: delay} })
+}
+
+// delayGen is DelayStart's generator: it pulls the first segment to place
+// the wait, and holds it until the wait has been handed out.
+type delayGen struct {
+	inner
+	delay      float64
+	state      int // 0: before the wait, 1: holding first, 2: passing through, 3: ended
+	wait       segment.Seg
+	first      *segment.Seg
+	fdur, flen float64
+}
+
+func (g *delayGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	switch g.state {
+	case 0:
+		at := geom.Zero // an empty inner source still emits the wait at the origin
+		var ok bool
+		if g.first, g.fdur, g.flen, ok = g.in.Next(); ok {
+			at = g.first.Start()
+			g.state = 1
+		} else {
+			g.state = 3
 		}
-		if first {
-			// Empty inner source: still emit the wait at the origin.
-			yield(segment.NewWait(geom.Zero, delay).Seg())
-		}
+		g.wait.SetWait(at, g.delay)
+		return &g.wait, g.delay, 0, true
+	case 1:
+		g.state = 2
+		return g.first, g.fdur, g.flen, true
+	case 2:
+		return g.in.Next()
+	default:
+		return nil, 0, 0, false
 	}
 }
 
@@ -76,35 +108,48 @@ func FreezeDuring(src Source, from, to float64) Source {
 	if to <= from {
 		return src
 	}
-	return func(yield func(segment.Seg) bool) {
-		var elapsed float64
-		frozen := false
-		for s := range src {
-			d := s.Duration()
-			if !frozen && from < elapsed+d {
-				// Split at the freeze point, insert the outage wait, then
-				// emit the remainder of this segment.
-				pre := segment.Prefix(s, from-elapsed)
-				if pre.Duration() > 0 {
-					if !yield(pre) {
-						return
-					}
-				}
-				at := s.Position(from - elapsed)
-				if !yield(segment.NewWait(at, to-from).Seg()) {
-					return
-				}
-				if !yield(segment.Suffix(s, from-elapsed)) {
-					return
-				}
-				frozen = true
-				elapsed += d
-				continue
-			}
-			if !yield(s) {
-				return
-			}
-			elapsed += d
-		}
+	return New(func() Gen { return &freezeGen{inner: inner{src.Start()}, from: from, to: to} })
+}
+
+// freezeGen is FreezeDuring's generator. When the segment straddling from
+// arrives it hands out the part before from (if any), the outage wait and
+// the remainder from its own storage.
+type freezeGen struct {
+	inner
+	from, to, elapsed float64
+	frozen            bool
+	parts             [3]segment.Seg // before from, the outage, the remainder
+	part              int            // next of parts to hand out
+}
+
+func (g *freezeGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	if g.frozen && g.part < len(g.parts) {
+		seg = &g.parts[g.part]
+		g.part++
+		dur, length = seg.DurationAndLength()
+		return seg, dur, length, true
 	}
+	in, d, l, ok := g.in.Next()
+	if !ok {
+		return nil, 0, 0, false
+	}
+	if g.frozen || !(g.from < g.elapsed+d) {
+		g.elapsed += d
+		return in, d, l, true
+	}
+	// Split at the freeze point, insert the outage wait, then emit the
+	// remainder of this segment. An empty part before from is skipped.
+	at := g.from - g.elapsed
+	g.frozen = true
+	g.parts[0] = segment.Prefix(*in, at)
+	g.parts[1] = segment.NewWait(in.Position(at), g.to-g.from).Seg()
+	g.parts[2] = segment.Suffix(*in, at)
+	g.elapsed += d
+	if dur, length = g.parts[0].DurationAndLength(); dur > 0 {
+		g.part = 1
+		return &g.parts[0], dur, length, true
+	}
+	g.part = 2
+	dur, length = g.parts[1].DurationAndLength()
+	return &g.parts[1], dur, length, true
 }

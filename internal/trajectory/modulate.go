@@ -26,14 +26,24 @@ func ModulateSpeed(src Source, factors []float64) Source {
 			panic(fmt.Sprintf("trajectory: ModulateSpeed with non-positive factor %v", f))
 		}
 	}
-	return func(yield func(segment.Seg) bool) {
-		i := 0
-		for s := range src {
-			f := factors[i%len(factors)]
-			i++
-			if !yield(s.Dilated(1 / f)) {
-				return
-			}
-		}
+	return New(func() Gen { return &modulateGen{inner: inner{src.Start()}, factors: factors} })
+}
+
+// modulateGen is ModulateSpeed's generator. A dilation m multiplies the
+// pulled duration exactly as Seg.Duration applies it.
+type modulateGen struct {
+	inner
+	factors []float64
+	i       int
+	seg     segment.Seg
+}
+
+func (g *modulateGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	if seg, dur, length, ok = g.in.Next(); !ok {
+		return nil, 0, 0, false
 	}
+	m := 1 / g.factors[g.i%len(g.factors)]
+	g.i++
+	g.seg = seg.Dilated(m)
+	return &g.seg, dur * m, length, true
 }

@@ -53,14 +53,18 @@ func (p *Path) Close() {
 // source is exhausted.
 func (p *Path) extendTo(t float64) {
 	for !p.exhausted && p.total <= t {
-		seg, ok := p.cur.Next()
+		seg, d, l, ok := p.cur.Pull()
 		if !ok {
 			p.exhausted = true
 			p.cur.Close()
 			return
 		}
-		d, _ := p.fr.DurationAndLength(&seg)
-		p.segs = append(p.segs, timed{seg: seg, start: p.total, end: p.total + d})
+		if seg.Modulated() {
+			d, _ = p.fr.DurationAndLength(seg)
+		} else {
+			d, _ = p.fr.Scale(d, l)
+		}
+		p.segs = append(p.segs, timed{seg: *seg, start: p.total, end: p.total + d})
 		p.total += d
 	}
 }

@@ -1,15 +1,17 @@
 // Package trajectory turns streams of motion segments into queryable paths.
 //
 // The paper's algorithms (Section 2: Algorithms 1-4; Section 4: Algorithms
-// 5-7) are unbounded loops, so trajectories are represented lazily as
-// callback-push generators of value-typed segments (Source). Pushing a
-// segment.Seg through a callback moves a struct — no per-segment interface
-// boxing, no heap allocation — which is what lets the simulator walk
-// millions of segments allocation-free. Pull-style consumption (the
-// simulator's merged two-stream walk, the gathering walk, Path) is built on
-// Cursor, an explicit resumable cursor that buffers a window of upcoming
-// segments and re-invokes or streams the generator as needed — no
-// iter.Pull, no per-segment coroutine switches.
+// 5-7) are unbounded loops, so a program is represented lazily, as a Source
+// that starts generators. A generator (Gen) is the program's explicit loop
+// state: each Next returns the following value-typed segment.Seg, in the
+// generator's own storage, with its raw duration and path length, so a
+// walk never recomputes them and never boxes or copies a segment it does
+// not keep.
+// Pulling is the native form: Cursor, the simulator's merged two-stream
+// walk, the batch tape, the gathering walk and Path all pull generators
+// directly, one segment at a time, with no buffering, no re-generation and
+// no goroutine. Source.All is the push view for range loops, and FromSeq
+// adapts a push closure (an iter.Seq) through iter.Pull.
 //
 // A Source is a program in its own frame and clock. A robot's frame is not
 // applied to the stream: walks place each raw segment under the robot's
@@ -26,37 +28,146 @@ import (
 	"repro/internal/segment"
 )
 
-// Source is a lazy, possibly infinite stream of motion segments: a callback
-// generator func(yield func(segment.Seg) bool) that pushes segments until
-// told to stop. Each segment is assumed to start where the previous one
-// ended (continuity); CheckContinuity verifies this for tests.
+// Gen is a program's generator state. Next advances to the program's next
+// segment and returns it with its raw duration and path length, bit for
+// bit the values seg.DurationAndLength() returns; ok is false once a finite
+// program is exhausted, and stays false. The segment belongs to the
+// generator and must not be modified. It stays valid until the next call
+// that reports ok, so after the end a walk can still read the last one.
 //
-// Sources must be pure: re-invoking one yields the same segments. Cursor
-// relies on this to resume after a suspension by re-running the generator
-// and skipping the consumed prefix.
-type Source = iter.Seq[segment.Seg]
+// A generator that holds resources (FromSeq's pull coroutine) also has a
+// Stop method; Stop(g) calls it, and every generator that pulls another
+// forwards it.
+type Gen interface {
+	Next() (seg *segment.Seg, dur, length float64, ok bool)
+}
 
-// FromSlice returns a finite Source yielding the given segments in order.
-func FromSlice(segs []segment.Seg) Source {
+// Stop releases g's resources, if it holds any. g must not be used after.
+func Stop(g Gen) {
+	if s, ok := g.(interface{ Stop() }); ok {
+		s.Stop()
+	}
+}
+
+// Source is a lazy, possibly infinite program: a reusable description that
+// starts independent generators over the same segment sequence. Each
+// segment is assumed to start where the previous one ended (continuity);
+// CheckContinuity verifies this for tests. The zero Source is empty.
+type Source struct {
+	start func() Gen
+}
+
+// New returns the Source whose generators start returns. Every call of
+// start must return a fresh generator at the program's first segment.
+func New(start func() Gen) Source { return Source{start: start} }
+
+// Start returns a fresh generator at the program's first segment.
+func (s Source) Start() Gen {
+	if s.start == nil {
+		return &sliceGen{}
+	}
+	return s.start()
+}
+
+// All returns the push view of the program, for range loops.
+func (s Source) All() iter.Seq[segment.Seg] {
 	return func(yield func(segment.Seg) bool) {
-		for _, s := range segs {
-			if !yield(s) {
+		g := s.Start()
+		defer Stop(g)
+		for {
+			if seg, _, _, ok := g.Next(); !ok || !yield(*seg) {
 				return
 			}
 		}
 	}
 }
 
+// FromSeq adapts a push closure into a Source: each generator runs seq once
+// through iter.Pull, so seq must yield the same segments every time it is
+// invoked. Durations and lengths come from Seg.DurationAndLength.
+func FromSeq(seq iter.Seq[segment.Seg]) Source {
+	return New(func() Gen {
+		next, stop := iter.Pull(seq)
+		return &pullGen{next: next, stop: stop}
+	})
+}
+
+// pullGen is FromSeq's generator over an iter.Pull coroutine.
+type pullGen struct {
+	next func() (segment.Seg, bool)
+	stop func()
+	seg  segment.Seg
+}
+
+func (g *pullGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	s, ok := g.next()
+	if !ok {
+		return nil, 0, 0, false
+	}
+	g.seg = s
+	dur, length = g.seg.DurationAndLength()
+	return &g.seg, dur, length, true
+}
+
+func (g *pullGen) Stop() { g.stop() }
+
+// FromSlice returns a finite Source yielding the given segments in order.
+func FromSlice(segs []segment.Seg) Source {
+	return New(func() Gen { return &sliceGen{segs: segs} })
+}
+
+// sliceGen is FromSlice's generator.
+type sliceGen struct {
+	segs []segment.Seg
+	i    int
+}
+
+func (g *sliceGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	if g.i == len(g.segs) {
+		return nil, 0, 0, false
+	}
+	seg = &g.segs[g.i]
+	g.i++
+	dur, length = seg.DurationAndLength()
+	return seg, dur, length, true
+}
+
+// inner is embedded by every generator that pulls another one: it holds
+// the generator pulled now and forwards Stop to it.
+type inner struct{ in Gen }
+
+func (w *inner) Stop() {
+	if w.in != nil {
+		Stop(w.in)
+	}
+}
+
 // Concat returns a Source yielding all segments of each source in turn.
 func Concat(sources ...Source) Source {
-	return func(yield func(segment.Seg) bool) {
-		for _, src := range sources {
-			for s := range src {
-				if !yield(s) {
-					return
-				}
+	return New(func() Gen { return &concatGen{sources: sources} })
+}
+
+// concatGen is Concat's generator; in pulls sources[next-1].
+type concatGen struct {
+	inner
+	sources []Source
+	next    int
+}
+
+func (g *concatGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	for {
+		if g.in != nil {
+			if seg, dur, length, ok = g.in.Next(); ok {
+				return seg, dur, length, true
 			}
+			Stop(g.in)
+			g.in = nil
 		}
+		if g.next == len(g.sources) {
+			return nil, 0, 0, false
+		}
+		g.in = g.sources[g.next].Start()
+		g.next++
 	}
 }
 
@@ -64,14 +175,26 @@ func Concat(sources ...Source) Source {
 // the "repeat with increasing round number" control structure of
 // Algorithms 4 and 7.
 func Repeat(gen func(round int) Source) Source {
-	return func(yield func(segment.Seg) bool) {
-		for round := 1; ; round++ {
-			for s := range gen(round) {
-				if !yield(s) {
-					return
-				}
+	return New(func() Gen { return &repeatGen{gen: gen} })
+}
+
+// repeatGen is Repeat's generator; in pulls gen(round).
+type repeatGen struct {
+	inner
+	gen   func(round int) Source
+	round int
+}
+
+func (g *repeatGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	for {
+		if g.in != nil {
+			if seg, dur, length, ok = g.in.Next(); ok {
+				return seg, dur, length, true
 			}
+			Stop(g.in)
 		}
+		g.round++
+		g.in = g.gen(g.round).Start()
 	}
 }
 
@@ -79,18 +202,27 @@ func Repeat(gen func(round int) Source) Source {
 // maxDuration; the final segment is yielded whole (not cut), so the total
 // duration may overshoot by at most one segment.
 func Truncate(src Source, maxDuration float64) Source {
-	return func(yield func(segment.Seg) bool) {
-		var elapsed float64
-		for s := range src {
-			if elapsed >= maxDuration {
-				return
-			}
-			if !yield(s) {
-				return
-			}
-			elapsed += s.Duration()
-		}
+	return New(func() Gen { return &truncateGen{inner: inner{src.Start()}, max: maxDuration} })
+}
+
+// truncateGen is Truncate's generator.
+type truncateGen struct {
+	inner
+	elapsed, max float64
+	done         bool
+}
+
+func (g *truncateGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	if g.done || g.elapsed >= g.max {
+		g.done = true
+		return nil, 0, 0, false
 	}
+	if seg, dur, length, ok = g.in.Next(); !ok {
+		g.done = true
+		return nil, 0, 0, false
+	}
+	g.elapsed += dur
+	return seg, dur, length, true
 }
 
 // Stationary returns a Source describing a robot that never moves from p.
@@ -104,26 +236,34 @@ func Stationary(p geom.Vec) Source {
 
 // Duration returns the total duration of a finite source.
 func Duration(src Source) float64 {
-	var total float64
-	for s := range src {
-		total += s.Duration()
-	}
-	return total
+	d, _ := totals(src)
+	return d
 }
 
 // PathLength returns the total path length of a finite source.
 func PathLength(src Source) float64 {
-	var total float64
-	for s := range src {
-		total += s.PathLength()
+	_, l := totals(src)
+	return l
+}
+
+// totals sums the durations and path lengths src's generator supplies.
+func totals(src Source) (dur, length float64) {
+	g := src.Start()
+	defer Stop(g)
+	for {
+		_, d, l, ok := g.Next()
+		if !ok {
+			return dur, length
+		}
+		dur += d
+		length += l
 	}
-	return total
 }
 
 // Collect materialises a finite source into a slice.
 func Collect(src Source) []segment.Seg {
 	var segs []segment.Seg
-	for s := range src {
+	for s := range src.All() {
 		segs = append(segs, s)
 	}
 	return segs
@@ -135,7 +275,7 @@ func Collect(src Source) []segment.Seg {
 func CheckContinuity(src Source) (maxGap float64, n int) {
 	first := true
 	var prevEnd geom.Vec
-	for s := range src {
+	for s := range src.All() {
 		if !first {
 			if gap := s.Start().Dist(prevEnd); gap > maxGap {
 				maxGap = gap

@@ -39,7 +39,7 @@ func TestConcat(t *testing.T) {
 func TestConcatEarlyStop(t *testing.T) {
 	a := FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 2, 0)})
 	var n int
-	for range Concat(a, a) {
+	for range Concat(a, a).All() {
 		n++
 		if n == 3 {
 			break
@@ -55,7 +55,7 @@ func TestRepeatIsInfinite(t *testing.T) {
 		return FromSlice([]segment.Seg{segment.NewWait(geom.Zero, float64(round)).Seg()})
 	})
 	var rounds []float64
-	for s := range src {
+	for s := range src.All() {
 		rounds = append(rounds, s.Duration())
 		if len(rounds) == 5 {
 			break
@@ -216,7 +216,7 @@ func TestPathSegmentAt(t *testing.T) {
 
 func TestPathLazyConsumption(t *testing.T) {
 	pulled := 0
-	src := Source(func(yield func(segment.Seg) bool) {
+	src := FromSeq(func(yield func(segment.Seg) bool) {
 		for i := 0; ; i++ {
 			pulled++
 			from := geom.V(float64(i), 0)
@@ -229,14 +229,13 @@ func TestPathLazyConsumption(t *testing.T) {
 	p := NewPath(src, nil)
 	defer p.Close()
 	p.Position(2.5)
-	// The cursor buffers one read-ahead window (64 segments) in a single
-	// generator invocation; laziness now means "bounded read-ahead", not
-	// "exactly as many as queried".
-	if pulled > 65 {
-		t.Errorf("pulled %d segments for a query at t=2.5, want <= one cursor window", pulled)
+	// The path pulls exactly the segments up to the queried time: [0,1),
+	// [1,2) and [2,3).
+	if pulled != 3 {
+		t.Errorf("pulled %d segments for a query at t=2.5, want 3", pulled)
 	}
-	if c := p.CachedSegments(); c < 3 {
-		t.Errorf("cached %d segments, want >= 3", c)
+	if c := p.CachedSegments(); c != 3 {
+		t.Errorf("cached %d segments, want 3", c)
 	}
 }
 

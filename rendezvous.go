@@ -78,7 +78,12 @@ type Attributes = frame.Attributes
 func Reference() Attributes { return frame.Reference() }
 
 // Trajectory is a robot program: a lazy (possibly infinite) stream of exact
-// motion segments in the robot's own reference frame.
+// motion segments in the robot's own reference frame. A simulation starts a
+// fresh generator from it for each robot and pulls segments one at a time
+// (see trajectory.Source); the algorithms here are written as pull
+// generators. A program written as a push closure over segments,
+// func(yield func(segment.Seg) bool), becomes a Trajectory through
+// trajectory.FromSeq, which runs the closure under iter.Pull.
 type Trajectory = trajectory.Source
 
 // Instance describes one rendezvous instance: R′'s attributes, the initial
@@ -154,7 +159,7 @@ func SearchTimeBound(d, r float64) float64 { return bounds.SearchTimeBound(d, r)
 // infeasible — Section 1 of the paper — so an external budget is the only
 // stopping rule).
 func RendezvousAuto(program Trajectory, in Instance, initialHorizon, maxHorizon float64) (Result, error) {
-	if initialHorizon <= 0 || maxHorizon < initialHorizon {
+	if !(initialHorizon > 0) || !(maxHorizon >= initialHorizon) {
 		return Result{}, sim.ErrBadOptions
 	}
 	var res Result
