@@ -50,11 +50,63 @@ func TestCursorOrderAndExhaustion(t *testing.T) {
 	}
 }
 
-// TestCursorPushAdapterCloseMidStream walks a push closure far through
-// FromSeq's adapter: the cursor hands out the exact sequence with its
-// durations and lengths from one invocation of the closure, and Close
-// mid-stream unwinds the closure before it returns.
-func TestCursorPushAdapterCloseMidStream(t *testing.T) {
+// countingGen is a pull-native infinite generator of the unit lines that
+// counting yields.
+type countingGen struct {
+	i   int
+	seg segment.Seg
+}
+
+func (g *countingGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
+	from := geom.V(float64(g.i), 0)
+	g.seg.SetLine(from, from.Add(geom.V(1, 0)), 1)
+	g.i++
+	dur, length = g.seg.DurationAndLength()
+	return &g.seg, dur, length, true
+}
+
+// TestCursorRestartSkip drives a cursor over a pull-native generator far
+// past a few hundred segments: it hands out exactly the generator's
+// sequence, in order, with no duplicates or gaps, from one start of the
+// source (the cursor never restarts it and skips a consumed prefix). A
+// second cursor over the same source starts again at the first segment.
+func TestCursorRestartSkip(t *testing.T) {
+	starts := 0
+	src := New(func() Gen { starts++; return &countingGen{} })
+	c := NewCursor(src)
+	defer c.Close()
+	const n = 4*8192 + 7
+	for i := 0; i < n; i++ {
+		seg, ok := c.Next()
+		if !ok {
+			t.Fatalf("Next %d: exhausted", i)
+		}
+		if got := seg.Start(); got != geom.V(float64(i), 0) {
+			t.Fatalf("segment %d starts at %v, want (%d,0)", i, got, i)
+		}
+	}
+	if starts != 1 {
+		t.Errorf("source started %d times for one cursor, want 1", starts)
+	}
+	if c.Consumed() != n {
+		t.Errorf("Consumed = %d, want %d", c.Consumed(), n)
+	}
+	again := NewCursor(src)
+	defer again.Close()
+	if seg, ok := again.Next(); !ok || seg.Start() != geom.Zero {
+		t.Errorf("second cursor: ok=%v, first segment starts at %v, want origin", ok, seg.Start())
+	}
+	if starts != 2 {
+		t.Errorf("source started %d times for two cursors, want 2", starts)
+	}
+}
+
+// TestCursorStreamingEscape walks a push closure far through FromSeq's
+// adapter, the one cursor path that streams from a coroutine: the cursor
+// hands out the exact sequence with its durations and lengths from one
+// invocation of the closure, and Close mid-stream unwinds the closure
+// before it returns.
+func TestCursorStreamingEscape(t *testing.T) {
 	invocations, returns := 0, 0
 	c := NewCursor(counting(&invocations, &returns))
 	const n = 2*8192 + 123
