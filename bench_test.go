@@ -1,7 +1,7 @@
 package rendezvous
 
-// The benchmark harness regenerates every experiment table (see DESIGN.md's
-// per-experiment index): one benchmark per table E1-E9 plus the ablations
+// The benchmark harness regenerates every experiment table (see
+// experiments.All for the index): one benchmark per table E1-E9 plus the ablations
 // A1-A3, and micro-benchmarks of the simulation engine. Run with
 //
 //	go test -bench=. -benchmem

@@ -1,14 +1,15 @@
 // Command experiments regenerates every experiment table of the
 // reproduction: E1-E9 reproduce the paper's quantitative claims (theorem
 // bounds, phase schedules, feasibility grid, baselines), E10-E16 are
-// extensions, and A1-A3 ablate our own design choices. See DESIGN.md for
-// the per-experiment index and EXPERIMENTS.md for a recorded reference run.
+// extensions, and A1-A3 ablate our own design choices. See experiments.All
+// for the per-experiment index; internal/experiments/testdata holds a
+// recorded reference run.
 //
 // Usage:
 //
 //	experiments [-run ID] [-markdown] [-workers N] [-seed S] [-samples K]
 //	            [-sampler NAME]
-//	            [-batch=false] [-cache] [-cachefile F] [-cachesize N]
+//	            [-cache] [-cachefile F] [-cachesize N]
 //	            [-cachewarm F]... [-v]
 //	            [-grid spec]... [-gridalgo A]
 //	            [-shard I/K [-shardfile F]]
@@ -30,11 +31,6 @@
 //	              "halton", "sobol" — which reaches a given estimator
 //	              error at far fewer -samples (see the CONV experiment).
 //	              Deterministic (non -samples) runs ignore it
-//	-batch        evaluate batch-eligible sweeps (E1's direction fans and
-//	              -grid rendezvous sweeps) through the SoA batch kernels,
-//	              which amortize trajectory generation across whole grid
-//	              rows (default true). Output is byte-identical either
-//	              way; -batch=false forces the scalar per-job path
 //	-cache        memoize simulation results in memory (identical output,
 //	              repeated instances simulate once)
 //	-cachefile F  persist the cache to the JSON-lines file F (implies
@@ -146,7 +142,6 @@ func run() int {
 		seed      = flag.Int64("seed", 0, "base seed for Monte-Carlo sampling")
 		samples   = flag.Int("samples", 0, "Monte-Carlo draws per grid cell (0 = deterministic grids)")
 		samplerNm = flag.String("sampler", "", `Monte-Carlo draw source: pseudo (default), stratified, halton, or sobol`)
-		batch     = flag.Bool("batch", true, "evaluate batch-eligible sweeps through the SoA batch kernels (identical output)")
 		useCache  = flag.Bool("cache", false, "memoize simulation results in memory")
 		cacheFile = flag.String("cachefile", "", "persist the result cache to this JSON-lines file (implies -cache)")
 		cacheSize = flag.Int("cachesize", 0, "LRU capacity of the result cache (0 = default)")
@@ -172,7 +167,7 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := experiments.Config{Workers: *workers, Seed: *seed, Samples: *samples, Sampler: samplerKind, Batch: *batch}
+	cfg := experiments.Config{Workers: *workers, Seed: *seed, Samples: *samples, Sampler: samplerKind, Batch: true}
 
 	// Shard/merge setup. The scope fingerprint ties shard files to the
 	// workload that produced them (suite vs. a specific grid).

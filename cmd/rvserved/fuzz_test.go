@@ -43,7 +43,7 @@ func FuzzHandlers(f *testing.F) {
 	}
 	pool := sweep.NewPool(1)
 	f.Cleanup(pool.Close)
-	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 16, 2, true, 50*time.Millisecond)
+	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 16, 2, 50*time.Millisecond)
 	mux := s.routes()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{"/v1/rendezvous", "/v1/search", "/v1/feasibility", "/v1/sweep"} {

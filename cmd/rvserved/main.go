@@ -27,9 +27,9 @@
 //	GET  /metrics        telemetry snapshot (flush-interval counters, gauges,
 //	                     latency timers, runtime stats) + coherent cache
 //	                     counters (hits+misses == lookups in every scrape).
-//	                     With batched sweeps enabled, batch.rows counts the
-//	                     SoA kernel calls and batch.lanes the instances they
-//	                     amortized (lanes/rows ≈ the amortization factor);
+//	                     batch.rows counts the SoA kernel calls of sweeps
+//	                     and batch.lanes the instances they amortized
+//	                     (lanes/rows ≈ the amortization factor);
 //	                     sampler.<name> counts sweep requests per draw source
 //	GET  /healthz        liveness: uptime, cache occupancy, pool size
 //
@@ -55,9 +55,6 @@
 //	-sweeps N         max concurrent /v1/sweep requests (default 2)
 //	-sweep-jobs N     per-sweep job budget, points × samples (default 4096)
 //	-metrics-flush D  telemetry flush interval (default 10s)
-//	-batch            route /v1/sweep through the SoA batch kernels, which
-//	                  amortize trajectory generation across whole grid rows
-//	                  (default true; responses are byte-identical either way)
 //	-timeout D        per-request simulation deadline (default 60s; 0
 //	                  disables). The deadline threads into the horizon-walk
 //	                  loops (sim.Options.Ctx), so a query that would walk past
@@ -106,12 +103,11 @@ func main() {
 		sweeps       = flag.Int("sweeps", 2, "max concurrent /v1/sweep requests")
 		sweepJobs    = flag.Int("sweep-jobs", 4096, "per-sweep job budget (grid points × samples)")
 		metricsFlush = flag.Duration("metrics-flush", telemetry.DefaultInterval, "telemetry flush interval")
-		batch        = flag.Bool("batch", true, "route /v1/sweep through the SoA batch kernels (identical responses)")
 		timeout      = flag.Duration("timeout", time.Minute, "per-request simulation deadline (0 disables; expiry answers 503)")
 		chaosSpec    = flag.String("chaos", "", "deterministic fault-injection spec for the cache persistence path (see internal/chaos; empty disables)")
 	)
 	flag.Parse()
-	if err := run(*addr, *workers, *cacheFile, *cacheSize, *flushEvery, *sweeps, *sweepJobs, *metricsFlush, *batch, *timeout, *chaosSpec); err != nil {
+	if err := run(*addr, *workers, *cacheFile, *cacheSize, *flushEvery, *sweeps, *sweepJobs, *metricsFlush, *timeout, *chaosSpec); err != nil {
 		fmt.Fprintln(os.Stderr, "rvserved:", err)
 		os.Exit(1)
 	}
@@ -138,7 +134,7 @@ func newHTTPServer(h http.Handler, readHeaderTimeout, idleTimeout time.Duration)
 	}
 }
 
-func run(addr string, workers int, cacheFile string, cacheSize int, flushEvery time.Duration, sweeps, sweepJobs int, metricsFlush time.Duration, batch bool, timeout time.Duration, chaosSpec string) error {
+func run(addr string, workers int, cacheFile string, cacheSize int, flushEvery time.Duration, sweeps, sweepJobs int, metricsFlush time.Duration, timeout time.Duration, chaosSpec string) error {
 	if sweeps < 1 {
 		return fmt.Errorf("-sweeps must be at least 1")
 	}
@@ -171,7 +167,7 @@ func run(addr string, workers int, cacheFile string, cacheSize int, flushEvery t
 	reg := telemetry.NewRegistry(metricsFlush)
 	reg.Start(ctx)
 
-	srv := newServer(c, pool, reg, sweeps, sweepJobs, maxRequestWorkers(), batch, timeout)
+	srv := newServer(c, pool, reg, sweeps, sweepJobs, maxRequestWorkers(), timeout)
 	httpSrv := newHTTPServer(srv.routes(), defaultReadHeaderTimeout, defaultIdleTimeout)
 
 	ln, err := net.Listen("tcp", addr)

@@ -50,10 +50,6 @@ type server struct {
 	// maxWorkers caps a request's private worker budget (req.Workers);
 	// requests without one share the process-wide pool.
 	maxWorkers int
-	// batch routes /v1/sweep evaluations through the SoA batch kernels
-	// (identical response bytes; batch.rows/batch.lanes count the kernel
-	// calls and the lanes they amortized).
-	batch bool
 	// timeout is the per-request simulation deadline (-timeout): each point
 	// query and sweep runs under a context that expires after it, the
 	// deadline propagates into the horizon-walk loops (sim.Options.Ctx),
@@ -74,9 +70,8 @@ type server struct {
 // newServer assembles the serving state. sweeps is the admission capacity of
 // /v1/sweep (0 rejects every sweep — useful in tests), maxSweepJobs the
 // per-request job budget, maxWorkers the cap on private worker budgets,
-// batch whether sweeps evaluate through the SoA batch kernels, timeout the
-// per-request simulation deadline (0 disables).
-func newServer(c *cache.Cache, pool *sweep.Pool, reg *telemetry.Registry, sweeps, maxSweepJobs, maxWorkers int, batch bool, timeout time.Duration) *server {
+// timeout the per-request simulation deadline (0 disables).
+func newServer(c *cache.Cache, pool *sweep.Pool, reg *telemetry.Registry, sweeps, maxSweepJobs, maxWorkers int, timeout time.Duration) *server {
 	s := &server{
 		cache:        c,
 		pool:         pool,
@@ -86,7 +81,6 @@ func newServer(c *cache.Cache, pool *sweep.Pool, reg *telemetry.Registry, sweeps
 		sweepSem:     make(chan struct{}, sweeps),
 		maxSweepJobs: maxSweepJobs,
 		maxWorkers:   maxWorkers,
-		batch:        batch,
 		timeout:      timeout,
 		requests:     reg.Counter("http.requests"),
 		errs:         reg.Counter("http.errors"),
@@ -470,7 +464,7 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		Cache:   s.cache,
 		Monitor: s.mon,
 		Pool:    s.pool,
-		Batch:   s.batch,
+		Batch:   true,
 		Ctx:     ctx,
 		OnBatch: func(rows, lanes int) {
 			s.batchRows.Add(uint64(rows))

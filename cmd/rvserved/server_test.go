@@ -24,7 +24,7 @@ func newTestServer(t *testing.T, c *cache.Cache, sweeps int) (*server, *httptest
 	t.Helper()
 	pool := sweep.NewPool(2)
 	t.Cleanup(pool.Close)
-	s := newServer(c, pool, telemetry.NewRegistry(0), sweeps, 512, 4, true, 0)
+	s := newServer(c, pool, telemetry.NewRegistry(0), sweeps, 512, 4, 0)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -191,7 +191,7 @@ func TestSweepEndpoint(t *testing.T) {
 	if st := s.cache.Stats(); st.Lookups == 0 {
 		t.Errorf("sweep did not read through the cache: %+v", st)
 	}
-	// The server defaults to batched sweeps: the kernel telemetry must show
+	// The server batches every sweep: the kernel telemetry must show
 	// rows amortizing multiple lanes each.
 	rows, lanes := s.batchRows.Total(), s.batchLanes.Total()
 	if rows == 0 || lanes == 0 {
@@ -206,7 +206,7 @@ func TestSweepEndpoint(t *testing.T) {
 // job budget and rejects one job more, and a grid past 2⁴⁰ points is
 // rejected even when the budget alone would admit it.
 func TestSweepJobBudget(t *testing.T) {
-	unbounded := newServer(cache.New(0), nil, telemetry.NewRegistry(0), 1, math.MaxInt, 4, true, 0)
+	unbounded := newServer(cache.New(0), nil, telemetry.NewRegistry(0), 1, math.MaxInt, 4, 0)
 	huge := `{"axes":["v=1:1100:1","d=1:1100:1","r=1:1100:1","phi=1:1100:1"]}` // 1100⁴ > 2⁴⁰ points
 	if status, body := serve(unbounded, "/v1/sweep", huge); status != http.StatusBadRequest {
 		t.Errorf("grid of 1100⁴ points under an unbounded budget: status %d (body %s), want 400", status, body)
@@ -214,7 +214,7 @@ func TestSweepJobBudget(t *testing.T) {
 
 	pool := sweep.NewPool(2)
 	t.Cleanup(pool.Close)
-	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 6, 4, true, 0)
+	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 6, 4, 0)
 	for _, tc := range []struct {
 		body string
 		want int

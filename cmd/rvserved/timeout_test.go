@@ -21,7 +21,7 @@ func newTimeoutServer(t *testing.T, timeout time.Duration) (*server, *httptest.S
 	t.Helper()
 	pool := sweep.NewPool(2)
 	t.Cleanup(pool.Close)
-	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 1<<20, 4, true, timeout)
+	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 1<<20, 4, timeout)
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -158,7 +158,7 @@ func TestOversizedBody400(t *testing.T) {
 func TestSlowlorisHeaderCutoff(t *testing.T) {
 	pool := sweep.NewPool(1)
 	t.Cleanup(pool.Close)
-	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 512, 4, true, 0)
+	s := newServer(cache.New(0), pool, telemetry.NewRegistry(0), 1, 512, 4, 0)
 	httpSrv := newHTTPServer(s.routes(), 100*time.Millisecond, time.Second)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

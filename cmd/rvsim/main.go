@@ -19,8 +19,9 @@
 // K instances with the orientation φ and the displacement direction drawn
 // uniformly at random (per-instance seeds derived from (-seed, index)), fanned
 // out over -workers goroutines via the internal/sweep engine, reporting the
-// meeting fraction and summary statistics of the meeting times. The sweep is
-// bit-identical for a fixed -seed regardless of -workers.
+// meeting fraction and summary statistics of the meeting times. Rows of
+// samples evaluate through the SoA batch kernel over one recorded program.
+// The sweep is bit-identical for a fixed -seed regardless of -workers.
 //
 //	-samples int  Monte-Carlo instances (default 1 = the single instance)
 //	-seed int     base seed for the Monte-Carlo sweep (default 0)
@@ -30,9 +31,6 @@
 //	              the sampled (φ, direction) pairs evenly and tighten the
 //	              meeting-fraction estimate at the same -samples
 //	-workers int  sweep worker-pool size: 0 = one per CPU, 1 = serial
-//	-batch        evaluate the sweep through the SoA batch kernel, which
-//	              amortizes trajectory generation across rows of samples
-//	              (default true); output is byte-identical either way
 //
 // With -cache the simulation results are memoized in memory (see
 // internal/cache); -cachefile F additionally persists them to the
@@ -91,7 +89,6 @@ func run() (code int) {
 		seed      = flag.Int64("seed", 0, "base seed for the Monte-Carlo sweep")
 		samplerNm = flag.String("sampler", "", `Monte-Carlo draw source: pseudo (default), stratified, halton, or sobol`)
 		workers   = flag.Int("workers", 0, "sweep workers: 0 = one per CPU, 1 = serial (same output either way)")
-		batch     = flag.Bool("batch", true, "evaluate the Monte-Carlo sweep through the SoA batch kernel (identical output)")
 		useCache  = flag.Bool("cache", false, "memoize simulation results in memory")
 		cacheFile = flag.String("cachefile", "", "persist the result cache to this JSON-lines file (implies -cache)")
 	)
@@ -150,7 +147,7 @@ func run() (code int) {
 		if *traceOut != "" || *plotOut {
 			fmt.Fprintln(os.Stderr, "rvsim: -trace/-plot apply to single instances only; ignored with -samples > 1")
 		}
-		return runMonteCarlo(memo, programID, mkProgram, in, *samples, *seed, samplerKind, *workers, *horizon, *batch)
+		return runMonteCarlo(memo, programID, mkProgram, in, *samples, *seed, samplerKind, *workers, *horizon)
 	}
 	program := mkProgram()
 
@@ -216,11 +213,10 @@ func run() (code int) {
 
 // mcInstance derives sample i's randomised instance and horizon from its
 // draw handle: dimension 0 is the orientation φ, dimension 1 the
-// displacement direction (keeping |d|) — the single definition both the
-// scalar and batched sweeps below share, so they are byte-identical for a
-// fixed seed, and the fixed dimension order is what pins the default
-// pseudo stream to the historical rng.Float64() call order (see
-// TestMCInstanceDrawOrder).
+// displacement direction (keeping |d|) — the single definition of a
+// sample, which the sweep below and its tests share. The fixed dimension
+// order is what pins the default pseudo stream to the historical
+// rng.Float64() call order (see TestMCInstanceDrawOrder).
 func mcInstance(base rendezvous.Instance, dist float64, d sampler.Draws, horizon float64) (rendezvous.Instance, float64) {
 	in := base
 	in.Attrs.Phi = 2 * math.Pi * d.Float64(0)
@@ -235,73 +231,10 @@ func mcInstance(base rendezvous.Instance, dist float64, d sampler.Draws, horizon
 	return in, h
 }
 
-// runMonteCarlo fans `samples` randomised variants of the base instance out
-// over the sweep pool: each sample redraws the orientation φ and the
-// displacement direction (keeping |d|) from its private per-index RNG, so
-// the sweep reproduces exactly for a fixed seed at any worker count. It
-// prints the meeting fraction and summary statistics of the meeting times.
-// With a cache (memo non-nil), repeated instances — same seed re-runs via
-// -cachefile in particular — are served without re-simulating. With batch,
-// rows of samples (or lane chunks of them) evaluate through one sim.Tape
-// shared by the whole run, so the program is generated once; the printed
-// output is identical either way.
-func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64, batched bool) int {
-	type outcome struct {
-		met  bool
-		time float64
-	}
-	dist := base.D.Norm()
-	// The whole sweep is one estimate, so the sampler block spans all of it:
-	// a QMC kind stratifies the (φ, direction) draws across every sample.
-	sopt := sweep.Options{Workers: workers, BaseSeed: seed, Sampler: sampler.New(kind, samples)}
-	var results []outcome
-	var err error
-	if batched {
-		// Rows of up to 64 samples read one trajectory tape.
-		tape := sim.NewTape(mkProgram())
-		defer tape.Close()
-		results, err = sweep.RunBatchedSampled(samples, 64,
-			func(indices []int, at func(i int) sampler.Draws) ([]outcome, error) {
-				out := make([]outcome, len(indices))
-				keys := make([]cache.Key, len(indices))
-				var lanes batch.Lanes
-				laneOf := make([]int, 0, len(indices))
-				phis := make([]float64, len(indices))
-				for k, i := range indices {
-					in, h := mcInstance(base, dist, at(i), horizon)
-					phis[k] = in.Attrs.Phi
-					opt := rendezvous.Options{Horizon: h}
-					keys[k] = cache.RendezvousKey(programID, in, opt)
-					if res, ok := memo.Get(keys[k]); ok {
-						out[k] = outcome{res.Met, res.Time}
-						continue
-					}
-					lanes.AddRendezvous(in.Attrs, in.D, in.R, h)
-					laneOf = append(laneOf, k)
-				}
-				if lanes.Len() > 0 {
-					res, kerrs := tape.Rendezvous(&lanes, sim.Options{})
-					for li, k := range laneOf {
-						if kerrs[li] != nil {
-							return nil, &sweep.LaneError{Lane: k, Err: fmt.Errorf(
-								"sample %d (φ=%.4g): %w", indices[k], phis[k], kerrs[li])}
-						}
-						memo.Put(keys[k], res[li])
-						out[k] = outcome{res[li].Met, res[li].Time}
-					}
-				}
-				return out, nil
-			}, sopt)
-	} else {
-		results, err = sweep.RunSampled(samples, func(i int, d sampler.Draws) (outcome, error) {
-			in, h := mcInstance(base, dist, d, horizon)
-			res, err := memo.Rendezvous(programID, mkProgram, in, rendezvous.Options{Horizon: h})
-			if err != nil {
-				return outcome{}, fmt.Errorf("sample %d (φ=%.4g): %w", i, in.Attrs.Phi, err)
-			}
-			return outcome{res.Met, res.Time}, nil
-		}, sopt)
-	}
+// runMonteCarlo runs the Monte-Carlo sweep (monteCarlo) and prints the
+// meeting fraction and summary statistics of the meeting times.
+func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64) int {
+	results, err := monteCarlo(memo, programID, mkProgram, base, samples, seed, kind, workers, horizon)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rvsim:", err)
 		return 1
@@ -313,7 +246,7 @@ func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezv
 		}
 	}
 	fmt.Printf("monte carlo: base attrs=%v |d|=%g r=%g, %d samples, seed %d\n",
-		base.Attrs, dist, base.R, samples, seed)
+		base.Attrs, base.D.Norm(), base.R, samples, seed)
 	if kind != sampler.Pseudo {
 		fmt.Printf("sampler: %s\n", kind)
 	}
@@ -325,6 +258,61 @@ func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezv
 		return 2
 	}
 	return 0
+}
+
+// outcome is one Monte-Carlo sample's result.
+type outcome struct {
+	met  bool
+	time float64
+}
+
+// monteCarlo fans `samples` randomised variants of the base instance out
+// over the sweep pool and returns each sample's outcome in sample order:
+// each sample redraws the orientation φ and the displacement direction
+// (keeping |d|) from its private per-index draws, so the sweep reproduces
+// exactly for a fixed seed at any worker count. Rows of up to 64 samples
+// (or lane chunks of them) evaluate through one sim.Tape shared by the
+// whole run, so the program is generated once. With a cache (memo
+// non-nil), repeated instances — same seed re-runs via -cachefile in
+// particular — are served without re-simulating.
+func monteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64) ([]outcome, error) {
+	dist := base.D.Norm()
+	// The whole sweep is one estimate, so the sampler block spans all of it:
+	// a QMC kind stratifies the (φ, direction) draws across every sample.
+	sopt := sweep.Options{Workers: workers, BaseSeed: seed, Sampler: sampler.New(kind, samples)}
+	tape := sim.NewTape(mkProgram())
+	defer tape.Close()
+	return sweep.RunBatchedSampled(samples, 64,
+		func(indices []int, at func(i int) sampler.Draws) ([]outcome, error) {
+			out := make([]outcome, len(indices))
+			keys := make([]cache.Key, len(indices))
+			var lanes batch.Lanes
+			laneOf := make([]int, 0, len(indices))
+			phis := make([]float64, len(indices))
+			for k, i := range indices {
+				in, h := mcInstance(base, dist, at(i), horizon)
+				phis[k] = in.Attrs.Phi
+				keys[k] = cache.RendezvousKey(programID, in, rendezvous.Options{Horizon: h})
+				if res, ok := memo.Get(keys[k]); ok {
+					out[k] = outcome{res.Met, res.Time}
+					continue
+				}
+				lanes.AddRendezvous(in.Attrs, in.D, in.R, h)
+				laneOf = append(laneOf, k)
+			}
+			if lanes.Len() > 0 {
+				res, kerrs := tape.Rendezvous(&lanes, sim.Options{})
+				for li, k := range laneOf {
+					if kerrs[li] != nil {
+						return nil, &sweep.LaneError{Lane: k, Err: fmt.Errorf(
+							"sample %d (φ=%.4g): %w", indices[k], phis[k], kerrs[li])}
+					}
+					memo.Put(keys[k], res[li])
+					out[k] = outcome{res[li].Met, res[li].Time}
+				}
+			}
+			return out, nil
+		}, sopt)
 }
 
 // recordTrace samples both robots' global trajectories: the program under

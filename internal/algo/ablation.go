@@ -5,8 +5,8 @@ import (
 )
 
 // Ablation variants of the paper's algorithms. Each removes one design
-// element so experiments can measure what that element buys; see DESIGN.md
-// ("Design choices called out for ablation").
+// element so experiments can measure what that element buys; tables A2 and A3
+// of internal/experiments report the difference.
 
 // SearchRoundNoWait is Search(k) without the final wait — the wait exists
 // "only in order to simplify algebra" (Section 2), rounding the duration to

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/trajectory"
@@ -49,7 +50,7 @@ func FixedPitchSweep(pitch float64) trajectory.Source {
 // a useful "fast but blind" comparison point. The source is infinite.
 func ExpandingRings() trajectory.Source {
 	return trajectory.Repeat(func(i int) trajectory.Source {
-		return SearchCircle(float64(int64(1) << (i - 1)))
+		return SearchCircle(math.Ldexp(1, i-1))
 	})
 }
 

@@ -288,6 +288,30 @@ func TestExpandingRingsRadii(t *testing.T) {
 	}
 }
 
+// TestExpandingRingsPastRing64 pulls 70 rings, past ring 64 whose radius
+// 2^63 no longer fits an int64: every radius stays positive and doubles.
+func TestExpandingRingsPastRing64(t *testing.T) {
+	cur := trajectory.NewCursor(ExpandingRings())
+	defer cur.Close()
+	prev := 0.5
+	rings := 0
+	for cur.Consumed() < 3*70 {
+		s, _, _, ok := cur.Pull()
+		if !ok {
+			t.Fatalf("the program ended after %d segments", cur.Consumed())
+		}
+		if arc, ok := s.AsArc(); ok {
+			if rings++; !(arc.Radius > 0) || arc.Radius != 2*prev {
+				t.Fatalf("ring %d radius = %v after %v, want it doubled", rings, arc.Radius, prev)
+			}
+			prev = arc.Radius
+		}
+	}
+	if rings <= 64 {
+		t.Fatalf("pulled %d rings, want more than 64", rings)
+	}
+}
+
 func TestBaselinePanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"known-visibility": func() { KnownVisibilitySearch(0) },

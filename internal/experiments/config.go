@@ -67,9 +67,11 @@ type Config struct {
 	// batch kernels (sim.SearchBatch / sim.Tape.Rendezvous via
 	// sweep.RunBatchedSampled), which evaluate a row of lanes, or a chunk
 	// of a split row, per kernel call over one shared program stream (a
-	// -grid sweep shares one sim.Tape across all its chunks). Tables are
-	// byte-identical to the scalar path; this is purely a throughput
-	// switch. Experiments without a batch kernel ignore it.
+	// -grid sweep shares one sim.Tape across all its chunks). The CLIs and
+	// cmd/rvserved always set it. False selects the scalar per-job path:
+	// the reference the goldens and benchmarks check the batch path
+	// against. Tables are byte-identical either way. Experiments without a
+	// batch kernel ignore it.
 	Batch bool
 	// OnBatch, when non-nil, is called once per batch kernel call — once
 	// per row, or per chunk of a row the sweep split among workers — with

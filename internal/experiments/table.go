@@ -1,14 +1,14 @@
 // Package experiments regenerates every quantitative claim of the paper as
 // a table: measured values from the exact simulator side by side with the
 // paper's closed-form predictions. The cmd/experiments binary renders all of
-// them; EXPERIMENTS.md records a reference run.
+// them; the goldens in testdata/ record a reference run.
 //
 // Execution is governed by Config: worker-pool fan-out, Monte-Carlo
 // sampling, result caching, K-way sharding — and Config.Batch, which routes
 // the batch-eligible sweeps (E1's direction fans and the -grid rendezvous
 // sweeps) through internal/sim's SoA batch kernels so whole grid rows share
-// one generated trajectory stream. Every one of these switches is a pure
-// throughput knob: the rendered tables are byte-identical in all
+// one generated trajectory stream; with it off they take the scalar
+// reference path. The rendered tables are byte-identical in all
 // combinations, pinned by the committed goldens in testdata/.
 package experiments
 

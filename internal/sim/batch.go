@@ -15,7 +15,7 @@ import (
 )
 
 // This file holds the batched (struct-of-arrays) counterparts of Search and
-// FirstMeetingFramed. Both walk one shared program stream once per batch instead
+// Rendezvous. Both walk one shared program stream once per batch instead
 // of once per instance, and are bit-identical to the scalar paths per lane:
 //
 //   - SearchBatch exploits the search walk's lockstep invariant — the scalar
@@ -26,17 +26,17 @@ import (
 //     closed-form contact check, evaluated by motion.StaticSweep as a tight
 //     loop with the kind switch hoisted out.
 //
-//   - FirstMeetingBatch/RendezvousBatch interleave two streams per lane
+//   - RendezvousBatch and Tape.Rendezvous interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
 //     independently through the scalar walk, meet — but their streams read
 //     one Tape of raw segments with the raw duration/length the generator
 //     supplied, and each lane's frame constants are computed once per lane
 //     (segment.Frame): a lane places raw tape segments under its frame
 //     (Frame.Scale, Mover.SetFramed). Generation and trig amortize across
-//     the batch. The two
-//     functions read a private tape; Tape.Rendezvous reads a tape shared
-//     by several calls, which may run on several goroutines at once, so a
-//     sweep's lane chunks share one recording of the program.
+//     the batch. RendezvousBatch reads a private tape; Tape.Rendezvous
+//     reads a tape shared by several calls, which may run on several
+//     goroutines at once, so a sweep's lane chunks share one recording of
+//     the program.
 
 // SearchBatch runs Search for every lane of ln (target TX/TY, radius R,
 // horizon Horizon) against one shared program. Results and errors are
@@ -220,6 +220,12 @@ func finishSearchHorizon(res *Result, odo *odometer, mov *motion.Mover, horizon,
 // generator supplies them — the quantities every lane's framed walk
 // rescales with two multiplications (segment.Frame.Scale).
 //
+// A tape records at most tapeLen segments (6.3 MB), so its memory is
+// bounded whatever the horizon. A lane that walks past them starts its own
+// cursor over the program, skips the recorded prefix and goes on pulling
+// like the scalar walk, so its result stays bit-identical; only lanes on
+// the infeasible side of Theorem 4 walk that far on the paper's programs.
+//
 // A Tape is safe for concurrent readers: Rendezvous may run on several
 // goroutines at once, each with its own lanes. Recorded segments live in
 // pages that never move. A reader checks the atomic published count and
@@ -230,13 +236,12 @@ func finishSearchHorizon(res *Result, odo *odometer, mov *motion.Mover, horizon,
 // interleaving of the readers. Close the tape once, after every reader has
 // returned.
 type Tape struct {
-	n    atomic.Int64                  // published segments; entries below n never change
-	dir  atomic.Pointer[[][]tapeEntry] // page directory, replaced when it fills
-	mu   sync.Mutex                    // serializes recording: cur, done, entries past n
-	cur  trajectory.Cursor
-	done bool // the program ended at n segments
-	head [][]tapeEntry
-	base [16][]tapeEntry // the first directory
+	n     atomic.Int64 // published segments; entries below n never change
+	mu    sync.Mutex   // serializes recording: cur, done, pages, entries past n
+	src   trajectory.Source
+	cur   trajectory.Cursor
+	done  bool // the program ended at n segments
+	pages [tapePages][]tapeEntry
 }
 
 // tapeEntry is one recorded segment with its raw duration and length.
@@ -246,16 +251,15 @@ type tapeEntry struct {
 }
 
 // Tape page geometry. Page 0 holds segments [0, 64) and each page after it
-// doubles, up to pages of 2^16 segments: a short walk allocates one small
-// page, a long one no more than twice what it reads (or one 2^16 page past
-// it), and no page is ever copied, nor so large that it needs a big
-// contiguous block of address space. Recording runs to a multiple of
-// tapeStep, so the leading reader takes the mutex once per tapeStep
-// segments.
+// doubles, up to tapeLen segments in tapePages pages: a short walk
+// allocates one small page, a long one no more than twice what it reads,
+// and no page is ever copied. Recording runs to a multiple of tapeStep, so
+// the leading reader takes the mutex once per tapeStep segments.
 const (
-	tapeShift    = 6
-	tapeMaxShift = 16
-	tapeStep     = 32
+	tapeShift = 6
+	tapeLen   = 1 << 16
+	tapePages = 16 - tapeShift + 1 // 64 + 64 + 128 + … + 2^15 = tapeLen
+	tapeStep  = 32
 )
 
 // NewTape returns a tape over program; nothing is generated until a reader
@@ -267,19 +271,16 @@ func NewTape(program trajectory.Source) *Tape {
 }
 
 func (tp *Tape) init(program trajectory.Source) {
+	tp.src = program
 	tp.cur.Init(program)
-	tp.head = tp.base[:]
-	tp.dir.Store(&tp.head)
 }
 
 // Close stops the tape's cursor. No reader may be in flight.
 func (tp *Tape) Close() { tp.cur.Close() }
 
-// tapeSlot locates segment i: its page and the offset in that page.
+// tapeSlot locates segment i < tapeLen: its page and the offset in that
+// page. Page p > 0 starts at segment 2^(p+5) and holds as many segments.
 func tapeSlot(i int) (page, off int) {
-	if i >= 1<<tapeMaxShift {
-		return tapeMaxShift - tapeShift + i>>tapeMaxShift, i & (1<<tapeMaxShift - 1)
-	}
 	page = bits.Len(uint(i) >> tapeShift)
 	if page == 0 {
 		return 0, i
@@ -287,26 +288,20 @@ func tapeSlot(i int) (page, off int) {
 	return page, i - 1<<(page+tapeShift-1)
 }
 
-// tapePageLen is the number of segments page holds.
-func tapePageLen(page int) int {
-	return 1 << min(max(page+tapeShift-1, tapeShift), tapeMaxShift)
-}
-
-// entry returns segment i, recording it first when it is not yet
+// entry returns segment i < tapeLen, recording it first when it is not yet
 // published; nil when the program ends before it.
 func (tp *Tape) entry(i int) *tapeEntry {
 	if int64(i) >= tp.n.Load() && !tp.record(i) {
 		return nil
 	}
 	page, off := tapeSlot(i)
-	return &(*tp.dir.Load())[page][off]
+	return &tp.pages[page][off]
 }
 
 // record pulls segments from the cursor, with the raw durations and
 // lengths it supplies, until segment i and the rest of its tapeStep block
 // are published, and reports whether segment i exists. A new page is
-// linked into the directory before the count that makes it readable is
-// published.
+// allocated before the count that makes it readable is published.
 func (tp *Tape) record(i int) bool {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -319,24 +314,13 @@ func (tp *Tape) record(i int) bool {
 		}
 		page, off := tapeSlot(n)
 		if off == 0 {
-			tp.addPage(page)
+			// Page 0 holds 64 segments, every later page as many as precede it.
+			tp.pages[page] = make([]tapeEntry, max(n, 1<<tapeShift))
 		}
-		(*tp.dir.Load())[page][off] = tapeEntry{seg: *seg, dur: dur, len: length}
+		tp.pages[page][off] = tapeEntry{seg: *seg, dur: dur, len: length}
 	}
 	tp.n.Store(int64(n))
 	return i < n
-}
-
-// addPage allocates page, doubling the directory into a copy when it is
-// full: readers holding the old directory never read past its pages.
-func (tp *Tape) addPage(page int) {
-	dir := *tp.dir.Load()
-	if page == len(dir) {
-		grown := append(dir, make([][]tapeEntry, len(dir))...)
-		tp.dir.Store(&grown)
-		dir = grown
-	}
-	dir[page] = make([]tapeEntry, tapePageLen(page))
 }
 
 // Rendezvous runs the scalar Rendezvous for every lane of ln against the
@@ -344,17 +328,7 @@ func (tp *Tape) addPage(page int) {
 // once on one tape.
 func (tp *Tape) Rendezvous(ln *batch.Lanes, opt Options) ([]Result, []error) {
 	var st lanePair
-	return tp.meet(ln, opt, true, &st)
-}
-
-// FirstMeetingBatch runs FirstMeetingFramed for every rendezvous lane of ln
-// against one shared program: lane i meets the reference-frame robot from
-// the origin with the (V,Tau,Phi,Chi)-framed robot from displacement
-// (TX,TY), radius R, horizon Horizon. It checks per-lane horizon/radius like
-// FirstMeetingFramed but does not validate the attributes (see RendezvousBatch);
-// results and errors are bit-identical to the scalar calls.
-func FirstMeetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Result, []error) {
-	return meetingBatch(program, ln, opt, false)
+	return tp.meet(ln, opt, &st)
 }
 
 // RendezvousBatch runs Rendezvous for every lane of ln against one shared
@@ -363,19 +337,14 @@ func FirstMeetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options) 
 // private Tape; callers with several batches over one program share a Tape
 // instead.
 func RendezvousBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Result, []error) {
-	return meetingBatch(program, ln, opt, true)
-}
-
-// meetingBatch walks ln over a private tape. One allocation holds the tape
-// and both walk states.
-func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, validate bool) ([]Result, []error) {
+	// One allocation holds the tape and both walk states.
 	var w struct {
 		tp Tape
 		st lanePair
 	}
 	w.tp.init(program)
 	defer w.tp.Close()
-	return w.tp.meet(ln, opt, validate, &w.st)
+	return w.tp.meet(ln, opt, &w.st)
 }
 
 // lanePair is the walk state of one lane, reused by every lane of a call:
@@ -383,18 +352,18 @@ func meetingBatch(program trajectory.Source, ln *batch.Lanes, opt Options, valid
 type lanePair struct{ sa, sb stream }
 
 // meet walks every lane of ln through meet over the tape, with st as the
-// walk state.
-func (tp *Tape) meet(ln *batch.Lanes, opt Options, validate bool, st *lanePair) ([]Result, []error) {
+// walk state, and closes any cursor st's streams started past the tape.
+func (tp *Tape) meet(ln *batch.Lanes, opt Options, st *lanePair) ([]Result, []error) {
+	defer st.sa.close()
+	defer st.sb.close()
 	n := ln.Len()
 	results := make([]Result, n)
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		in := Instance{Attrs: ln.Attrs(i), D: ln.Target(i), R: ln.R[i]}
-		if validate {
-			if err := in.Validate(); err != nil {
-				errs[i] = err
-				continue
-			}
+		if err := in.Validate(); err != nil {
+			errs[i] = err
+			continue
 		}
 		lopt := opt
 		lopt.Horizon = ln.Horizon[i]

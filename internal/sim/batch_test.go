@@ -139,22 +139,6 @@ func TestRendezvousBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestFirstMeetingBatchMatchesScalar(t *testing.T) {
-	var lanes batch.Lanes
-	attrs := frame.Attributes{V: 0.5, Tau: 1, Phi: 0.4, Chi: frame.CCW}
-	d := geom.V(1, 0)
-	lanes.AddRendezvous(attrs, d, 0.25, 150)
-	got, errs := FirstMeetingBatch(algo.CumulativeSearch(), &lanes, Options{})
-	if errs[0] != nil {
-		t.Fatalf("batch: %v", errs[0])
-	}
-	want, err := FirstMeetingFramed(algo.CumulativeSearch(), referenceFrame, algo.CumulativeSearch(), attrs.Frame(d), 0.25, Options{Horizon: 150})
-	if err != nil {
-		t.Fatalf("scalar: %v", err)
-	}
-	requireBitIdentical(t, "firstmeeting", got[0], want)
-}
-
 func TestSearchBatchBadOptions(t *testing.T) {
 	var lanes batch.Lanes
 	lanes.AddSearch(geom.V(1, 0), 0.25, -1)

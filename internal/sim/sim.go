@@ -18,7 +18,7 @@
 // generator in one loop: one stream against a static target needs no merge
 // and no second Mover. The rendezvous walk, meet, merges two streams and is
 // the one loop behind FirstMeetingFramed (and so Rendezvous) and every lane
-// of the batched rendezvous kernels. A stream pulls value-typed segments
+// of the batched rendezvous kernel. A stream pulls value-typed segments
 // either from its own trajectory.Cursor — the program's generator state,
 // pulled directly, each segment read in the generator's storage with its
 // raw duration and length — or, on a batch lane, from a Tape of raw
@@ -45,19 +45,23 @@
 // recorded from that composed path (TestRendezvousMatchesComposedCorpus).
 //
 // For whole grid rows of instances sharing one algorithm shape, the batched
-// SoA kernels (SearchBatch, RendezvousBatch, FirstMeetingBatch over
-// batch.Lanes) amortize segment generation across all lanes: SearchBatch
-// walks the shared program once, hoisting the per-segment motion setup out
-// of the lane loop and reducing per-lane work to a closed-form contact test;
-// the rendezvous variants record the generated stream into a Tape that each
-// lane's pair of streams replays through meet. A Tape outlives one call: a
-// sweep opens one per grid and hands it to every row and every lane chunk
-// of a split row (Tape.Rendezvous), on as many goroutines as run them.
-// Readers take no lock for recorded segments, which sit in pages that never
-// move; a reader that needs an unrecorded one records it under the tape's
-// mutex (see Tape). Results are bit-identical to the scalar entry points,
-// lane for lane, however the lanes are chunked and interleaved — pinned by
-// differential tests, TestTapeConcurrentLanes and FuzzBatchMatchesScalar.
+// SoA kernels (SearchBatch and RendezvousBatch over batch.Lanes) amortize
+// segment generation across all lanes: SearchBatch walks the shared program
+// once, hoisting the per-segment motion setup out of the lane loop and
+// reducing per-lane work to a closed-form contact test; RendezvousBatch
+// records the generated stream into a Tape that each lane's pair of streams
+// replays through meet. A Tape outlives one call: a sweep opens one per
+// grid and hands it to every row and every lane chunk of a split row
+// (Tape.Rendezvous), on as many goroutines as run them. Readers take no
+// lock for recorded segments, which sit in pages that never move; a reader
+// that needs an unrecorded one records it under the tape's mutex (see
+// Tape). A tape records at most the program's first 2^16 segments, so its
+// memory stays bounded at any horizon: a lane that walks past them, such
+// as an infeasible one walking to a long horizon, goes on with its own
+// cursor, like the scalar walk. Results are bit-identical to the scalar
+// entry points, lane for lane, however the lanes are chunked and
+// interleaved — pinned by differential tests, TestTapeConcurrentLanes,
+// TestTapeOutrunLanes and FuzzBatchMatchesScalar.
 package sim
 
 import (
@@ -203,9 +207,10 @@ func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
 }
 
 // reset re-aims the stream at the start of tape tp under fr, clearing all
-// walk state, and pulls its first segment. A tape stream never uses its
-// cursor, so there is nothing to close.
+// walk state, and pulls its first segment. It closes the cursor a previous
+// lane started past the tape's end.
 func (s *stream) reset(tp *Tape, fr *segment.Frame) {
+	s.close()
 	*s = stream{tp: tp, fr: *fr}
 	s.next()
 }
@@ -238,8 +243,17 @@ func (s *stream) next() {
 
 // pull makes the source's next segment current, with its raw duration and
 // length in segDur and segLen. It reports false, leaving the current
-// segment in place, when the source is exhausted.
+// segment in place, when the source is exhausted. A tape stream that
+// reaches the end of the tape goes on with its own cursor over the tape's
+// program, past the tapeLen segments the tape holds.
 func (s *stream) pull() bool {
+	if s.tp != nil && s.idx == tapeLen {
+		s.cur.Init(s.tp.src)
+		for range tapeLen {
+			s.cur.Pull()
+		}
+		s.tp = nil
+	}
 	if s.tp != nil {
 		e := s.tp.entry(s.idx)
 		if e == nil {

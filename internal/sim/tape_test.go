@@ -158,7 +158,7 @@ func TestTapeConcurrentLanes(t *testing.T) {
 // pageCaps reports the capacity of every page the tape has allocated.
 func (tp *Tape) pageCaps() []int {
 	var caps []int
-	for _, p := range *tp.dir.Load() {
+	for _, p := range tp.pages {
 		if p != nil {
 			caps = append(caps, cap(p))
 		}
@@ -166,27 +166,28 @@ func (tp *Tape) pageCaps() []int {
 	return caps
 }
 
-// TestTapePages pins the page layout: every segment index has one slot,
-// inside its page, and a short row's tape allocates a single 64-segment
-// page — a tape never costs a short row more than the segments it reads,
-// rounded up to one small page.
+// TestTapePages pins the page layout: every segment index below tapeLen
+// has one slot, inside its page; page 0 holds 64 segments and every later
+// page as many as precede it, so the tapePages pages end at tapeLen; and a
+// short row's tape allocates a single 64-segment page — a tape never costs
+// a short row more than the segments it reads, rounded up to one small
+// page.
 func TestTapePages(t *testing.T) {
-	prevPage, prevOff := 0, -1
-	for i := 0; i < 1<<(tapeMaxShift+3); i++ {
+	prevPage, prevOff, pageStart := 0, -1, 0
+	for i := 0; i < tapeLen; i++ {
 		page, off := tapeSlot(i)
-		fresh := page == prevPage+1 && off == 0 && prevOff == tapePageLen(prevPage)-1
-		if !fresh && (page != prevPage || off != prevOff+1) {
+		if page == prevPage+1 && off == 0 {
+			if want := max(pageStart, 1<<tapeShift); prevOff+1 != want {
+				t.Fatalf("page %d holds %d segments, want %d", prevPage, prevOff+1, want)
+			}
+			pageStart = i
+		} else if page != prevPage || off != prevOff+1 {
 			t.Fatalf("segment %d: page %d offset %d after page %d offset %d", i, page, off, prevPage, prevOff)
 		}
 		prevPage, prevOff = page, off
 	}
-	for page, want := range []int{64, 64, 128, 256} {
-		if got := tapePageLen(page); got != want {
-			t.Fatalf("page %d holds %d segments, want %d", page, got, want)
-		}
-	}
-	if got := tapePageLen(prevPage); got != 1<<tapeMaxShift {
-		t.Fatalf("page %d holds %d segments, want the cap %d", prevPage, got, 1<<tapeMaxShift)
+	if prevPage != tapePages-1 || prevOff+1 != pageStart {
+		t.Fatalf("the tape ends on page %d after %d of its segments, want page %d full at %d", prevPage, prevOff+1, tapePages-1, pageStart)
 	}
 
 	// A short row: v = 1/2, d = 1 meets within a few dozen intervals.
@@ -218,6 +219,36 @@ func TestTapePages(t *testing.T) {
 	}
 	if n := int(long.n.Load()); recorded > 2*n || n < 1000 {
 		t.Fatalf("long row: %d segments recorded in pages of %d in total %v", n, recorded, long.pageCaps())
+	}
+}
+
+// TestTapeOutrunLanes walks lanes past the end of the tape: infeasible
+// v = 1 lanes (Theorem 4) that never meet, so each walks to its horizon,
+// well past tapeLen segments, in two chunks on two goroutines. With φ = 0
+// the robots keep their initial gap; with χ = −1 R′ mirrors R across the
+// axis at angle φ/2, so a displacement along that axis is never closed.
+// Every lane equals the scalar Rendezvous bit for bit, and the tape holds
+// exactly tapeLen segments however far the lanes walk.
+func TestTapeOutrunLanes(t *testing.T) {
+	const horizon = 3e4
+	var lanes []tapeLane
+	for k := 0; k < 3; k++ {
+		dist, phi := 1+float64(k)/2, 0.7*float64(k)
+		lanes = append(lanes,
+			tapeLane{Instance{Attrs: frame.Attributes{V: 1, Tau: 1, Chi: frame.CCW}, D: geom.Polar(dist, phi+0.3), R: 0.25}, horizon},
+			tapeLane{Instance{Attrs: frame.Attributes{V: 1, Tau: 1, Phi: phi, Chi: frame.CW}, D: geom.Polar(dist, phi/2), R: 0.25}, horizon})
+	}
+	tp := NewTape(algo.CumulativeSearch())
+	defer tp.Close()
+	got, errs := walkChunks(tp, lanes, []int{len(lanes) / 2}, func(int) Options { return Options{} })
+	for k, r := range got {
+		if errs[k] != nil || r.Met || r.Intervals <= tapeLen {
+			t.Fatalf("lane %d: %+v, err %v: want no meeting after more than %d intervals", k, r, errs[k], tapeLen)
+		}
+	}
+	requireLanesMatch(t, "outrun", algo.CumulativeSearch, lanes, got, errs, func(int) context.Context { return nil })
+	if n := tp.n.Load(); n != tapeLen {
+		t.Fatalf("the tape published %d segments, want %d", n, tapeLen)
 	}
 }
 

@@ -56,7 +56,6 @@ func TestNaNHorizonAndRadiusRejected(t *testing.T) {
 			"sim.RendezvousAsymmetric": func() error { _, err := sim.RendezvousAsymmetric(prog, prog, withR, opt); return err },
 			"sim.SearchBatch":          func() error { return laneErr(sim.SearchBatch(prog, searchLanes(tc.horizon, tc.r), sim.Options{})) },
 			"sim.RendezvousBatch":      func() error { return laneErr(sim.RendezvousBatch(prog, lanes(tc.horizon, tc.r), sim.Options{})) },
-			"sim.FirstMeetingBatch":    func() error { return laneErr(sim.FirstMeetingBatch(prog, lanes(tc.horizon, tc.r), sim.Options{})) },
 			"sim.Tape.Rendezvous": func() error {
 				tp := sim.NewTape(prog)
 				defer tp.Close()

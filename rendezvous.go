@@ -36,8 +36,8 @@
 //	    rendezvous.Options{Horizon: 1e5})
 //
 // Internals (exact motion primitives, the contact detector, the experiment
-// harness) live under internal/; see DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-vs-measured record.
+// harness) live under internal/; internal/experiments regenerates the
+// paper-vs-measured tables, whose reference run its testdata goldens record.
 package rendezvous
 
 import (
