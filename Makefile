@@ -180,10 +180,11 @@ shardcheck:
 # copy of the framed-segment arithmetic it replaced; the pull generators
 # of every program, with their supplied durations and lengths, against a
 # frozen copy of the push generators they replaced; the batch-vs-scalar
-# kernel differential; the shared-clock gathering walk
+# kernel differential; the twin walk of Theorem 4's identical robots
+# against the full walk; the shared-clock gathering walk
 # against the frozen per-robot walk; journal crash recovery — arbitrary
 # journal bytes must load without error and yield exactly the CRC-valid
-# clean prefix; the lazy pseudo stream against math/rand's rngSource for
+# clean prefix; rvserved's -chaos spec parser; the lazy pseudo stream against math/rand's rngSource for
 # an arbitrary seed and stream length; and rvserved's HTTP boundary — arbitrary bodies to every POST
 # endpoint answer only 200/400/429/503, and every 200 rendezvous or sweep
 # equals an in-process recomputation. Override FUZZTIME for shorter/longer
@@ -203,7 +204,9 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzEqualOmegaContact -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzSetFramedMatchesSet -fuzztime $(FUZZTIME) ./internal/motion
 	$(GO) test -run NONE -fuzz FuzzBatchMatchesScalar -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run NONE -fuzz FuzzTwinMatchesFullWalk -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzGenMatchesFrozen -fuzztime $(FUZZTIME) ./internal/algo
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run NONE -fuzz FuzzChaosParse -fuzztime $(FUZZTIME) ./internal/chaos
 	$(GO) test -run NONE -fuzz FuzzHandlers -fuzztime $(FUZZTIME) ./cmd/rvserved

@@ -93,10 +93,12 @@ func run(serverBin string, clients int, duration time.Duration) error {
 	go io.Copy(io.Discard, lines) // keep draining so the server never blocks on stdout
 
 	// Phase 1 — dedup: every client fires the same expensive cold query at
-	// once. A symmetric instance walks the whole horizon (~tens of ms), so
-	// the followers land while the leader simulates and the singleflight
-	// must collapse them.
-	coldBody := `{"v":1,"tau":1,"phi":0,"chi":1,"dx":1,"dy":0,"horizon":10000}`
+	// once. A mirrored instance (χ = −1, φ = 0: R′ runs R's path mirrored
+	// across the x-axis from (1, 0)) never meets and walks the whole
+	// horizon on the safe advance (several ms), so the followers land while
+	// the leader simulates and the singleflight must collapse them. The
+	// χ = +1 twin would take the twin walk, too quick to overlap reliably.
+	coldBody := `{"v":1,"tau":1,"phi":0,"chi":-1,"dx":1,"dy":0,"horizon":10000}`
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {

@@ -303,13 +303,17 @@ func TestSweepAdmission429(t *testing.T) {
 func TestConcurrentIdenticalQueriesDedup(t *testing.T) {
 	s, ts := newTestServer(t, cache.New(0), 1)
 	const clients = 16
-	// A symmetric (infeasible) instance walks the whole horizon, so the
-	// simulation takes ~tens of ms — plenty for concurrent requests to land
-	// while the leader is still computing. Each attempt queries a fresh key
+	// A mirrored (infeasible) instance walks the whole horizon: with χ = −1
+	// and φ = 0, R′ runs R's path mirrored across the x-axis from (1, dy),
+	// so the robots stay at least 1 apart. Its arcs turn at opposite ω, so
+	// every arc interval runs the safe advance and the simulation takes
+	// several ms — plenty for concurrent requests to land while the leader
+	// is still computing. (The χ = +1 twin takes the twin walk, which is
+	// too quick to overlap reliably.) Each attempt queries a fresh key
 	// (distinct dy), so every burst starts cold; one overlapping pair
 	// anywhere is enough.
 	for attempt := 0; attempt < 20; attempt++ {
-		body := fmt.Sprintf(`{"v":1,"tau":1,"phi":0,"chi":1,"dx":1,"dy":0.0%d,"horizon":10000}`, attempt+1)
+		body := fmt.Sprintf(`{"v":1,"tau":1,"phi":0,"chi":-1,"dx":1,"dy":0.0%d,"horizon":10000}`, attempt+1)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		gaps := make(map[float64]int)

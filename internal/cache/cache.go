@@ -390,11 +390,18 @@ func (c *Cache) Rendezvous(program string, mk func() trajectory.Source, in sim.I
 }
 
 // Asymmetric is sim.RendezvousAsymmetric memoized under AsymmetricKey.
+// Program names pin programs, so when programA == programB both robots run
+// one program, and the walk is sim.Rendezvous over mkA's: the same Result,
+// under the same key, with the twin walk open to it.
 func (c *Cache) Asymmetric(programA, programB string, mkA, mkB func() trajectory.Source, in sim.Instance, opt sim.Options) (sim.Result, error) {
-	if c == nil {
+	walk := func() (sim.Result, error) {
+		if programA == programB {
+			return sim.Rendezvous(mkA(), in, opt)
+		}
 		return sim.RendezvousAsymmetric(mkA(), mkB(), in, opt)
 	}
-	return c.do(AsymmetricKey(programA, programB, in, opt), func() (sim.Result, error) {
-		return sim.RendezvousAsymmetric(mkA(), mkB(), in, opt)
-	})
+	if c == nil {
+		return walk()
+	}
+	return c.do(AsymmetricKey(programA, programB, in, opt), walk)
 }

@@ -184,3 +184,43 @@ func TestParseErrors(t *testing.T) {
 		t.Fatalf("empty spec faulted: %v", k)
 	}
 }
+
+// FuzzChaosParse: rvserved's -chaos spec is an external input. Parse must
+// never panic; a spec it accepts gives an injector whose counts start at
+// zero and whose first faults are the pure decision function's.
+func FuzzChaosParse(f *testing.F) {
+	for _, spec := range []string{
+		"",
+		"seed=7,every=3,kinds=err+short+latency,sites=cache.save",
+		"crashat=cache.journal.append:2",
+		"every=1,kinds=crash,sites=|cache",
+		" seed=18446744073709551615 , every=0 ,",
+		"kinds=,every=2",
+		"crashat=:1",
+		"seed=1=2",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		inj, err := Parse(spec)
+		if err != nil {
+			if inj != nil {
+				t.Fatalf("Parse(%q) returned an injector with error %v", spec, err)
+			}
+			return
+		}
+		if n := inj.Injected(); n != 0 || len(inj.counts) != 0 {
+			t.Fatalf("Parse(%q): injected %d, counts %v before any invocation", spec, n, inj.counts)
+		}
+		mute(inj)
+		inj.exit = func(int) {}
+		calls := map[string]uint64{}
+		for _, site := range []string{"cache.save.write", "cache.journal.append", inj.crSite, inj.crSite} {
+			calls[site]++
+			want := inj.decide(site, calls[site])
+			if got := inj.Fault(site); got != want && !(want == Latency && got == None) {
+				t.Fatalf("Parse(%q): Fault(%q) call %d = %v, decide says %v", spec, site, calls[site], got, want)
+			}
+		}
+	})
+}

@@ -28,7 +28,7 @@
 // under its own frame (segment.Frame with motion.Mover.SetFramed). A robot's motion is
 // refilled only when its clock moves to a new segment. The pairwise
 // meetings walk the local program under the two robots' frames too
-// (sim.FirstMeetingFramed).
+// (sim.FirstMeetingShared).
 // An instance with one τ — every E10 instance — generates the program once;
 // n distinct clocks cost what n per-robot walks did.
 package gather
@@ -108,7 +108,9 @@ type Options = sim.Options
 // Simulate runs all robots on the same program and measures pairwise
 // meetings and the gathering time. Each pair's first meeting is the
 // two-robot walk of the program under their frames
-// (sim.FirstMeetingFramed). Gathering is found
+// (sim.FirstMeetingShared); a pair with equal attributes takes its twin
+// walk, which pulls the program once and tests no contact while the pair's
+// distance provably stays above R. Gathering is found
 // by the safe advance on the diameter over one walk of program per
 // distinct clock τ (see the package doc), which visits the same segment
 // boundaries, with the same motions, as walking each robot's program under
@@ -131,7 +133,7 @@ func Simulate(program trajectory.Source, in Instance, opt Options) (Result, erro
 	// robot walking the local program under its own frame.
 	for i := range in.Robots {
 		for j := i + 1; j < len(in.Robots); j++ {
-			r, err := sim.FirstMeetingFramed(program, frames[i], program, frames[j], in.R, opt)
+			r, err := sim.FirstMeetingShared(program, frames[i], frames[j], in.R, opt)
 			if err != nil {
 				return Result{}, fmt.Errorf("pair (%d,%d): %w", i, j, err)
 			}

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -98,3 +99,25 @@ func (f *Frame) ArcAtDur(s *Seg, dur float64) (ArcGeometry, bool) {
 	}
 	return f.arc.place(s.arc(), f.m, f.tau, dur, true), true
 }
+
+// Translation returns the frame's translation T: where the robot starts.
+func (f *Frame) Translation() geom.Vec { return f.m.T }
+
+// Twin reports whether g places segments exactly as f does up to the
+// translation: their linear parts and clocks are equal as math.Float64bits,
+// and the map is a similarity, so arcs place as arcs. Twins give one raw
+// segment bit-equal durations, lengths, radii and angular velocities; the
+// placed points differ by T_g − T_f up to the rounding of adding the
+// translation.
+func (f *Frame) Twin(g *Frame) bool {
+	a, b := f.m.M, g.m.M
+	return f.arc.similar &&
+		math.Float64bits(a.A) == math.Float64bits(b.A) &&
+		math.Float64bits(a.B) == math.Float64bits(b.B) &&
+		math.Float64bits(a.C) == math.Float64bits(b.C) &&
+		math.Float64bits(a.D) == math.Float64bits(b.D) &&
+		math.Float64bits(f.tau) == math.Float64bits(g.tau)
+}
+
+// Norm returns ‖M‖₂, the factor the frame scales lengths by.
+func (f *Frame) Norm() float64 { return f.opNorm }

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 )
@@ -191,6 +192,17 @@ func (s *Seg) End() geom.Vec {
 	default:
 		return s.arc().End()
 	}
+}
+
+// Reach returns an upper bound on the norm of every point of the segment
+// and, for an arc, of its center: the sum of its payload points' 1-norms,
+// plus the radius for an arc. It is cheap enough to test per segment.
+func (s *Seg) Reach() float64 {
+	q := math.Abs(s.a.X) + math.Abs(s.a.Y) + math.Abs(s.b.X) + math.Abs(s.b.Y)
+	if s.kind == KindArc {
+		q += s.s1
+	}
+	return q
 }
 
 // MaxSpeed returns an upper bound on the instantaneous speed anywhere on the

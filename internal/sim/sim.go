@@ -17,13 +17,14 @@
 // There are two walks, one per problem. Search pulls the program's
 // generator in one loop: one stream against a static target needs no merge
 // and no second Mover. The rendezvous walk, meet, merges two streams and is
-// the one loop behind FirstMeetingFramed (and so Rendezvous) and every lane
-// of the batched rendezvous kernel. A stream pulls value-typed segments
-// either from its own trajectory.Cursor — the program's generator state,
-// pulled directly, each segment read in the generator's storage with its
-// raw duration and length — or, on a batch lane, from a Tape of raw
-// segments shared by every lane that reads it. No walk generates a segment twice or recomputes a
-// duration its generator supplied. Both walks are allocation-free per
+// the one loop behind FirstMeetingFramed, FirstMeetingShared (and so
+// Rendezvous) and every lane of the batched rendezvous kernel. A stream
+// pulls value-typed segments either from its own trajectory.Cursor — the
+// program's generator state, pulled directly, each segment read in the
+// generator's storage with its raw duration and length — or, on a batch
+// lane, from a Tape of raw segments shared by every lane that reads it. No
+// stream generates a segment twice or recomputes a duration its generator
+// supplied. Both walks are allocation-free per
 // segment, and a walk's allocations do not grow with its length; the
 // per-segment motions live in caller-owned motion.Mover storage. Search is
 // not folded into a one-lane SearchBatch because that would add per-call
@@ -43,6 +44,24 @@
 // a frozen copy of the framed segments it replaced
 // (motion.FuzzSetFramedMatchesSet), and whole walks against Results
 // recorded from that composed path (TestRendezvousMatchesComposedCorpus).
+//
+// Twins take a shorter walk. Two robots that run one program under frames
+// whose linear parts and clocks are bit-equal (segment.Frame.Twin) — Theorem
+// 4's infeasible v = 1, τ = 1, φ = 0, χ = +1, or a gather pair with equal
+// attributes — keep the constant offset ΔT = T_B − T_A up to rounding, so
+// they never meet while |ΔT| clears r + Slack by a rounding margin
+// k·u·(L + |T_A| + |T_B| + |ΔT|), with u = 2^−53, L a bound on the current
+// segment's placed points and k = 1024 (twinWalk proves it). It applies when
+// the caller passed one program: Rendezvous, FirstMeetingShared and every
+// tape lane do; FirstMeetingFramed with two sources never takes it. While
+// the margin holds, meet pulls one stream and updates its odometer and
+// interval count, with no placement and no contact test; the other robot's
+// stream is not started. On a modulated segment, at the end of the
+// program or where the margin fails, it hands over to the full loop at the
+// same t, starting the second stream at the first one's place. At the
+// horizon it places both robots once for the Gap, and DistanceB is
+// DistanceA. Results are bit-identical to the full walk
+// (FuzzTwinMatchesFullWalk).
 //
 // For whole grid rows of instances sharing one algorithm shape, the batched
 // SoA kernels (SearchBatch and RendezvousBatch over batch.Lanes) amortize
@@ -184,9 +203,10 @@ func detectOptions(opt Options, r float64) motion.Options {
 // applied at placement: durations and lengths go through the Frame and the
 // motion through Mover.SetFramed.
 type stream struct {
+	src      trajectory.Source
 	cur      trajectory.Cursor
 	tp       *Tape        // the shared tape, when the stream replays one
-	idx      int          // index of the next tape segment
+	n        int          // segments pulled; the index of the next tape segment
 	seg      *segment.Seg // the current segment (raw, local), read in place
 	fr       segment.Frame
 	segDur   float64 // its global duration: the pulled raw one, placed
@@ -199,19 +219,20 @@ type stream struct {
 	end      float64 // absolute end of the current motion (+Inf when halted)
 }
 
-// init readies the stream over src under fr and pulls its first segment.
-func (s *stream) init(src trajectory.Source, fr *segment.Frame) {
-	s.cur.Init(src)
-	s.fr = *fr
-	s.next()
+// set aims the stream at the start of src under fr, clearing all walk
+// state, without pulling: begin starts it. When tp is not nil
+// the stream reads tp, a Tape of src, instead of a cursor of its own. set
+// closes the cursor a previous walk started.
+func (s *stream) set(src trajectory.Source, tp *Tape, fr *segment.Frame) {
+	s.close()
+	*s = stream{src: src, tp: tp, fr: *fr}
 }
 
-// reset re-aims the stream at the start of tape tp under fr, clearing all
-// walk state, and pulls its first segment. It closes the cursor a previous
-// lane started past the tape's end.
-func (s *stream) reset(tp *Tape, fr *segment.Frame) {
-	s.close()
-	*s = stream{tp: tp, fr: *fr}
+// begin pulls the stream's first segment.
+func (s *stream) begin() {
+	if s.tp == nil {
+		s.cur.Init(s.src)
+	}
 	s.next()
 }
 
@@ -247,20 +268,20 @@ func (s *stream) next() {
 // reaches the end of the tape goes on with its own cursor over the tape's
 // program, past the tapeLen segments the tape holds.
 func (s *stream) pull() bool {
-	if s.tp != nil && s.idx == tapeLen {
-		s.cur.Init(s.tp.src)
+	if s.tp != nil && s.n == tapeLen {
+		s.cur.Init(s.src)
 		for range tapeLen {
 			s.cur.Pull()
 		}
 		s.tp = nil
 	}
 	if s.tp != nil {
-		e := s.tp.entry(s.idx)
+		e := s.tp.entry(s.n)
 		if e == nil {
 			return false
 		}
 		s.seg, s.segDur, s.segLen = &e.seg, e.dur, e.len
-		s.idx++
+		s.n++
 		return true
 	}
 	seg, dur, length, ok := s.cur.Pull()
@@ -268,6 +289,7 @@ func (s *stream) pull() bool {
 		return false
 	}
 	s.seg, s.segDur, s.segLen = seg, dur, length
+	s.n++
 	return true
 }
 
@@ -309,26 +331,61 @@ func (s *stream) close() { s.cur.Close() }
 // overlap interval, and advances whichever stream ends first. Each stream
 // pulls its program's generator directly (trajectory.Cursor): no segment is
 // boxed, buffered or generated twice.
+//
+// With two sources the walk never takes the twin path, even when both
+// programs are the same: only FirstMeetingShared knows that they are.
 func FirstMeetingFramed(programA trajectory.Source, fa segment.Frame, programB trajectory.Source, fb segment.Frame, r float64, opt Options) (Result, error) {
+	return firstMeeting(programA, &fa, programB, &fb, false, r, opt)
+}
+
+// FirstMeetingShared is FirstMeetingFramed for two robots that run one
+// program: bit-identical to FirstMeetingFramed(program, fa, program, fb,
+// r, opt). When fa and fb are twins (segment.Frame.Twin) it walks the
+// program once, with no placement and no contact test, for as long as the
+// robots' distance provably stays above r (see twinWalk).
+func FirstMeetingShared(program trajectory.Source, fa, fb segment.Frame, r float64, opt Options) (Result, error) {
+	return firstMeeting(program, &fa, program, &fb, true, r, opt)
+}
+
+// firstMeeting walks programA under fa against programB under fb; one says
+// that they are one program.
+func firstMeeting(programA trajectory.Source, fa *segment.Frame, programB trajectory.Source, fb *segment.Frame, one bool, r float64, opt Options) (Result, error) {
 	if !(opt.Horizon > 0) || !(r > 0) {
 		return Result{}, ErrBadOptions
 	}
 	// One allocation holds both streams.
 	var w struct{ sa, sb stream }
-	w.sa.init(programA, &fa)
+	w.sa.set(programA, nil, fa)
+	w.sa.begin()
 	defer w.sa.close()
-	w.sb.init(programB, &fb)
+	w.sb.set(programB, nil, fb)
 	defer w.sb.close()
-	return meet(&w.sa, &w.sb, r, opt)
+	return meet(&w.sa, &w.sb, one, r, opt)
 }
 
-// meet is the merged walk of two ready streams, the one loop behind
-// FirstMeetingFramed and every batch lane. opt.Horizon and r must be
-// positive.
-func meet(sa, sb *stream, r float64, opt Options) (Result, error) {
+// meet is the merged walk of two streams, the one loop behind
+// FirstMeetingFramed, FirstMeetingShared and every batch lane. sa has
+// begun and sb is set; meet begins sb. With one, which says that both
+// streams run one program, and twin frames, meet first takes the twin walk
+// and begins sb only where the full loop needs it. opt.Horizon and r must
+// be positive.
+func meet(sa, sb *stream, one bool, r float64, opt Options) (Result, error) {
 	mopt := detectOptions(opt, r)
 	var res Result
 	t := 0.0
+	if one && sa.fr.Twin(&sb.fr) {
+		var done bool
+		var err error
+		if t, done, err = twinWalk(sa, sb, &res, r+mopt.Slack, opt); err != nil {
+			return Result{}, err
+		}
+		if done {
+			return res, nil
+		}
+		takeOver(sa, sb)
+	} else {
+		sb.begin()
+	}
 	for t < opt.Horizon {
 		if err := pollCtx(opt.Ctx, res.Intervals); err != nil {
 			return Result{}, err
@@ -560,9 +617,13 @@ var referenceFrame = frame.Reference().Frame(geom.Zero)
 // distance first drops to in.R.
 //
 // Each robot pulls the local program through its own cursor and applies its
-// frame at placement (FirstMeetingFramed).
+// frame at placement (FirstMeetingShared); a twin of the reference robot
+// (v = 1, τ = 1, φ = 0, χ = +1) takes the twin walk.
 func Rendezvous(program trajectory.Source, in Instance, opt Options) (Result, error) {
-	return RendezvousAsymmetric(program, program, in, opt)
+	if err := in.Validate(); err != nil {
+		return Result{}, err
+	}
+	return FirstMeetingShared(program, referenceFrame, in.Attrs.Frame(in.D), in.R, opt)
 }
 
 // RendezvousAsymmetric simulates two robots running *different* local-frame
