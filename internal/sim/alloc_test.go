@@ -86,12 +86,12 @@ var longWalkInstance = Instance{
 }
 
 // fewestAllocsAndBytes is the fewest heap allocations and bytes of f over
-// runs runs, with the collector off.
-func fewestAllocsAndBytes(runs int, f func()) (allocs, bytes uint64) {
+// several runs, with the collector off.
+func fewestAllocsAndBytes(f func()) (allocs, bytes uint64) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	var before, after runtime.MemStats
-	for range runs {
+	for range 8 {
 		runtime.ReadMemStats(&before)
 		f()
 		runtime.ReadMemStats(&after)
@@ -114,8 +114,8 @@ func TestRendezvousLongWalkAllocGate(t *testing.T) {
 			}
 		}
 	}
-	shortAllocs, shortBytes := fewestAllocsAndBytes(8, walk(1000))
-	longAllocs, longBytes := fewestAllocsAndBytes(8, walk(2500))
+	shortAllocs, shortBytes := fewestAllocsAndBytes(walk(1000))
+	longAllocs, longBytes := fewestAllocsAndBytes(walk(2500))
 	if shortAllocs != longAllocs || shortBytes != longBytes {
 		t.Errorf("walk allocations grow with length: %d allocs, %d B to t=1000; %d allocs, %d B to t=2500",
 			shortAllocs, shortBytes, longAllocs, longBytes)
@@ -125,14 +125,9 @@ func TestRendezvousLongWalkAllocGate(t *testing.T) {
 // TestRendezvousTwinAllocGate: the twin walk of the E14/E16 control
 // (v = 1, τ = 1, φ = 0, χ = +1, d = (1, 0), r = 0.25) pulls one program and
 // allocates the same objects and bytes to the horizon 5e4 (404,220
-// intervals) as to 1e6 (about 33.5 M intervals, a second or so, so it is
-// measured twice rather than eight times). Under -race, where that walk
-// takes half a minute, the long horizon is 2e5.
+// intervals) as to 2e5, four times as long.
 func TestRendezvousTwinAllocGate(t *testing.T) {
-	long := 1e6
-	if raceDetector {
-		long = 2e5
-	}
+	const long = 2e5
 	in := Instance{Attrs: frame.Reference(), D: geom.V(1, 0), R: 0.25}
 	walk := func(horizon float64) func() {
 		return func() {
@@ -142,8 +137,8 @@ func TestRendezvousTwinAllocGate(t *testing.T) {
 			}
 		}
 	}
-	shortAllocs, shortBytes := fewestAllocsAndBytes(8, walk(5e4))
-	longAllocs, longBytes := fewestAllocsAndBytes(2, walk(long))
+	shortAllocs, shortBytes := fewestAllocsAndBytes(walk(5e4))
+	longAllocs, longBytes := fewestAllocsAndBytes(walk(long))
 	if shortAllocs != longAllocs || shortBytes != longBytes {
 		t.Errorf("twin walk allocations grow with length: %d allocs, %d B to t=5e4; %d allocs, %d B to t=%g",
 			shortAllocs, shortBytes, longAllocs, longBytes, long)

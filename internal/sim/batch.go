@@ -328,7 +328,7 @@ func (tp *Tape) record(i int) bool {
 // once on one tape.
 func (tp *Tape) Rendezvous(ln *batch.Lanes, opt Options) ([]Result, []error) {
 	var st lanePair
-	return tp.meet(ln, opt, &st, true)
+	return tp.meet(ln, opt, &st)
 }
 
 // RendezvousBatch runs Rendezvous for every lane of ln against one shared
@@ -344,7 +344,7 @@ func RendezvousBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([
 	}
 	w.tp.init(program)
 	defer w.tp.Close()
-	return w.tp.meet(ln, opt, &w.st, true)
+	return w.tp.meet(ln, opt, &w.st)
 }
 
 // lanePair is the walk state of one lane, reused by every lane of a call:
@@ -354,8 +354,8 @@ type lanePair struct{ sa, sb stream }
 // meet walks every lane of ln through meet over the tape, with st as the
 // walk state, and closes any cursor st's streams started past the tape.
 // Both robots of a lane run the tape's one program, so meet may take the
-// twin walk; one false walks every lane in full.
-func (tp *Tape) meet(ln *batch.Lanes, opt Options, st *lanePair, one bool) ([]Result, []error) {
+// twin walk.
+func (tp *Tape) meet(ln *batch.Lanes, opt Options, st *lanePair) ([]Result, []error) {
 	defer st.sa.close()
 	defer st.sb.close()
 	n := ln.Len()
@@ -374,10 +374,10 @@ func (tp *Tape) meet(ln *batch.Lanes, opt Options, st *lanePair, one bool) ([]Re
 			continue
 		}
 		fb := in.Attrs.Frame(in.D)
-		st.sa.set(tp.src, tp, &referenceFrame)
-		st.sa.begin()
-		st.sb.set(tp.src, tp, &fb)
-		results[i], errs[i] = meet(&st.sa, &st.sb, one, in.R, lopt)
+		st.sa.set(tp, &referenceFrame)
+		st.sa.begin(tp.src)
+		st.sb.set(tp, &fb)
+		results[i], errs[i] = meet(&st.sa, &st.sb, tp.src, true, in.R, lopt)
 	}
 	return results, errs
 }

@@ -203,7 +203,6 @@ func detectOptions(opt Options, r float64) motion.Options {
 // applied at placement: durations and lengths go through the Frame and the
 // motion through Mover.SetFramed.
 type stream struct {
-	src      trajectory.Source
 	cur      trajectory.Cursor
 	tp       *Tape        // the shared tape, when the stream replays one
 	n        int          // segments pulled; the index of the next tape segment
@@ -219,19 +218,19 @@ type stream struct {
 	end      float64 // absolute end of the current motion (+Inf when halted)
 }
 
-// set aims the stream at the start of src under fr, clearing all walk
-// state, without pulling: begin starts it. When tp is not nil
-// the stream reads tp, a Tape of src, instead of a cursor of its own. set
-// closes the cursor a previous walk started.
-func (s *stream) set(src trajectory.Source, tp *Tape, fr *segment.Frame) {
+// set aims the stream under fr, clearing all walk state, without pulling:
+// begin starts it. When tp is not nil the stream reads tp instead of a
+// cursor of its own. set closes the cursor a previous walk started.
+func (s *stream) set(tp *Tape, fr *segment.Frame) {
 	s.close()
-	*s = stream{src: src, tp: tp, fr: *fr}
+	*s = stream{tp: tp, fr: *fr}
 }
 
-// begin pulls the stream's first segment.
-func (s *stream) begin() {
+// begin starts the stream at the start of src, its program, and pulls the
+// first segment. A tape stream reads its tape, a Tape of src, instead.
+func (s *stream) begin(src trajectory.Source) {
 	if s.tp == nil {
-		s.cur.Init(s.src)
+		s.cur.Init(src)
 	}
 	s.next()
 }
@@ -269,7 +268,7 @@ func (s *stream) next() {
 // program, past the tapeLen segments the tape holds.
 func (s *stream) pull() bool {
 	if s.tp != nil && s.n == tapeLen {
-		s.cur.Init(s.src)
+		s.cur.Init(s.tp.src)
 		for range tapeLen {
 			s.cur.Pull()
 		}
@@ -355,21 +354,21 @@ func firstMeeting(programA trajectory.Source, fa *segment.Frame, programB trajec
 	}
 	// One allocation holds both streams.
 	var w struct{ sa, sb stream }
-	w.sa.set(programA, nil, fa)
-	w.sa.begin()
+	w.sa.set(nil, fa)
+	w.sa.begin(programA)
 	defer w.sa.close()
-	w.sb.set(programB, nil, fb)
+	w.sb.set(nil, fb)
 	defer w.sb.close()
-	return meet(&w.sa, &w.sb, one, r, opt)
+	return meet(&w.sa, &w.sb, programB, one, r, opt)
 }
 
 // meet is the merged walk of two streams, the one loop behind
 // FirstMeetingFramed, FirstMeetingShared and every batch lane. sa has
-// begun and sb is set; meet begins sb. With one, which says that both
-// streams run one program, and twin frames, meet first takes the twin walk
-// and begins sb only where the full loop needs it. opt.Horizon and r must
-// be positive.
-func meet(sa, sb *stream, one bool, r float64, opt Options) (Result, error) {
+// begun and sb is set; meet begins sb on programB. With one, which says
+// that both streams run one program, and twin frames, meet first takes the
+// twin walk and begins sb only where the full loop needs it. opt.Horizon
+// and r must be positive.
+func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt Options) (Result, error) {
 	mopt := detectOptions(opt, r)
 	var res Result
 	t := 0.0
@@ -382,9 +381,9 @@ func meet(sa, sb *stream, one bool, r float64, opt Options) (Result, error) {
 		if done {
 			return res, nil
 		}
-		takeOver(sa, sb)
+		takeOver(sa, sb, programB)
 	} else {
-		sb.begin()
+		sb.begin(programB)
 	}
 	for t < opt.Horizon {
 		if err := pollCtx(opt.Ctx, res.Intervals); err != nil {

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+
+	"repro/internal/trajectory"
 )
 
 // twinK is the constant k of the twin walk's rounding margin
@@ -97,13 +99,13 @@ func twinWalk(sa, sb *stream, res *Result, rs float64, opt Options) (t float64, 
 	return t, true, nil
 }
 
-// takeOver begins sb, sa's twin, where the twin walk stopped: it pulls sb
-// to sa's place — the segments sa has pulled, and the end of the program
-// if sa has reached it — and gives it sa's odometer. It panics if the two
-// streams' start times, durations or lengths then differ in any bit, which
-// would break the twin walk's DistanceB = DistanceA.
-func takeOver(sa, sb *stream) {
-	sb.begin()
+// takeOver begins sb, sa's twin, on program where the twin walk stopped: it
+// pulls sb to sa's place — the segments sa has pulled, and the end of the
+// program if sa has reached it — and gives it sa's odometer. It panics if
+// the two streams' start times, durations or lengths then differ in any
+// bit, which would break the twin walk's DistanceB = DistanceA.
+func takeOver(sa, sb *stream, program trajectory.Source) {
+	sb.begin(program)
 	for sb.n < sa.n {
 		sb.next()
 	}

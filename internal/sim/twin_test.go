@@ -44,8 +44,9 @@ func requireTwinDistances(t *testing.T, label string, res Result) {
 // FuzzTwinMatchesFullWalk is the twin walk's differential target. It draws
 // twin frames (any equal v, τ, φ, χ), a displacement, r and a horizon, and
 // walks each case through the one-program entries, which take the twin
-// walk, and through the full walk (two sources, or Tape.meet with one
-// false), comparing every Result field as bits. The entries are the scalar
+// walk, and through the full walk of two sources, comparing every Result
+// field as bits (a tape lane against RendezvousAsymmetric on its instance,
+// which FuzzBatchMatchesScalar shows the full tape walk equals). The entries are the scalar
 // walk under two arbitrary twin frames (what gather pairs call), Rendezvous
 // with R′ the reference robot's twin, and tape lanes, up to horizons that
 // walk past the tape's 2^16 segments. Programs include finite and modulated
@@ -133,23 +134,22 @@ func FuzzTwinMatchesFullWalk(f *testing.F) {
 			ln.AddRendezvous(frame.Reference(), d, r, horizon)
 			ln.AddRendezvous(frame.Attributes{V: v, Tau: tau, Phi: phi, Chi: chi}, d, r, math.Min(horizon, 300))
 			ln.AddRendezvous(frame.Reference(), d.Scale(1.5), r, horizon/2)
-			run := func(one bool) ([]Result, []error) {
-				tp := NewTape(mk())
-				defer tp.Close()
-				var st lanePair
-				return tp.meet(&ln, opt, &st, one)
-			}
-			want, wantErrs := run(false)
-			got, errs := run(true)
-			for i := range want {
-				if (errs[i] == nil) != (wantErrs[i] == nil) {
-					t.Fatalf("lane %d err: twin %v, full %v", i, errs[i], wantErrs[i])
+			tp := NewTape(mk())
+			defer tp.Close()
+			got, errs := tp.Rendezvous(&ln, opt)
+			for i := range got {
+				in := Instance{Attrs: ln.Attrs(i), D: ln.Target(i), R: ln.R[i]}
+				lopt := opt
+				lopt.Horizon = ln.Horizon[i]
+				want, wantErr := RendezvousAsymmetric(mk(), mk(), in, lopt)
+				if (errs[i] == nil) != (wantErr == nil) {
+					t.Fatalf("lane %d err: twin %v, full %v", i, errs[i], wantErr)
 				}
-				if wantErrs[i] == nil {
+				if wantErr == nil {
 					if i != 1 {
-						requireTwinDistances(t, "tape", want[i])
+						requireTwinDistances(t, "tape", want)
 					}
-					requireBitIdentical(t, "tape", got[i], want[i])
+					requireBitIdentical(t, "tape", got[i], want)
 				}
 			}
 		}
@@ -177,9 +177,9 @@ func TestTwinWalkHandsOver(t *testing.T) {
 	}
 	for _, c := range cases {
 		var sa, sb stream
-		sa.set(c.program, nil, &ref)
-		sa.begin()
-		sb.set(c.program, nil, &twin)
+		sa.set(nil, &ref)
+		sa.begin(c.program)
+		sb.set(nil, &twin)
 		var res Result
 		_, done, err := twinWalk(&sa, &sb, &res, c.r+detectOptions(c.opt, c.r).Slack, c.opt)
 		sa.close()
