@@ -29,11 +29,11 @@ import (
 )
 
 // benchExperiment runs one experiment table per iteration.
-func benchExperiment(b *testing.B, run func() (experiments.Table, error)) {
+func benchExperiment(b *testing.B, run func(experiments.Config) (experiments.Table, error)) {
 	b.Helper()
 	var rows int
 	for b.Loop() {
-		table, err := run()
+		table, err := run(experiments.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,37 +42,39 @@ func benchExperiment(b *testing.B, run func() (experiments.Table, error)) {
 	b.ReportMetric(float64(rows), "rows")
 }
 
-func BenchmarkE1SearchScaling(b *testing.B)     { benchExperiment(b, experiments.E1SearchScaling) }
-func BenchmarkE2Durations(b *testing.B)         { benchExperiment(b, experiments.E2Durations) }
-func BenchmarkE3SameChirality(b *testing.B)     { benchExperiment(b, experiments.E3SameChirality) }
-func BenchmarkE4OppositeChirality(b *testing.B) { benchExperiment(b, experiments.E4OppositeChirality) }
+func BenchmarkE1SearchScaling(b *testing.B) { benchExperiment(b, experiments.E1SearchScalingCfg) }
+func BenchmarkE2Durations(b *testing.B)     { benchExperiment(b, experiments.E2DurationsCfg) }
+func BenchmarkE3SameChirality(b *testing.B) { benchExperiment(b, experiments.E3SameChiralityCfg) }
+func BenchmarkE4OppositeChirality(b *testing.B) {
+	benchExperiment(b, experiments.E4OppositeChiralityCfg)
+}
 
 func BenchmarkE5PhaseSchedule(b *testing.B) {
-	benchExperiment(b, func() (experiments.Table, error) {
+	benchExperiment(b, func(cfg experiments.Config) (experiments.Table, error) {
 		// The benchmark covers 8 of the table's 12 rounds, as it always has,
 		// so its history stays comparable; all 12 take about 100 ms serial
 		// (E5 in RunAll).
-		return experiments.E5PhaseScheduleN(8)
+		return experiments.E5PhaseScheduleCfg(8, cfg)
 	})
 }
 
-func BenchmarkE6Overlap(b *testing.B)         { benchExperiment(b, experiments.E6Overlap) }
-func BenchmarkE7UniversalRounds(b *testing.B) { benchExperiment(b, experiments.E7UniversalRounds) }
-func BenchmarkE8Feasibility(b *testing.B)     { benchExperiment(b, experiments.E8Feasibility) }
-func BenchmarkE9Baselines(b *testing.B)       { benchExperiment(b, experiments.E9Baselines) }
-func BenchmarkE10Gathering(b *testing.B)      { benchExperiment(b, experiments.E10Gathering) }
-func BenchmarkE11LineVsPlane(b *testing.B)    { benchExperiment(b, experiments.E11LineVsPlane) }
-func BenchmarkE12Coverage(b *testing.B)       { benchExperiment(b, experiments.E12Coverage) }
-func BenchmarkE13Competitive(b *testing.B)    { benchExperiment(b, experiments.E13CompetitiveRatio) }
-func BenchmarkE14FaultInjection(b *testing.B) { benchExperiment(b, experiments.E14FaultInjection) }
+func BenchmarkE6Overlap(b *testing.B)         { benchExperiment(b, experiments.E6OverlapCfg) }
+func BenchmarkE7UniversalRounds(b *testing.B) { benchExperiment(b, experiments.E7UniversalRoundsCfg) }
+func BenchmarkE8Feasibility(b *testing.B)     { benchExperiment(b, experiments.E8FeasibilityCfg) }
+func BenchmarkE9Baselines(b *testing.B)       { benchExperiment(b, experiments.E9BaselinesCfg) }
+func BenchmarkE10Gathering(b *testing.B)      { benchExperiment(b, experiments.E10GatheringCfg) }
+func BenchmarkE11LineVsPlane(b *testing.B)    { benchExperiment(b, experiments.E11LineVsPlaneCfg) }
+func BenchmarkE12Coverage(b *testing.B)       { benchExperiment(b, experiments.E12CoverageCfg) }
+func BenchmarkE13Competitive(b *testing.B)    { benchExperiment(b, experiments.E13CompetitiveRatioCfg) }
+func BenchmarkE14FaultInjection(b *testing.B) { benchExperiment(b, experiments.E14FaultInjectionCfg) }
 func BenchmarkE15PriceOfSymmetry(b *testing.B) {
-	benchExperiment(b, experiments.E15PriceOfSymmetry)
+	benchExperiment(b, experiments.E15PriceOfSymmetryCfg)
 }
-func BenchmarkE16VariableSpeed(b *testing.B) { benchExperiment(b, experiments.E16VariableSpeed) }
+func BenchmarkE16VariableSpeed(b *testing.B) { benchExperiment(b, experiments.E16VariableSpeedCfg) }
 
-func BenchmarkAblationFixedStep(b *testing.B) { benchExperiment(b, experiments.A1FixedStepDetector) }
-func BenchmarkAblationNoWait(b *testing.B)    { benchExperiment(b, experiments.A2NoFinalWait) }
-func BenchmarkAblationNoRev(b *testing.B)     { benchExperiment(b, experiments.A3NoReversePass) }
+func BenchmarkAblationFixedStep(b *testing.B) { benchExperiment(b, experiments.A1FixedStepDetectorCfg) }
+func BenchmarkAblationNoWait(b *testing.B)    { benchExperiment(b, experiments.A2NoFinalWaitCfg) }
+func BenchmarkAblationNoRev(b *testing.B)     { benchExperiment(b, experiments.A3NoReversePassCfg) }
 
 // --- sweep engine benchmarks -------------------------------------------
 
@@ -118,14 +120,16 @@ func BenchmarkSweepWorkersMax(b *testing.B) {
 // BenchmarkE1Serial / BenchmarkE1Parallel expose the same comparison at the
 // experiment level: E1 fans 64 independent searches through the pool.
 func BenchmarkE1Serial(b *testing.B) {
-	benchExperiment(b, func() (experiments.Table, error) {
-		return experiments.E1SearchScalingCfg(experiments.Config{Workers: 1})
+	benchExperiment(b, func(cfg experiments.Config) (experiments.Table, error) {
+		cfg.Workers = 1
+		return experiments.E1SearchScalingCfg(cfg)
 	})
 }
 
 func BenchmarkE1Parallel(b *testing.B) {
-	benchExperiment(b, func() (experiments.Table, error) {
-		return experiments.E1SearchScalingCfg(experiments.Config{Workers: 0})
+	benchExperiment(b, func(cfg experiments.Config) (experiments.Table, error) {
+		cfg.Workers = 0
+		return experiments.E1SearchScalingCfg(cfg)
 	})
 }
 

@@ -13,9 +13,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// A1FixedStepDetector ablates the detector with the default config.
-func A1FixedStepDetector() (Table, error) { return A1FixedStepDetectorCfg(Config{}) }
-
 // A1FixedStepDetectorCfg ablates the simulator's safe-advance contact
 // detector against naive fixed-step sampling: coarse steps miss grazing
 // contacts that the conservative scheme cannot miss. Every detector
@@ -79,9 +76,6 @@ type a1Motion struct {
 func (m a1Motion) At(t float64) geom.Vec { return m.at(t) }
 func (m a1Motion) SpeedBound() float64   { return m.bound }
 
-// A2NoFinalWait ablates the final wait with the default config.
-func A2NoFinalWait() (Table, error) { return A2NoFinalWaitCfg(Config{}) }
-
 // A2NoFinalWaitCfg ablates the final wait of Search(k): without it the
 // round durations fall below the closed forms the Section 4 phase lemmas
 // assume. One sweep job per round.
@@ -108,9 +102,6 @@ func A2NoFinalWaitCfg(cfg Config) (Table, error) {
 		"the drift equals FinalWait(k) = 3(π+1)(2^k+2^(−k)); without it I(n)/A(n) of Lemma 8 are wrong")
 	return t, nil
 }
-
-// A3NoReversePass ablates Algorithm 7 with the default config.
-func A3NoReversePass() (Table, error) { return A3NoReversePassCfg(Config{}) }
 
 // A3NoReversePassCfg ablates the SearchAllRev pass of Algorithm 7,
 // replacing it with an equal-length wait, and compares rendezvous times

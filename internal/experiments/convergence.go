@@ -84,9 +84,6 @@ func convEstimate(cfg Config, kind sampler.Kind, n int) (float64, error) {
 	return sum / float64(n), nil
 }
 
-// Convergence runs the CONV experiment with the default config.
-func Convergence() (Table, error) { return ConvergenceCfg(Config{}) }
-
 // ConvergenceCfg measures |estimate − reference| per sampler kind over a
 // doubling sample-count axis. cfg.Samples, when ≥ 16, caps the largest n
 // (the CI smoke run uses a small cap); the default axis runs to 1024.

@@ -12,9 +12,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// E12Coverage verifies annulus coverage with the default config.
-func E12Coverage() (Table, error) { return E12CoverageCfg(Config{}) }
-
 // E12CoverageCfg verifies the geometric invariant behind Lemma 1: sub-round
 // j of Search(k) brings the robot within ρ(j,k) of every point of the
 // annulus [δ(j,k), 2δ(j,k)]. The table reports the worst probe gap relative
@@ -55,9 +52,6 @@ func E12CoverageCfg(cfg Config) (Table, error) {
 		"which is exactly the covering property Lemma 1's correctness argument needs")
 	return t, nil
 }
-
-// E13CompetitiveRatio measures competitiveness with the default config.
-func E13CompetitiveRatio() (Table, error) { return E13CompetitiveRatioCfg(Config{}) }
 
 // E13CompetitiveRatioCfg measures Algorithm 4's search time against the
 // omniscient offline optimum (walk straight: d − r). The paper's Theorem 1

@@ -11,9 +11,9 @@ import (
 // never meets, prediction/simulation disagreement). The tests here run them
 // and validate table structure plus a few cross-cutting invariants.
 
-func mustRun(t *testing.T, f func() (Table, error)) Table {
+func mustRun(t *testing.T, f func(Config) (Table, error)) Table {
 	t.Helper()
-	table, err := f()
+	table, err := f(Config{})
 	if err != nil {
 		t.Fatalf("experiment failed: %v", err)
 	}
@@ -32,7 +32,7 @@ func mustRun(t *testing.T, f func() (Table, error)) Table {
 }
 
 func TestE1SearchScaling(t *testing.T) {
-	table := mustRun(t, E1SearchScaling)
+	table := mustRun(t, E1SearchScalingCfg)
 	// Every non-vacuous measured/bound ratio must be < 1 (Theorem 1).
 	for _, row := range table.Rows {
 		ratio := row[5]
@@ -57,7 +57,7 @@ func TestE1RejectsOverflowingSamples(t *testing.T) {
 }
 
 func TestE2Durations(t *testing.T) {
-	table := mustRun(t, E2Durations)
+	table := mustRun(t, E2DurationsCfg)
 	for _, row := range table.Rows {
 		if !strings.Contains(row[4], "e-1") && row[4] != "0.00e+00" {
 			t.Errorf("%s %s: relative error %q above round-off", row[0], row[1], row[4])
@@ -66,7 +66,7 @@ func TestE2Durations(t *testing.T) {
 }
 
 func TestE3SameChirality(t *testing.T) {
-	table := mustRun(t, E3SameChirality)
+	table := mustRun(t, E3SameChiralityCfg)
 	infeasible := 0
 	for _, row := range table.Rows {
 		if strings.Contains(row[3], "infeasible") {
@@ -79,14 +79,14 @@ func TestE3SameChirality(t *testing.T) {
 }
 
 func TestE4OppositeChirality(t *testing.T) {
-	table := mustRun(t, E4OppositeChirality)
+	table := mustRun(t, E4OppositeChiralityCfg)
 	if got := table.Rows[len(table.Rows)-1][3]; !strings.Contains(got, "infeasible") {
 		t.Errorf("v=1 row should be infeasible, got %q", got)
 	}
 }
 
 func TestE5PhaseSchedule(t *testing.T) {
-	table, err := E5PhaseScheduleN(7) // full 12 rounds cost seconds; 7 suffices
+	table, err := E5PhaseScheduleCfg(7, Config{}) // full 12 rounds cost seconds; 7 suffices
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestE5PhaseSchedule(t *testing.T) {
 }
 
 func TestE6Overlap(t *testing.T) {
-	table := mustRun(t, E6Overlap)
+	table := mustRun(t, E6OverlapCfg)
 	applied := 0
 	for _, row := range table.Rows {
 		if row[3] != "none" {
@@ -115,11 +115,11 @@ func TestE6Overlap(t *testing.T) {
 }
 
 func TestE7UniversalRounds(t *testing.T) {
-	mustRun(t, E7UniversalRounds) // internal check: round ≤ k* or error
+	mustRun(t, E7UniversalRoundsCfg) // internal check: round ≤ k* or error
 }
 
 func TestE8Feasibility(t *testing.T) {
-	table := mustRun(t, E8Feasibility)
+	table := mustRun(t, E8FeasibilityCfg)
 	if len(table.Rows) != 16 {
 		t.Errorf("grid has %d cells, want 16", len(table.Rows))
 	}
@@ -131,7 +131,7 @@ func TestE8Feasibility(t *testing.T) {
 }
 
 func TestE9Baselines(t *testing.T) {
-	table := mustRun(t, E9Baselines)
+	table := mustRun(t, E9BaselinesCfg)
 	for _, row := range table.Rows {
 		if row[2] == "MISS" {
 			t.Errorf("Algorithm 4 missed at d=%s r=%s", row[0], row[1])
@@ -152,7 +152,7 @@ func TestE9Baselines(t *testing.T) {
 }
 
 func TestE10Gathering(t *testing.T) {
-	table := mustRun(t, E10Gathering)
+	table := mustRun(t, E10GatheringCfg)
 	// The infeasible-pair instance must show a capped pair count.
 	capped := false
 	for _, row := range table.Rows {
@@ -166,7 +166,7 @@ func TestE10Gathering(t *testing.T) {
 }
 
 func TestE11LineVsPlane(t *testing.T) {
-	table := mustRun(t, E11LineVsPlane)
+	table := mustRun(t, E11LineVsPlaneCfg)
 	for _, row := range table.Rows {
 		switch {
 		case strings.HasPrefix(row[0], "none"):
@@ -190,7 +190,7 @@ func TestE11LineVsPlane(t *testing.T) {
 }
 
 func TestE12Coverage(t *testing.T) {
-	table := mustRun(t, E12Coverage)
+	table := mustRun(t, E12CoverageCfg)
 	for _, row := range table.Rows {
 		if row[4] != row[5] {
 			t.Errorf("k=%s j=%s: %s probes but %s covered", row[0], row[1], row[4], row[5])
@@ -199,11 +199,11 @@ func TestE12Coverage(t *testing.T) {
 }
 
 func TestE13CompetitiveRatio(t *testing.T) {
-	mustRun(t, E13CompetitiveRatio)
+	mustRun(t, E13CompetitiveRatioCfg)
 }
 
 func TestE14FaultInjection(t *testing.T) {
-	table := mustRun(t, E14FaultInjection)
+	table := mustRun(t, E14FaultInjectionCfg)
 	if table.Rows[0][1] != "no meeting" {
 		t.Error("fault-free control must not meet")
 	}
@@ -215,7 +215,7 @@ func TestE14FaultInjection(t *testing.T) {
 }
 
 func TestE15PriceOfSymmetry(t *testing.T) {
-	table := mustRun(t, E15PriceOfSymmetry)
+	table := mustRun(t, E15PriceOfSymmetryCfg)
 	// The asymmetric column is the same search instance throughout.
 	first := table.Rows[0][3]
 	for _, row := range table.Rows {
@@ -226,14 +226,14 @@ func TestE15PriceOfSymmetry(t *testing.T) {
 }
 
 func TestE16VariableSpeed(t *testing.T) {
-	table := mustRun(t, E16VariableSpeed)
+	table := mustRun(t, E16VariableSpeedCfg)
 	if table.Rows[0][2] != "no meeting" {
 		t.Error("unmodulated identical twin must not meet")
 	}
 }
 
 func TestA1FixedStepDetector(t *testing.T) {
-	table := mustRun(t, A1FixedStepDetector)
+	table := mustRun(t, A1FixedStepDetectorCfg)
 	last := table.Rows[len(table.Rows)-1]
 	if last[0] != "safe-advance" || last[1] != "yes" {
 		t.Errorf("safe-advance row wrong: %v", last)
@@ -241,7 +241,7 @@ func TestA1FixedStepDetector(t *testing.T) {
 }
 
 func TestA2NoFinalWait(t *testing.T) {
-	table := mustRun(t, A2NoFinalWait)
+	table := mustRun(t, A2NoFinalWaitCfg)
 	for _, row := range table.Rows {
 		if row[1] != row[2] {
 			t.Errorf("k=%s: with-wait duration %s != closed form %s", row[0], row[1], row[2])
@@ -250,7 +250,7 @@ func TestA2NoFinalWait(t *testing.T) {
 }
 
 func TestA3NoReversePass(t *testing.T) {
-	mustRun(t, A3NoReversePass)
+	mustRun(t, A3NoReversePassCfg)
 }
 
 func TestRunOneAndRenderers(t *testing.T) {

@@ -11,9 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E10Gathering explores the open direction with the default config.
-func E10Gathering() (Table, error) { return E10GatheringCfg(Config{}) }
-
 // E10GatheringCfg explores the paper's stated open direction (Section 5):
 // deterministic gathering of more than two robots with minimal knowledge.
 // Every pairwise-feasible pair must meet (Theorem 2 applies per pair); full
@@ -96,9 +93,6 @@ func E10GatheringCfg(cfg Config) (Table, error) {
 		"gathering open (Section 5)")
 	return t, nil
 }
-
-// E11LineVsPlane contrasts line and plane with the default config.
-func E11LineVsPlane() (Table, error) { return E11LineVsPlaneCfg(Config{}) }
 
 // E11LineVsPlaneCfg contrasts the paper's planar Theorem 4 with the
 // one-dimensional setting of its predecessor [11]: a pure direction flip is

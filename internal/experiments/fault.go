@@ -10,9 +10,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// E14FaultInjection injects faults with the default config.
-func E14FaultInjection() (Table, error) { return E14FaultInjectionCfg(Config{}) }
-
 // E14FaultInjectionCfg measures the paper's algorithms under robot faults —
 // the reliability dimension the related work ([12], compass-error papers)
 // treats adversarially. The striking effect: two *identical* robots, for

@@ -35,9 +35,6 @@ func AdversarialDisplacement(a frame.Attributes, scale float64) geom.Vec {
 	return span.Perp().Unit().Scale(scale)
 }
 
-// E8Feasibility reproduces Theorem 4 with the default config.
-func E8Feasibility() (Table, error) { return E8FeasibilityCfg(Config{}) }
-
 // E8FeasibilityCfg reproduces Theorem 4: a grid over (v, τ, φ, χ) where the
 // simulated outcome (rendezvous within a horizon, against an adversarial
 // displacement) matches the theorem's characterisation exactly. Every grid

@@ -10,10 +10,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// E15PriceOfSymmetry measures the role-splitting ratio with the default
-// config.
-func E15PriceOfSymmetry() (Table, error) { return E15PriceOfSymmetryCfg(Config{}) }
-
 // E15PriceOfSymmetryCfg compares symmetric rendezvous (both robots run
 // Algorithm 4, as the problem demands) against the asymmetric optimum the
 // introduction contrasts it with: one robot waits at its initial position
@@ -68,9 +64,6 @@ func E15PriceOfSymmetryCfg(cfg Config) (Table, error) {
 		"asymmetric protocol is unavailable to anonymous robots (both would wait, or both search)")
 	return t, nil
 }
-
-// E16VariableSpeed explores variable-speed robots with the default config.
-func E16VariableSpeed() (Table, error) { return E16VariableSpeedCfg(Config{}) }
 
 // E16VariableSpeedCfg explores the paper's other future-work axis: robots
 // whose speed varies over time. Per-segment speed modulation of an

@@ -11,9 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E3SameChirality reproduces Theorem 2 (χ=+1) with the default config.
-func E3SameChirality() (Table, error) { return E3SameChiralityCfg(Config{}) }
-
 // E3SameChiralityCfg reproduces Theorem 2 for χ = +1: rendezvous time of
 // Algorithm 4 under sweeps of v and φ, against the bound
 // 6(π+1)·log(d²/(μr))·d²/(μr). The μ = 0 cell (v = 1, φ = 0) is infeasible.
@@ -67,9 +64,6 @@ func E3SameChiralityCfg(cfg Config) (Table, error) {
 		"larger μ (more frame disagreement) speeds up rendezvous; only μ=0 never meets")
 	return t, nil
 }
-
-// E4OppositeChirality reproduces Theorem 2 (χ=−1) with the default config.
-func E4OppositeChirality() (Table, error) { return E4OppositeChiralityCfg(Config{}) }
 
 // E4OppositeChiralityCfg reproduces Theorem 2 for χ = −1: the rendezvous
 // time scales like 1/(1−v) as v → 1, and v = 1 is infeasible. φ is swept to

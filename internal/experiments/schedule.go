@@ -10,18 +10,12 @@ import (
 	"repro/internal/sweep"
 )
 
-// E5PhaseSchedule reproduces Lemma 8 and Figures 1-2: the start times of the
-// inactive and active phases of Algorithm 7, measured by walking the actual
-// trajectory stream, against I(n) = 24(π+1)[(2n−4)2ⁿ+4] and
-// A(n) = 24(π+1)[(3n−4)2ⁿ+4].
-func E5PhaseSchedule() (Table, error) { return E5PhaseScheduleN(12) }
-
-// E5PhaseScheduleN is E5PhaseSchedule limited to the first maxN rounds
-// (walking the stream costs O(4ⁿ) segments per round n).
-func E5PhaseScheduleN(maxN int) (Table, error) { return E5PhaseScheduleCfg(maxN, Config{}) }
-
-// E5PhaseScheduleCfg is E5PhaseScheduleN under an execution config. The
-// measurement used to be one cumulative walk of the trajectory stream —
+// E5PhaseScheduleCfg reproduces Lemma 8 and Figures 1-2 for the first maxN
+// rounds: the start times of the inactive and active phases of Algorithm 7,
+// measured on the actual trajectory stream, against
+// I(n) = 24(π+1)[(2n−4)2ⁿ+4] and A(n) = 24(π+1)[(3n−4)2ⁿ+4]. Walking the
+// stream costs O(4ⁿ) segments per round n. The measurement used to be one
+// cumulative walk of the trajectory stream —
 // inherently serial, and the long pole of RunAll. It now decomposes into one
 // sweep job per round: job n replays the duration fold of the stream prefix
 // up to round n's wait (algo.UniversalPhaseStart), which reproduces the walk
@@ -51,9 +45,6 @@ func E5PhaseScheduleCfg(maxN int, cfg Config) (Table, error) {
 	t.Notes = append(t.Notes, "measured schedule equals the closed forms to float64 round-off")
 	return t, nil
 }
-
-// E6Overlap reproduces Lemmas 9-10 with the default config.
-func E6Overlap() (Table, error) { return E6OverlapCfg(Config{}) }
 
 // E6OverlapCfg reproduces Lemmas 9-10 and Figure 3: for admissible (τ, a)
 // the active phase of R overlaps the peer's inactive phase by the stated

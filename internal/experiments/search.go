@@ -14,9 +14,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// E1SearchScaling reproduces Theorem 1 with the default config.
-func E1SearchScaling() (Table, error) { return E1SearchScalingCfg(Config{}) }
-
 // E1SearchScalingCfg reproduces Theorem 1: the measured search time of
 // Algorithm 4 against static targets, swept over d and r, never exceeds
 // 6(π+1)·log₂(d²/r)·(d²/r), and grows with (d²/r)·log(d²/r). The measured
@@ -111,9 +108,6 @@ func E1SearchScalingCfg(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// E2Durations reproduces Lemma 2 with the default config.
-func E2Durations() (Table, error) { return E2DurationsCfg(Config{}) }
-
 // E2DurationsCfg reproduces Lemma 2: the closed-form durations of
 // Algorithms 1-4 against the exactly simulated trajectory durations, one
 // sweep job per table row.
@@ -164,9 +158,6 @@ func E2DurationsCfg(cfg Config) (Table, error) {
 	t.Notes = append(t.Notes, "all relative errors are float64 round-off (≤ 1e-12)")
 	return t, nil
 }
-
-// E9Baselines compares strategies with the default config.
-func E9Baselines() (Table, error) { return E9BaselinesCfg(Config{}) }
 
 // E9BaselinesCfg compares the paper's search algorithm with the baseline
 // strategies on shared workloads: the adaptive schedule is the only one

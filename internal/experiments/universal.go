@@ -10,9 +10,6 @@ import (
 	"repro/internal/sim"
 )
 
-// E7UniversalRounds reproduces Lemmas 11-13 with the default config.
-func E7UniversalRounds() (Table, error) { return E7UniversalRoundsCfg(Config{}) }
-
 // E7UniversalRoundsCfg reproduces Lemmas 11-13 / Theorem 3: the round of
 // Algorithm 7 in which the robots actually rendezvous, for a sweep of clock
 // ratios, never exceeds the predicted k*. Every (r, τ) cell is an

@@ -15,8 +15,36 @@ func sane(x, lim float64) (float64, bool) {
 	return math.Mod(x, lim), true
 }
 
+// sweepMatchesContact checks that StaticSweep answers the static point p
+// exactly as Contact does, as math.Float64bits: the batch and scalar call
+// sites of one closed form.
+func sweepMatchesContact(t *testing.T, m Mover, p geom.Vec, r, t0, t1 float64) {
+	t.Helper()
+	st := mover(Static(p))
+	want, wantFound, err := Contact(&m, &st, r, t0, t1, DefaultOptions(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw StaticSweep
+	sw.Reset(&m, t0)
+	var got float64
+	var found bool
+	switch sw.Kind() {
+	case SweepLinear:
+		got, found = sw.LinearAt(st.At(t0), r, t1)
+	case SweepCircular:
+		got, found = sw.CircularAt(p, r, t1)
+	default:
+		t.Fatalf("sweep kind %d, want linear or circular", sw.Kind())
+	}
+	if found != wantFound || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("sweep (%v, %v) != Contact (%v, %v)", got, found, want, wantFound)
+	}
+}
+
 // FuzzLinearLinear cross-validates the closed-form linear-linear detector
-// against the brute-force reference on random configurations.
+// against the brute-force reference on random configurations, and checks
+// the sweep against Contact on the input with b made static.
 func FuzzLinearLinear(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.0, 10.0, 0.25, -1.0, 0.0, 0.5)
 	f.Add(-3.0, 2.0, 0.7, -0.4, 4.0, -1.0, -0.5, 0.3, 0.8)
@@ -38,6 +66,7 @@ func FuzzLinearLinear(f *testing.F) {
 		a := Linear{P0: geom.V(ax, ay), Vel: geom.V(avx, avy)}
 		b := Linear{P0: geom.V(bx, by), Vel: geom.V(bvx, bvy)}
 		const t1 = 30.0
+		sweepMatchesContact(t, mover(a), b.P0, rr, 0, t1)
 		got, found, err := contact(a, b, rr, 0, t1, DefaultOptions(rr))
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +87,8 @@ func FuzzLinearLinear(f *testing.F) {
 	})
 }
 
-// FuzzCircularStatic cross-validates the arc-vs-static closed form.
+// FuzzCircularStatic cross-validates the arc-vs-static closed form, and
+// checks the sweep against Contact.
 func FuzzCircularStatic(f *testing.F) {
 	f.Add(0.0, 0.0, 2.0, 0.3, 0.7, 3.0, 1.0, 0.6)
 	f.Add(1.0, -1.0, 1.5, 2.0, -1.3, -1.4, -1.0, 0.4)
@@ -89,6 +119,7 @@ func FuzzCircularStatic(f *testing.F) {
 		c := Circular{Center: geom.V(cx, cy), Radius: rad, Theta0: theta0, Omega: om}
 		p := Static(geom.V(px, py))
 		const t1 = 40.0
+		sweepMatchesContact(t, circularMover(c), p.P0, rr, 0, t1)
 		got, found, err := contact(c, p, rr, 0, t1, DefaultOptions(rr))
 		if err != nil {
 			t.Fatal(err)

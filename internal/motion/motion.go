@@ -129,12 +129,18 @@ func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found
 func linearLinear(a, b Linear, r, t0, t1 float64) (float64, bool) {
 	p0 := a.At(t0).Sub(b.At(t0))
 	w := a.Vel.Sub(b.Vel)
+	return linearHit(p0, w, w.Norm2(), r, t0, t1)
+}
 
+// linearHit is the linear closed form, shared by linearLinear and
+// StaticSweep.LinearAt: the earliest t in [t0, t1] with |p0 + w·(t−t0)| ≤ r,
+// where p0 is the relative position at t0, w the relative velocity and qa
+// its squared norm |w|².
+func linearHit(p0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
 	c := p0.Norm2() - r*r
 	if c <= 0 {
 		return t0, true // already in contact
 	}
-	qa := w.Norm2()
 	if qa == 0 {
 		return 0, false // constant positive gap
 	}
@@ -171,24 +177,32 @@ func linearLinear(a, b Linear, r, t0, t1 float64) (float64, bool) {
 }
 
 // circularStatic solves first contact between a point on uniform circular
-// motion and a static point p, exactly.
+// motion and a static point p, exactly (see arcHit).
+func circularStatic(c Circular, p geom.Vec, r, t0, t1 float64) (float64, bool) {
+	return arcHit(c.Center, c.Radius, c.Omega, c.Theta0+c.Omega*(t0-c.T0), p, r, t0, t1)
+}
+
+// arcHit is the arc-vs-static closed form, shared by circularStatic and
+// StaticSweep.CircularAt: the earliest t in [t0, t1] at which the point
+// center + radius·e^{iθ(t)}, turning at omega with θ(t0) = theta, is
+// within r of the static point p.
 //
-// With u(t) = Center − p + Radius·e^{iθ(t)} and D = |Center − p|:
+// With u(t) = center − p + radius·e^{iθ(t)} and D = |center − p|:
 //
-//	|u|² = D² + R² + 2RD·cos(θ − β),  β = angle(Center − p)
+//	|u|² = D² + R² + 2RD·cos(θ − β),  β = angle(center − p)
 //
 // so |u| ≤ r ⇔ cos(θ − β) ≤ (r² − D² − R²) / (2RD).
-func circularStatic(c Circular, p geom.Vec, r, t0, t1 float64) (float64, bool) {
-	cp := c.Center.Sub(p)
+func arcHit(center geom.Vec, radius, omega, theta float64, p geom.Vec, r, t0, t1 float64) (float64, bool) {
+	cp := center.Sub(p)
 	d := cp.Norm()
 	// Degenerate cases: constant distance.
-	if c.Radius == 0 || c.Omega == 0 || d == 0 {
-		if c.At(t0).Dist(p) <= r {
+	if radius == 0 || omega == 0 || d == 0 {
+		if center.Add(geom.Polar(radius, theta)).Dist(p) <= r {
 			return t0, true
 		}
 		return 0, false
 	}
-	rhs := (r*r - d*d - c.Radius*c.Radius) / (2 * c.Radius * d)
+	rhs := (r*r - d*d - radius*radius) / (2 * radius * d)
 	if rhs >= 1 {
 		return t0, true // contact holds for every angle
 	}
@@ -197,18 +211,18 @@ func circularStatic(c Circular, p geom.Vec, r, t0, t1 float64) (float64, bool) {
 	}
 	alpha := math.Acos(rhs) // contact set: ψ = θ−β ∈ [α, 2π−α] (mod 2π)
 	beta := cp.Angle()
-	psi0 := normAngle(c.Theta0 + c.Omega*(t0-c.T0) - beta)
+	psi0 := normAngle(theta - beta)
 
 	if psi0 >= alpha && psi0 <= 2*math.Pi-alpha {
 		return t0, true
 	}
 	var dt float64
-	if c.Omega > 0 {
+	if omega > 0 {
 		// ψ increases; first entry at ψ = α.
-		dt = forwardDelta(psi0, alpha) / c.Omega
+		dt = forwardDelta(psi0, alpha) / omega
 	} else {
 		// ψ decreases; first entry at ψ = 2π − α.
-		dt = forwardDelta(2*math.Pi-alpha, psi0) / -c.Omega
+		dt = forwardDelta(2*math.Pi-alpha, psi0) / -omega
 	}
 	if t0+dt <= t1 {
 		return t0 + dt, true

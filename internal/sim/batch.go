@@ -1,30 +1,21 @@
 package sim
 
 import (
-	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/batch"
-	"repro/internal/geom"
-	"repro/internal/motion"
 	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
-// This file holds the batched (struct-of-arrays) counterparts of Search and
-// Rendezvous. Both walk one shared program stream once per batch instead
-// of once per instance, and are bit-identical to the scalar paths per lane:
+// This file holds the batched (struct-of-arrays) entry points. Each walks
+// one shared program stream once per batch instead of once per instance,
+// bit-identical to the scalar paths per lane:
 //
-//   - SearchBatch exploits the search walk's lockstep invariant — the scalar
-//     walk always advances t to the current segment's end, so every
-//     still-active lane of a shared program sits at the same absolute time.
-//     One segment pull (which supplies the duration and length), one
-//     odometer step and one Mover.Set therefore serve all lanes, and per-lane work reduces to the
-//     closed-form contact check, evaluated by motion.StaticSweep as a tight
-//     loop with the kind switch hoisted out.
+//   - SearchBatch is the search walk itself, searchWalk, on every valid
+//     lane of the batch; Search runs it on one lane.
 //
 //   - RendezvousBatch and Tape.Rendezvous interleave two streams per lane
 //     (the frame dilation shifts segment boundaries per lane), so lanes walk
@@ -46,170 +37,16 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 	n := ln.Len()
 	results := make([]Result, n)
 	errs := make([]error, n)
-
-	// Per-lane constants. b0 is the target as the scalar static Mover
-	// evaluates it — Static(p).At(t) = {p.X+0, p.Y+0} for any finite t ≥ 0 —
-	// hoisted out of the walk entirely.
-	b0x := make([]float64, n)
-	b0y := make([]float64, n)
-	mopts := make([]motion.Options, n)
 	active := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if !(ln.Horizon[i] > 0) || !(ln.R[i] > 0) {
 			errs[i] = ErrBadOptions
 			continue
 		}
-		b0x[i] = ln.TX[i] + 0
-		b0y[i] = ln.TY[i] + 0
-		mopts[i] = detectOptions(opt, ln.R[i])
 		active = append(active, i)
 	}
-
-	// Shared walk state: identical to searchWalk minus the per-lane fields.
-	// All active lanes share t (the lockstep invariant), the odometer, and
-	// the current segment's Mover. At the end of the program, seg is still
-	// the last segment.
-	var (
-		cur      trajectory.Cursor
-		seg      *segment.Seg
-		odo      odometer
-		mov      motion.Mover
-		t, start float64
-	)
-	cur.Init(program)
-	defer cur.Close()
-	segs := 0
-	for len(active) > 0 {
-		next, dur, plen, ok := cur.Pull()
-		if !ok {
-			break
-		}
-		seg = next
-		// The shared walk polls the context like the scalar loops do; on
-		// cancellation every still-active lane fails with the same error
-		// (finished lanes keep their results — they are already final).
-		if err := pollCtx(opt.Ctx, segs); err != nil {
-			for _, i := range active {
-				results[i] = Result{}
-				errs[i] = err
-			}
-			return results, errs
-		}
-		segs++
-		segStart := start
-		start = segStart + dur
-		if dur == 0 {
-			continue // a walker never surfaces zero-duration segments
-		}
-		odo.observe(segStart, dur, plen)
-		mov.Set(seg, segStart, dur)
-		sw := mov.StaticSweep(t)
-
-		// Compact the active set in place: kept aliases active's array, and
-		// only writes slots already read.
-		kept := active[:0]
-		switch sw.Kind() {
-		case motion.SweepLinear:
-			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
-				results[i].Intervals++
-				hit, found := sw.LinearAt(geom.Vec{X: b0x[i], Y: b0y[i]}, ln.R[i], tEnd)
-				if found {
-					finishSearchMet(&results[i], &odo, &mov, hit, b0x[i], b0y[i])
-					continue
-				}
-				if tEnd >= ln.Horizon[i] {
-					finishSearchHorizon(&results[i], &odo, &mov, ln.Horizon[i], ln.TX[i], ln.TY[i])
-					continue
-				}
-				kept = append(kept, i)
-			}
-		case motion.SweepCircular:
-			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
-				results[i].Intervals++
-				hit, found := sw.CircularAt(geom.Vec{X: ln.TX[i], Y: ln.TY[i]}, ln.R[i], tEnd)
-				if found {
-					finishSearchMet(&results[i], &odo, &mov, hit, b0x[i], b0y[i])
-					continue
-				}
-				if tEnd >= ln.Horizon[i] {
-					finishSearchHorizon(&results[i], &odo, &mov, ln.Horizon[i], ln.TX[i], ln.TY[i])
-					continue
-				}
-				kept = append(kept, i)
-			}
-		default:
-			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
-				results[i].Intervals++
-				hit, found, err := sw.FallbackAt(geom.Vec{X: ln.TX[i], Y: ln.TY[i]}, ln.R[i], tEnd, mopts[i])
-				if err != nil {
-					results[i] = Result{}
-					errs[i] = fmt.Errorf("interval [%v, %v]: %w", t, tEnd, err)
-					continue
-				}
-				if found {
-					finishSearchMet(&results[i], &odo, &mov, hit, b0x[i], b0y[i])
-					continue
-				}
-				if tEnd >= ln.Horizon[i] {
-					finishSearchHorizon(&results[i], &odo, &mov, ln.Horizon[i], ln.TX[i], ln.TY[i])
-					continue
-				}
-				kept = append(kept, i)
-			}
-		}
-		active = kept
-		t = start
-	}
-
-	if len(active) > 0 {
-		// Program exhausted before every horizon: the robot parks at its
-		// final position and each remaining lane sees a constant gap.
-		var finalPos geom.Vec
-		if cur.Consumed() > 0 {
-			finalPos = seg.End()
-		}
-		odo.halt()
-		mov.SetStatic(finalPos)
-		fp := mov.At(t)   // = {finalPos.X+0, finalPos.Y+0}, shared
-		dist := odo.at(t) // post-halt: the full traveled length, shared
-		for _, i := range active {
-			res := &results[i]
-			res.Intervals++
-			gap := fp.Dist(geom.Vec{X: ln.TX[i], Y: ln.TY[i]})
-			res.DistanceA, res.DistanceB = dist, 0
-			if gap <= ln.R[i] {
-				res.Met = true
-				res.Time = t
-				res.WhereA = fp
-				res.WhereB = geom.Vec{X: b0x[i], Y: b0y[i]}
-				res.Gap = res.WhereA.Dist(res.WhereB)
-			} else {
-				res.Gap = gap
-			}
-		}
-	}
+	searchWalk(program, ln, opt, results, errs, active)
 	return results, errs
-}
-
-// finishSearchMet fills lane res for a contact at hit, exactly like the
-// scalar met() with the target's static mover.
-func finishSearchMet(res *Result, odo *odometer, mov *motion.Mover, hit, b0x, b0y float64) {
-	res.DistanceA, res.DistanceB = odo.at(hit), 0
-	res.Met = true
-	res.Time = hit
-	res.WhereA = mov.At(hit)
-	res.WhereB = geom.Vec{X: b0x, Y: b0y}
-	res.Gap = res.WhereA.Dist(res.WhereB)
-}
-
-// finishSearchHorizon fills lane res for a horizon reached inside the current
-// segment; tx/ty are the raw target (the scalar gap is measured against it).
-func finishSearchHorizon(res *Result, odo *odometer, mov *motion.Mover, horizon, tx, ty float64) {
-	res.Gap = mov.At(horizon).Dist(geom.Vec{X: tx, Y: ty})
-	res.DistanceA, res.DistanceB = odo.at(horizon), 0
 }
 
 // Tape is a rendezvous program recorded once and read by any number of

@@ -89,6 +89,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/batch"
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/motion"
@@ -399,7 +400,7 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 			gap := sa.mov.At(t).Dist(sb.mov.At(t))
 			res.DistanceA, res.DistanceB = sa.odo.at(t), sb.odo.at(t)
 			if gap <= r {
-				return met(res, &sa.mov, &sb.mov, t), nil
+				return met(res, t, sa.mov.At(t), sb.mov.At(t)), nil
 			}
 			res.Gap = gap
 			return res, nil
@@ -412,7 +413,7 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 		}
 		if found {
 			res.DistanceA, res.DistanceB = sa.odo.at(hit), sb.odo.at(hit)
-			return met(res, &sa.mov, &sb.mov, hit), nil
+			return met(res, hit, sa.mov.At(hit), sb.mov.At(hit)), nil
 		}
 		t = intervalEnd
 	}
@@ -421,13 +422,14 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 	return res, nil
 }
 
-// met fills in the contact fields of a result.
-func met(res Result, ma, mb *motion.Mover, t float64) Result {
+// met fills in the contact fields of a result: contact at t, with the
+// robots at wa and wb.
+func met(res Result, t float64, wa, wb geom.Vec) Result {
 	res.Met = true
 	res.Time = t
-	res.WhereA = ma.At(t)
-	res.WhereB = mb.At(t)
-	res.Gap = res.WhereA.Dist(res.WhereB)
+	res.WhereA = wa
+	res.WhereB = wb
+	res.Gap = wa.Dist(wb)
 	return res
 }
 
@@ -478,108 +480,147 @@ func (o *odometer) at(t float64) float64 {
 // program from the origin; a static target sits at target; the robot sees it
 // at distance r. It returns the first detection time.
 //
-// The program is in the global frame, so its segments are placed as they
-// are (Mover.Set). It is walked by one pull loop over the program's
-// generator, which supplies each segment's duration and length, and the
-// per-segment motion lives in a reused Mover, so the search hot path
-// performs no per-segment allocations.
+// Search is searchWalk on one lane, whose vectors live on its stack.
 func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) (Result, error) {
 	if !(opt.Horizon > 0) || !(r > 0) {
 		return Result{}, ErrBadOptions
 	}
-	mopt := detectOptions(opt, r)
-	var tgt motion.Mover
-	tgt.SetStatic(target)
+	tx, ty, rr, h := [1]float64{target.X}, [1]float64{target.Y}, [1]float64{r}, [1]float64{opt.Horizon}
+	ln := batch.Lanes{TX: tx[:], TY: ty[:], R: rr[:], Horizon: h[:]}
+	var res [1]Result
+	var errs [1]error
+	var active [1]int
+	searchWalk(program, &ln, opt, res[:], errs[:], active[:])
+	return res[0], errs[0]
+}
 
-	w := &searchWalk{tgt: tgt, target: target, r: r, horizon: opt.Horizon, mopt: mopt, ctx: opt.Ctx}
-	w.cur.Init(program)
-	defer w.cur.Close()
-	for {
-		// At the end, w.seg is still the last segment.
-		seg, dur, plen, ok := w.cur.Pull()
+// searchWalk is the one search walk, behind Search and SearchBatch: it
+// walks program once for every lane of ln listed in active, each with a
+// positive horizon and radius, and writes each lane's Result or error.
+// active is reused as scratch.
+//
+// The program is in the global frame, so its segments are placed as they
+// are (Mover.Set). Every active lane sits at the same absolute time t: a
+// lane's walk always advances t to the current segment's end, so the lanes
+// move in lockstep. One pull, which supplies the segment's duration and
+// length, one odometer step, one Mover.Set and one StaticSweep.Reset
+// therefore serve all lanes, and each lane's work per segment is the
+// contact test, in one loop per contact kind with the kind switch hoisted
+// out. The walk allocates nothing per segment or per lane.
+func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results []Result, errs []error, active []int) {
+	var (
+		cur      trajectory.Cursor
+		seg      *segment.Seg // the current segment; still the last one when the program ends
+		odo      odometer
+		mov      motion.Mover
+		sw       motion.StaticSweep
+		t, start float64
+	)
+	cur.Init(program)
+	defer cur.Close()
+	for segs := 0; len(active) > 0; segs++ {
+		next, dur, plen, ok := cur.Pull()
 		if !ok {
 			break
 		}
-		if w.seg = seg; !w.step(dur, plen) {
-			break
+		seg = next
+		// On cancellation every still-active lane fails with the same error;
+		// finished lanes keep their results, which are already final.
+		if err := pollCtx(opt.Ctx, segs); err != nil {
+			for _, i := range active {
+				results[i] = Result{}
+				errs[i] = err
+			}
+			return
 		}
-	}
-	if w.retErr != nil {
-		return Result{}, w.retErr
-	}
-	if !w.finished {
-		// The program was exhausted before the horizon: the robot parks at
-		// its final position and the gap is constant forever.
-		var finalPos geom.Vec
-		if w.cur.Consumed() > 0 {
-			finalPos = w.seg.End()
+		segStart := start
+		start = segStart + dur
+		if dur == 0 {
+			continue // a walker never surfaces zero-duration segments
 		}
-		w.odo.halt()
-		w.res.Intervals++
-		w.mov.SetStatic(finalPos)
-		gap := w.mov.At(w.t).Dist(target)
-		w.res.DistanceA, w.res.DistanceB = w.odo.at(w.t), 0
-		if gap <= r {
-			return met(w.res, &w.mov, &w.tgt, w.t), nil
+		odo.observe(segStart, dur, plen)
+		mov.Set(seg, segStart, dur)
+		sw.Reset(&mov, t)
+
+		// Compact the active set in place: kept aliases active's array, and
+		// only writes slots already read. A linear contact subtracts the
+		// target as its static Mover evaluates it, {X+0, Y+0}.
+		kept := active[:0]
+		switch sw.Kind() {
+		case motion.SweepLinear:
+			for _, i := range active {
+				tEnd := math.Min(ln.Horizon[i], start)
+				results[i].Intervals++
+				hit, found := sw.LinearAt(geom.Vec{X: ln.TX[i] + 0, Y: ln.TY[i] + 0}, ln.R[i], tEnd)
+				if found {
+					endLane(&results[i], &odo, &mov, true, hit, ln.Target(i))
+				} else if tEnd >= ln.Horizon[i] {
+					endLane(&results[i], &odo, &mov, false, ln.Horizon[i], ln.Target(i))
+				} else {
+					kept = append(kept, i)
+				}
+			}
+		case motion.SweepCircular:
+			for _, i := range active {
+				tEnd := math.Min(ln.Horizon[i], start)
+				results[i].Intervals++
+				hit, found := sw.CircularAt(ln.Target(i), ln.R[i], tEnd)
+				if found {
+					endLane(&results[i], &odo, &mov, true, hit, ln.Target(i))
+				} else if tEnd >= ln.Horizon[i] {
+					endLane(&results[i], &odo, &mov, false, ln.Horizon[i], ln.Target(i))
+				} else {
+					kept = append(kept, i)
+				}
+			}
+		default:
+			for _, i := range active {
+				tEnd := math.Min(ln.Horizon[i], start)
+				results[i].Intervals++
+				hit, found, err := sw.FallbackAt(ln.Target(i), ln.R[i], tEnd, detectOptions(opt, ln.R[i]))
+				if err != nil {
+					results[i] = Result{}
+					errs[i] = fmt.Errorf("interval [%v, %v]: %w", t, tEnd, err)
+				} else if found {
+					endLane(&results[i], &odo, &mov, true, hit, ln.Target(i))
+				} else if tEnd >= ln.Horizon[i] {
+					endLane(&results[i], &odo, &mov, false, ln.Horizon[i], ln.Target(i))
+				} else {
+					kept = append(kept, i)
+				}
+			}
 		}
-		w.res.Gap = gap
+		active = kept
+		t = start
 	}
-	return w.res, nil
+	if len(active) == 0 {
+		return
+	}
+	// The program ended before every horizon: the robot parks at its final
+	// position and each remaining lane sees a constant gap.
+	var finalPos geom.Vec
+	if cur.Consumed() > 0 {
+		finalPos = seg.End()
+	}
+	odo.halt()
+	mov.SetStatic(finalPos)
+	for _, i := range active {
+		results[i].Intervals++
+		p := ln.Target(i)
+		endLane(&results[i], &odo, &mov, mov.At(t).Dist(p) <= ln.R[i], t, p)
+	}
 }
 
-// searchWalk is the mutable state of one Search walk.
-type searchWalk struct {
-	cur        trajectory.Cursor
-	seg        *segment.Seg // the current program segment
-	res        Result
-	odo        odometer
-	mov, tgt   motion.Mover
-	retErr     error
-	t, start   float64
-	finished   bool // contact found, error, or horizon reached mid-stream
-	target     geom.Vec
-	r, horizon float64
-	mopt       motion.Options
-	ctx        context.Context
-}
-
-// step processes the current program segment, of duration dur and length
-// plen, and reports whether the walk wants more segments.
-func (w *searchWalk) step(dur, plen float64) bool {
-	if err := pollCtx(w.ctx, w.res.Intervals); err != nil {
-		w.retErr = err
-		w.finished = true
-		return false
+// endLane ends a search lane at time t: with contact there when found,
+// otherwise with the gap to the target p.
+func endLane(res *Result, odo *odometer, mov *motion.Mover, found bool, t float64, p geom.Vec) {
+	res.DistanceA = odo.at(t)
+	if !found {
+		res.Gap = mov.At(t).Dist(p)
+		return
 	}
-	segStart := w.start
-	w.start = segStart + dur
-	if dur == 0 {
-		return true // a walker never surfaces zero-duration segments
-	}
-	w.odo.observe(segStart, dur, plen)
-	w.mov.Set(w.seg, segStart, dur)
-	intervalEnd := math.Min(w.horizon, segStart+dur)
-	w.res.Intervals++
-	hit, found, err := motion.Contact(&w.mov, &w.tgt, w.r, w.t, intervalEnd, w.mopt)
-	if err != nil {
-		w.retErr = fmt.Errorf("interval [%v, %v]: %w", w.t, intervalEnd, err)
-		w.finished = true
-		return false
-	}
-	if found {
-		w.res.DistanceA, w.res.DistanceB = w.odo.at(hit), 0
-		w.res = met(w.res, &w.mov, &w.tgt, hit)
-		w.finished = true
-		return false
-	}
-	w.t = intervalEnd
-	if w.t >= w.horizon {
-		w.res.Gap = w.mov.At(w.horizon).Dist(w.target)
-		w.res.DistanceA, w.res.DistanceB = w.odo.at(w.horizon), 0
-		w.finished = true
-		return false
-	}
-	return true
+	// The target's static Mover places it at {X+0, Y+0}.
+	*res = met(*res, t, mov.At(t), geom.Vec{X: p.X + 0, Y: p.Y + 0})
 }
 
 // Instance describes one rendezvous instance: the attributes of the second

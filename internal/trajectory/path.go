@@ -103,27 +103,3 @@ func (p *Path) Position(t float64) geom.Vec {
 	ts := &p.segs[p.find(t)]
 	return p.fr.Position(&ts.seg, t-ts.start)
 }
-
-// SegmentAt returns the raw segment containing absolute time t together
-// with its absolute start time. ok is false when t is past the end of a
-// finite source (or the source is empty).
-func (p *Path) SegmentAt(t float64) (seg segment.Seg, start float64, ok bool) {
-	if t < 0 {
-		t = 0
-	}
-	p.extendTo(t)
-	if len(p.segs) == 0 || t >= p.total {
-		return segment.Seg{}, 0, false
-	}
-	ts := p.segs[p.find(t)]
-	return ts.seg, ts.start, true
-}
-
-// EndKnown reports whether the source is exhausted, and if so its total
-// duration.
-func (p *Path) EndKnown() (total float64, known bool) {
-	return p.total, p.exhausted
-}
-
-// CachedSegments returns the number of segments pulled so far.
-func (p *Path) CachedSegments() int { return len(p.segs) }

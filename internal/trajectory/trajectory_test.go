@@ -86,9 +86,6 @@ func TestTransform(t *testing.T) {
 	if got := p.Position(10); !got.ApproxEqual(geom.V(1, 2), 1e-12) {
 		t.Errorf("End = %v, want (1,2)", got)
 	}
-	if total, known := p.EndKnown(); !known || math.Abs(total-4) > 1e-12 {
-		t.Errorf("Duration = %v (known %v), want 4", total, known)
-	}
 }
 
 // TestTransformNonPositiveScale: a frame with a non-positive time scale
@@ -182,38 +179,6 @@ func TestPathBackwardQueries(t *testing.T) {
 	}
 }
 
-func TestPathSegmentAt(t *testing.T) {
-	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), segment.NewWait(geom.V(1, 0), 2).Seg()}), nil)
-	defer p.Close()
-
-	seg, start, ok := p.SegmentAt(0.5)
-	if !ok || start != 0 {
-		t.Fatalf("SegmentAt(0.5): ok=%v start=%v", ok, start)
-	}
-	if seg.Kind() != segment.KindLine {
-		t.Errorf("SegmentAt(0.5) kind = %v, want line", seg.Kind())
-	}
-	seg, start, ok = p.SegmentAt(1.5)
-	if !ok || start != 1 {
-		t.Fatalf("SegmentAt(1.5): ok=%v start=%v", ok, start)
-	}
-	if seg.Kind() != segment.KindWait {
-		t.Errorf("SegmentAt(1.5) kind = %v, want wait", seg.Kind())
-	}
-	// Boundary time belongs to the later segment.
-	seg, _, ok = p.SegmentAt(1.0)
-	if !ok {
-		t.Fatal("SegmentAt(1.0) not ok")
-	}
-	if seg.Kind() != segment.KindWait {
-		t.Errorf("SegmentAt(1.0) kind = %v, want wait", seg.Kind())
-	}
-	// Past the end of a finite path.
-	if _, _, ok := p.SegmentAt(99); ok {
-		t.Error("SegmentAt past end reported ok")
-	}
-}
-
 func TestPathLazyConsumption(t *testing.T) {
 	pulled := 0
 	src := FromSeq(func(yield func(segment.Seg) bool) {
@@ -234,22 +199,6 @@ func TestPathLazyConsumption(t *testing.T) {
 	if pulled != 3 {
 		t.Errorf("pulled %d segments for a query at t=2.5, want 3", pulled)
 	}
-	if c := p.CachedSegments(); c != 3 {
-		t.Errorf("cached %d segments, want 3", c)
-	}
-}
-
-func TestPathEndKnown(t *testing.T) {
-	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0)}), nil)
-	defer p.Close()
-	if _, known := p.EndKnown(); known {
-		t.Error("end known before any query")
-	}
-	p.Position(10)
-	total, known := p.EndKnown()
-	if !known || math.Abs(total-1) > 1e-12 {
-		t.Errorf("EndKnown = (%v, %v), want (1, true)", total, known)
-	}
 }
 
 func TestPathEmptySource(t *testing.T) {
@@ -257,9 +206,6 @@ func TestPathEmptySource(t *testing.T) {
 	defer p.Close()
 	if got := p.Position(1); got != geom.Zero {
 		t.Errorf("empty path Position = %v, want origin", got)
-	}
-	if _, _, ok := p.SegmentAt(0); ok {
-		t.Error("empty path SegmentAt reported ok")
 	}
 }
 
