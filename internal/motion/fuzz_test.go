@@ -48,6 +48,9 @@ func sweepMatchesContact(t *testing.T, m Mover, p geom.Vec, r, t0, t1 float64) {
 func FuzzLinearLinear(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.0, 10.0, 0.25, -1.0, 0.0, 0.5)
 	f.Add(-3.0, 2.0, 0.7, -0.4, 4.0, -1.0, -0.5, 0.3, 0.8)
+	// An exactly tangent graze at t = 0.77, where the discriminant rounds
+	// to −2.3e−13.
+	f.Add(0.0, -0.1, 1.0, 18.0, 2.0, 3.75, 1.0, 13.0, 2.0)
 	f.Fuzz(func(t *testing.T, ax, ay, avx, avy, bx, by, bvx, bvy, r float64) {
 		vals := []*float64{&ax, &ay, &avx, &avy, &bx, &by, &bvx, &bvy}
 		for _, p := range vals {

@@ -148,7 +148,27 @@ func linearHit(p0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
 	// Roots of qa·s² + qb·s + c = 0 for s = t − t0.
 	disc := qb*qb - 4*qa*c
 	if disc < 0 {
-		return 0, false
+		// A double root (a tangent graze) can round to a small negative
+		// disc. Let u = 2⁻⁵³, and let Qa, Qb, C be qa, qb, c computed
+		// exactly from p0, w and r, with Qb² = 4·Qa·C. Then
+		//   - qa = |w|² rounds two products and a sum of positive terms:
+		//     relative error ≤ 2u;
+		//   - c = |p0|² − r²: absolute error ≤ 2u|p0|² + u·r² + u·C, which
+		//     is ≤ 6u·C when C ≥ r² (p0 starts at least √2·r out);
+		//   - qb = 2·p0·w: error ≤ 2u·|p0||w|, and |p0·w| = |p0||w|·√(C/|p0|²)
+		//     ≥ |p0||w|/√2 at a tangent with C ≥ r², so relative error
+		//     ≤ 2√2·u and qb² carries ≤ 4√2·u < 6u;
+		//   - evaluating disc from qb, qa, c adds ≤ 2u(1+u)(qb² + 4·qa·c).
+		// Summed to first order, |disc| ≤ (6u + 2u + 6u)·Qb² + 4u·Qb² =
+		// 18u·Qb² ≈ 9u·(qb² + 4·qa·c); the 16u bound below covers it and
+		// the second-order terms. A disc inside it is taken as 0: the
+		// accepted closest approach d then has d² − r² = −disc/(4·qa) ≤
+		// 32u·c, a rounding-level graze. A start within √2·r can carry a
+		// larger error in c, and such a graze may still read as a miss.
+		if -disc > 0x1p-49*(qb*qb+4*qa*c) {
+			return 0, false
+		}
+		disc = 0
 	}
 	sq := math.Sqrt(disc)
 	// Numerically stable root pair.
