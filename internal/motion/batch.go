@@ -73,19 +73,13 @@ func (s *StaticSweep) Kind() SweepKind { return s.kind }
 // i.e. {p.X+0, p.Y+0} — because Contact subtracts b.At(t0), not p.
 // Only valid for SweepLinear.
 func (s *StaticSweep) LinearAt(b0 geom.Vec, r, t1 float64) (float64, bool) {
-	if t1 < s.t0 {
-		return 0, false
-	}
-	return linearHit(s.a0.Sub(b0), s.w, s.qa, r, s.t0, t1)
+	return linearHit(s.a0, b0, s.w, s.qa, r, s.t0, t1)
 }
 
 // CircularAt returns first contact with the static point p within [t0, t1].
 // p is the raw point (Contact hands circularStatic the static mover's P0
 // verbatim). Only valid for SweepCircular.
 func (s *StaticSweep) CircularAt(p geom.Vec, r, t1 float64) (float64, bool) {
-	if t1 < s.t0 {
-		return 0, false
-	}
 	c := &s.m.circ
 	return arcHit(c.Center, c.Radius, c.Omega, s.theta, p, r, s.t0, t1)
 }

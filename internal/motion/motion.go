@@ -127,16 +127,19 @@ func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found
 
 // linearLinear solves |Δp0 + Δv·(t−t0)| = r on [t0, t1] exactly.
 func linearLinear(a, b Linear, r, t0, t1 float64) (float64, bool) {
-	p0 := a.At(t0).Sub(b.At(t0))
 	w := a.Vel.Sub(b.Vel)
-	return linearHit(p0, w, w.Norm2(), r, t0, t1)
+	return linearHit(a.At(t0), b.At(t0), w, w.Norm2(), r, t0, t1)
 }
 
 // linearHit is the linear closed form, shared by linearLinear and
 // StaticSweep.LinearAt: the earliest t in [t0, t1] with |p0 + w·(t−t0)| ≤ r,
-// where p0 is the relative position at t0, w the relative velocity and qa
-// its squared norm |w|².
-func linearHit(p0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
+// where p0 = a0 − b0 is the relative position at t0, w the relative
+// velocity and qa its squared norm |w|².
+func linearHit(a0, b0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
+	if t1 < t0 {
+		return 0, false
+	}
+	p0 := a0.Sub(b0)
 	c := p0.Norm2() - r*r
 	if c <= 0 {
 		return t0, true // already in contact
@@ -213,6 +216,9 @@ func circularStatic(c Circular, p geom.Vec, r, t0, t1 float64) (float64, bool) {
 //
 // so |u| ≤ r ⇔ cos(θ − β) ≤ (r² − D² − R²) / (2RD).
 func arcHit(center geom.Vec, radius, omega, theta float64, p geom.Vec, r, t0, t1 float64) (float64, bool) {
+	if t1 < t0 {
+		return 0, false
+	}
 	cp := center.Sub(p)
 	d := cp.Norm()
 	// Degenerate cases: constant distance.

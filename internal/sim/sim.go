@@ -14,9 +14,11 @@
 // are exact, so measured meeting times are directly comparable with the
 // paper's closed-form analysis.
 //
-// There are two walks, one per problem. Search pulls the program's
-// generator in one loop: one stream against a static target needs no merge
-// and no second Mover. The rendezvous walk, meet, merges two streams and is
+// There are two walks, one per problem. The search walk, searchWalk, pulls
+// the program's generator in one loop for a vector of lanes, each a static
+// target: one stream against static targets needs no merge and no second
+// Mover. Search runs it on one lane held on its stack, SearchBatch on a
+// whole batch. The rendezvous walk, meet, merges two streams and is
 // the one loop behind FirstMeetingFramed, FirstMeetingShared (and so
 // Rendezvous) and every lane of the batched rendezvous kernel. A stream
 // pulls value-typed segments either from its own trajectory.Cursor — the
@@ -26,9 +28,7 @@
 // stream generates a segment twice or recomputes a duration its generator
 // supplied. Both walks are allocation-free per
 // segment, and a walk's allocations do not grow with its length; the
-// per-segment motions live in caller-owned motion.Mover storage. Search is
-// not folded into a one-lane SearchBatch because that would add per-call
-// lane slices to the hot path the allocation gates pin.
+// per-segment motions live in caller-owned motion.Mover storage.
 //
 // A robot's frame x ↦ vτ·Rot(φ)·Diag(1,χ)·x + d on clock τ is fixed for the
 // whole walk, so it is placement state, not part of any segment: Rendezvous
@@ -400,7 +400,8 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 			gap := sa.mov.At(t).Dist(sb.mov.At(t))
 			res.DistanceA, res.DistanceB = sa.odo.at(t), sb.odo.at(t)
 			if gap <= r {
-				return met(res, t, sa.mov.At(t), sb.mov.At(t)), nil
+				res.met(t, sa.mov.At(t), sb.mov.At(t))
+				return res, nil
 			}
 			res.Gap = gap
 			return res, nil
@@ -413,7 +414,8 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 		}
 		if found {
 			res.DistanceA, res.DistanceB = sa.odo.at(hit), sb.odo.at(hit)
-			return met(res, hit, sa.mov.At(hit), sb.mov.At(hit)), nil
+			res.met(hit, sa.mov.At(hit), sb.mov.At(hit))
+			return res, nil
 		}
 		t = intervalEnd
 	}
@@ -422,15 +424,14 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 	return res, nil
 }
 
-// met fills in the contact fields of a result: contact at t, with the
-// robots at wa and wb.
-func met(res Result, t float64, wa, wb geom.Vec) Result {
+// met fills in the contact fields of res: contact at t, with the robots at
+// wa and wb.
+func (res *Result) met(t float64, wa, wb geom.Vec) {
 	res.Met = true
 	res.Time = t
 	res.WhereA = wa
 	res.WhereB = wb
 	res.Gap = wa.Dist(wb)
-	return res
 }
 
 // odometer accumulates the path length a robot has travelled: full lengths
@@ -620,7 +621,7 @@ func endLane(res *Result, odo *odometer, mov *motion.Mover, found bool, t float6
 		return
 	}
 	// The target's static Mover places it at {X+0, Y+0}.
-	*res = met(*res, t, mov.At(t), geom.Vec{X: p.X + 0, Y: p.Y + 0})
+	res.met(t, mov.At(t), geom.Vec{X: p.X + 0, Y: p.Y + 0})
 }
 
 // Instance describes one rendezvous instance: the attributes of the second
