@@ -125,16 +125,11 @@ func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found
 	return t, found, true
 }
 
-// linearLinear solves |Δp0 + Δv·(t−t0)| = r on [t0, t1] exactly.
-func linearLinear(a, b Linear, r, t0, t1 float64) (float64, bool) {
-	w := a.Vel.Sub(b.Vel)
-	return linearHit(a.At(t0), b.At(t0), w, w.Norm2(), r, t0, t1)
-}
-
-// linearHit is the linear closed form, shared by linearLinear and
-// StaticSweep.LinearAt: the earliest t in [t0, t1] with |p0 + w·(t−t0)| ≤ r,
-// where p0 = a0 − b0 is the relative position at t0, w the relative
-// velocity and qa its squared norm |w|².
+// linearHit is the linear closed form, shared by Contact and
+// StaticSweep.LinearAt: it solves |p0 + w·(t−t0)| = r on [t0, t1] exactly
+// and returns the earliest t with |p0 + w·(t−t0)| ≤ r, where p0 = a0 − b0
+// is the relative position at t0, w the relative velocity and qa its
+// squared norm |w|².
 func linearHit(a0, b0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
 	if t1 < t0 {
 		return 0, false

@@ -137,7 +137,8 @@ func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool
 	}
 	if a.kind == moverLinear {
 		if b.kind == moverLinear {
-			t, found = linearLinear(a.lin, b.lin, r, t0, t1)
+			w := a.lin.Vel.Sub(b.lin.Vel)
+			t, found = linearHit(a.lin.At(t0), b.lin.At(t0), w, w.Norm2(), r, t0, t1)
 			return t, found, nil
 		}
 		if b.kind == moverCircular && a.lin.Vel == (geom.Vec{}) {

@@ -40,10 +40,10 @@ const twinK = 1024
 // stored M) satisfy B(t) − A(t) = ΔT. The interval is [t0, t1] with t0 the
 // segment's start T0 bit for bit and S = t1 − t0 ≤ its duration. Both
 // movers have one kind, and arcs share radius and ω bit for bit, so Contact
-// runs linearLinear or equalOmega, which never iterate or fail. A placed
+// runs linearHit or equalOmega, which never iterate or fail. A placed
 // point fl(M·q + T_X) is within 5u(L + |T_X|) of M·q + T_X.
 //
-//   - Lines and waits. At(t0) is P0 exactly, so linearLinear's
+//   - Lines and waits. At(t0) is P0 exactly, so linearHit's
 //     p0 = fl(P0_A − P0_B) is within 6uE of −ΔT. The computed velocities
 //     carry 3.1u relative error on endpoint differences of at most 2L
 //     (plus rounding), so the computed relative motion p0 + w·s moves by at
