@@ -58,7 +58,7 @@ func (s *StaticSweep) Reset(m *Mover, t0 float64) {
 		s.qa = s.w.Norm2()
 	case moverCircular:
 		s.kind = SweepCircular
-		s.theta = m.circ.Theta0 + m.circ.Omega*(t0-m.circ.T0)
+		s.theta = m.circ.angle(t0)
 	default:
 		s.kind = SweepFallback
 	}
@@ -77,7 +77,7 @@ func (s *StaticSweep) LinearAt(b0 geom.Vec, r, t1 float64) (float64, bool) {
 }
 
 // CircularAt returns first contact with the static point p within [t0, t1].
-// p is the raw point (Contact hands circularStatic the static mover's P0
+// p is the raw point (Contact hands arcHit the static mover's P0
 // verbatim). Only valid for SweepCircular.
 func (s *StaticSweep) CircularAt(p geom.Vec, r, t1 float64) (float64, bool) {
 	c := &s.m.circ

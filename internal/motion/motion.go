@@ -61,8 +61,11 @@ type Circular struct {
 
 // At returns the position at absolute time t.
 func (c Circular) At(t float64) geom.Vec {
-	return c.Center.Add(geom.Polar(c.Radius, c.Theta0+c.Omega*(t-c.T0)))
+	return c.Center.Add(geom.Polar(c.Radius, c.angle(t)))
 }
+
+// angle returns the angle θ(t) = Theta0 + Omega·(t − T0) at absolute time t.
+func (c Circular) angle(t float64) float64 { return c.Theta0 + c.Omega*(t-c.T0) }
 
 // SpeedBound returns the speed.
 func (c Circular) SpeedBound() float64 { return c.Radius * math.Abs(c.Omega) }
@@ -100,7 +103,7 @@ var ErrIterationBudget = errors.New("motion: safe-advance iteration budget exhau
 //	a(t) − b(t) = (Cₐ − C_b) + K·e^{iω(t − t0)},  K = a(t0)−Cₐ − (b(t0)−C_b)
 //
 // is itself a point on uniform circular motion. Its first contact with the
-// origin is the arc-vs-static arccos of circularStatic.
+// origin is the arc-vs-static arccos of arcHit.
 //
 // The contact radius is r + opt.Slack, the conservative fallback's own hit
 // test, so the closed form answers the question the fallback would have
@@ -112,8 +115,7 @@ func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found
 	if a.Omega != b.Omega || opt.Slack <= 0 {
 		return 0, false, false
 	}
-	k := geom.Polar(a.Radius, a.Theta0+a.Omega*(t0-a.T0)).
-		Sub(geom.Polar(b.Radius, b.Theta0+b.Omega*(t0-b.T0)))
+	k := geom.Polar(a.Radius, a.angle(t0)).Sub(geom.Polar(b.Radius, b.angle(t0)))
 	rel := Circular{
 		T0:     t0,
 		Center: a.Center.Sub(b.Center),
@@ -121,7 +123,7 @@ func equalOmega(a, b Circular, r, t0, t1 float64, opt Options) (t float64, found
 		Theta0: k.Angle(),
 		Omega:  a.Omega,
 	}
-	t, found = circularStatic(rel, geom.Vec{}, r+opt.Slack, t0, t1)
+	t, found = arcHit(rel.Center, rel.Radius, rel.Omega, rel.angle(t0), geom.Vec{}, r+opt.Slack, t0, t1)
 	return t, found, true
 }
 
@@ -194,14 +196,10 @@ func linearHit(a0, b0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
 	}
 }
 
-// circularStatic solves first contact between a point on uniform circular
-// motion and a static point p, exactly (see arcHit).
-func circularStatic(c Circular, p geom.Vec, r, t0, t1 float64) (float64, bool) {
-	return arcHit(c.Center, c.Radius, c.Omega, c.Theta0+c.Omega*(t0-c.T0), p, r, t0, t1)
-}
-
-// arcHit is the arc-vs-static closed form, shared by circularStatic and
-// StaticSweep.CircularAt: the earliest t in [t0, t1] at which the point
+// arcHit is the arc-vs-static closed form, shared by Contact, equalOmega and
+// StaticSweep.CircularAt: it solves first contact between a point on
+// uniform circular motion and a static point p exactly, and returns the
+// earliest t in [t0, t1] at which the point
 // center + radius·e^{iθ(t)}, turning at omega with θ(t0) = theta, is
 // within r of the static point p.
 //

@@ -142,12 +142,14 @@ func Contact(a, b *Mover, r, t0, t1 float64, opt Options) (t float64, found bool
 			return t, found, nil
 		}
 		if b.kind == moverCircular && a.lin.Vel == (geom.Vec{}) {
-			t, found = circularStatic(b.circ, a.lin.P0, r, t0, t1)
+			c := &b.circ
+			t, found = arcHit(c.Center, c.Radius, c.Omega, c.angle(t0), a.lin.P0, r, t0, t1)
 			return t, found, nil
 		}
 	} else if a.kind == moverCircular {
 		if b.kind == moverLinear && b.lin.Vel == (geom.Vec{}) {
-			t, found = circularStatic(a.circ, b.lin.P0, r, t0, t1)
+			c := &a.circ
+			t, found = arcHit(c.Center, c.Radius, c.Omega, c.angle(t0), b.lin.P0, r, t0, t1)
 			return t, found, nil
 		}
 		if b.kind == moverCircular {

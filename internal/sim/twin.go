@@ -56,7 +56,7 @@ const twinK = 1024
 //     C_A − C_B's exact value ±ΔT, and radius R = |K|, the chord between
 //     the two start directions. Those are the angles of start − center
 //     vectors within 12u(L + |T_X|) of one vector of length ρ′ ≤ L, so
-//     R ≤ 4·12u(2L + |T_A| + |T_B|) + 6uL ≤ 61uE. circularStatic reports
+//     R ≤ 4·12u(2L + |T_A| + |T_B|) + 6uL ≤ 61uE. arcHit reports
 //     no contact when its rhs = (r′² − d² − R²)/(2Rd) rounds below −1,
 //     which holds once d − R − r′ > 20u·d; when R = 0 it compares |D|
 //     with r′ directly. Both hold once |ΔT| − r′ > 90uE.
