@@ -145,31 +145,30 @@ func linearHit(a0, b0, w geom.Vec, qa, r, t0, t1 float64) (float64, bool) {
 		return 0, false // constant positive gap
 	}
 	qb := 2 * p0.Dot(w)
-	// Roots of qa·s² + qb·s + c = 0 for s = t − t0.
-	disc := qb*qb - 4*qa*c
-	if disc < 0 {
-		// A double root (a tangent graze) can round to a small negative
-		// disc. Let u = 2⁻⁵³, and let Qa, Qb, C be qa, qb, c computed
-		// exactly from p0, w and r, with Qb² = 4·Qa·C. Then
-		//   - qa = |w|² rounds two products and a sum of positive terms:
-		//     relative error ≤ 2u;
-		//   - c = |p0|² − r²: absolute error ≤ 2u|p0|² + u·r² + u·C, which
-		//     is ≤ 6u·C when C ≥ r² (p0 starts at least √2·r out);
-		//   - qb = 2·p0·w: error ≤ 2u·|p0||w|, and |p0·w| = |p0||w|·√(C/|p0|²)
-		//     ≥ |p0||w|/√2 at a tangent with C ≥ r², so relative error
-		//     ≤ 2√2·u and qb² carries ≤ 4√2·u < 6u;
-		//   - evaluating disc from qb, qa, c adds ≤ 2u(1+u)(qb² + 4·qa·c).
-		// Summed to first order, |disc| ≤ (6u + 2u + 6u)·Qb² + 4u·Qb² =
-		// 18u·Qb² ≈ 9u·(qb² + 4·qa·c); the 16u bound below covers it and
-		// the second-order terms. A disc inside it is taken as 0: the
-		// accepted closest approach d then has d² − r² = −disc/(4·qa) ≤
-		// 32u·c, a rounding-level graze. A start within √2·r can carry a
-		// larger error in c, and such a graze may still read as a miss.
-		if -disc > 0x1p-49*(qb*qb+4*qa*c) {
-			return 0, false
-		}
-		disc = 0
+	// Roots of qa·s² + qb·s + c = 0 for s = t − t0, with discriminant
+	// qb² − 4·qa·c. At a double root (a tangent graze) qb² can compute a
+	// little below 4·qa·c, so the miss test allows a relative gap of
+	// 2⁻⁴⁸ = 32u, u = 2⁻⁵³, and a negative disc inside it is taken as 0.
+	// Proof that 32u covers a tangent: let Qa, Qb, C be qa, qb, c computed
+	// exactly from p0, w and r, with Qb² = 4·Qa·C. Then
+	//   - qa = |w|² sums two rounded products of positive terms: relative
+	//     error ≤ 2u;
+	//   - c = |p0|² − r² has absolute error ≤ 2u|p0|² + u·r² + u·C, which
+	//     is ≤ 6u·C when C ≥ r² (p0 starts at least √2·r out);
+	//   - qb = 2·p0·w has error ≤ 2u·|p0||w|, and at a tangent with C ≥ r²,
+	//     |p0·w| = |p0||w|·√(C/|p0|²) ≥ |p0||w|/√2: relative error ≤ 2√2·u;
+	//   - qb2 and qac4 round once more each.
+	// So qb2 is within 4√2·u + u < 7u of Qb² and qac4 within
+	// 2u + 6u + u = 9u, a gap of at most 16u to first order: half the
+	// allowance. An accepted miss has closest approach d with
+	// d² − r² = (qac4 − qb2)/(4·qa) ≤ 32u·c, a rounding-level graze. From
+	// within √2·r, c can carry a larger error and a graze may still read as
+	// a miss.
+	qb2, qac4 := qb*qb, 4*qa*c
+	if qb2 < qac4*(1-0x1p-48) {
+		return 0, false
 	}
+	disc := max(qb2-qac4, 0)
 	sq := math.Sqrt(disc)
 	// Numerically stable root pair.
 	var s1, s2 float64
