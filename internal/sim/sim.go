@@ -550,7 +550,7 @@ func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results
 		switch sw.Kind() {
 		case motion.SweepLinear:
 			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
+				tEnd := min(ln.Horizon[i], start)
 				results[i].Intervals++
 				hit, found := sw.LinearAt(geom.Vec{X: ln.TX[i] + 0, Y: ln.TY[i] + 0}, ln.R[i], tEnd)
 				if found {
@@ -563,7 +563,7 @@ func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results
 			}
 		case motion.SweepCircular:
 			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
+				tEnd := min(ln.Horizon[i], start)
 				results[i].Intervals++
 				hit, found := sw.CircularAt(ln.Target(i), ln.R[i], tEnd)
 				if found {
@@ -576,7 +576,7 @@ func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results
 			}
 		default:
 			for _, i := range active {
-				tEnd := math.Min(ln.Horizon[i], start)
+				tEnd := min(ln.Horizon[i], start)
 				results[i].Intervals++
 				hit, found, err := sw.FallbackAt(ln.Target(i), ln.R[i], tEnd, detectOptions(opt, ln.R[i]))
 				if err != nil {
