@@ -65,7 +65,7 @@ func (c Circular) At(t float64) geom.Vec {
 }
 
 // angle returns the angle θ(t) = Theta0 + Omega·(t − T0) at absolute time t.
-func (c Circular) angle(t float64) float64 { return c.Theta0 + c.Omega*(t-c.T0) }
+func (c *Circular) angle(t float64) float64 { return c.Theta0 + c.Omega*(t-c.T0) }
 
 // SpeedBound returns the speed.
 func (c Circular) SpeedBound() float64 { return c.Radius * math.Abs(c.Omega) }
