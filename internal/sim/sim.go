@@ -490,7 +490,7 @@ func Search(program trajectory.Source, target geom.Vec, r float64, opt Options) 
 	ln := batch.Lanes{TX: tx[:], TY: ty[:], R: rr[:], Horizon: h[:]}
 	var res [1]Result
 	var errs [1]error
-	var active [1]int
+	active := [1]int{0} // lane 0
 	searchWalk(program, &ln, opt, res[:], errs[:], active[:])
 	return res[0], errs[0]
 }
