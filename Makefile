@@ -184,7 +184,9 @@ shardcheck:
 # against the full walk; the shared-clock gathering walk
 # against the frozen per-robot walk; journal crash recovery — arbitrary
 # journal bytes must load without error and yield exactly the CRC-valid
-# clean prefix; rvserved's -chaos spec parser; the lazy pseudo stream against math/rand's rngSource for
+# clean prefix; shard record files — arbitrary bytes never panic
+# MergeSet.Add, and a file it rejects leaves the merge store as it was;
+# rvserved's -chaos spec parser; the lazy pseudo stream against math/rand's rngSource for
 # an arbitrary seed and stream length; and rvserved's HTTP boundary — arbitrary bodies to every POST
 # endpoint answer only 200/400/429/503, and every 200 rendezvous or sweep
 # equals an in-process recomputation. Override FUZZTIME for shorter/longer
@@ -208,5 +210,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzGenMatchesFrozen -fuzztime $(FUZZTIME) ./internal/algo
 	$(GO) test -run NONE -fuzz FuzzGatherMatchesReference -fuzztime $(FUZZTIME) ./internal/gather
 	$(GO) test -run NONE -fuzz FuzzJournalRecover -fuzztime $(FUZZTIME) ./internal/cache
+	$(GO) test -run NONE -fuzz FuzzShardRecords -fuzztime $(FUZZTIME) ./internal/experiments
 	$(GO) test -run NONE -fuzz FuzzChaosParse -fuzztime $(FUZZTIME) ./internal/chaos
 	$(GO) test -run NONE -fuzz FuzzHandlers -fuzztime $(FUZZTIME) ./cmd/rvserved

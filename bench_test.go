@@ -53,7 +53,7 @@ func BenchmarkE5PhaseSchedule(b *testing.B) {
 	benchExperiment(b, func(cfg experiments.Config) (experiments.Table, error) {
 		// The benchmark covers 8 of the table's 12 rounds, as it always has,
 		// so its history stays comparable; all 12 take about 100 ms serial
-		// (E5 in RunAll).
+		// (E5 in RunAllCfg).
 		return experiments.E5PhaseScheduleCfg(8, cfg)
 	})
 }

@@ -156,11 +156,12 @@ func (s *server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // queryError classifies a simulation error: a cancellation — the request
 // deadline expiring mid-walk, or the client going away — is 503 +
 // Retry-After with the requests.deadline counter incremented (the work was
-// valid, the time budget was not); anything else is the client's 400. The
-// cancel sentinels are matched through the sweep engine's wrappers
-// (JobError, LaneError) via errors.Is.
+// valid, the time budget was not); anything else is the client's 400. A
+// walk cancels itself through sim.Options.Ctx, and on /v1/sweep its error
+// reaches here inside the sweep engine's wrappers (JobError, LaneError),
+// which errors.Is sees through.
 func (s *server) queryError(err error) error {
-	if errors.Is(err, sim.ErrCanceled) || errors.Is(err, sweep.ErrCanceled) ||
+	if errors.Is(err, sim.ErrCanceled) ||
 		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		s.deadline.Inc()
 		return &httpError{

@@ -1,6 +1,7 @@
-// Package cache memoizes simulation results so that repeated sweeps — RunAll
-// re-runs, overlapping grids, Monte-Carlo batches that revisit the same
-// instances — are served from memory (or disk) instead of re-simulated.
+// Package cache memoizes simulation results so that repeated sweeps —
+// RunAllCfg re-runs, overlapping grids, Monte-Carlo batches that revisit
+// the same instances — are served from memory (or disk) instead of
+// re-simulated.
 //
 // # Keys and canonicalization
 //

@@ -45,7 +45,7 @@ func All() []Runner {
 }
 
 // Extras returns the on-demand experiments: runnable through RunOneCfg
-// ("-run CONV") but not part of All(), so RunAll output — which recorded
+// ("-run CONV") but not part of All(), so RunAllCfg output — which recorded
 // goldens pin byte-for-byte — is unchanged.
 func Extras() []Runner {
 	return []Runner{
@@ -76,19 +76,14 @@ func runRows(t *Table, cfg Config, jobs []rowJob) error {
 	return nil
 }
 
-// RunAll executes every experiment with the default config and renders it
-// to w in the requested format ("text" or "markdown"). A failing experiment
-// means a paper claim did not reproduce.
-func RunAll(w io.Writer, markdown bool) error {
-	return RunAllCfg(w, markdown, Config{})
-}
-
-// RunAllCfg is RunAll under an explicit execution config. All experiments
-// submit their grids to one shared worker pool, so cfg.Workers is an exact
-// process-wide concurrency cap and cheap experiments overlap the long ones
-// (E5/E7 no longer serialize the suite). Tables still render progressively
-// in presentation order — each as soon as it and its predecessors are done
-// — and are byte-identical to a sequential run at any worker count.
+// RunAllCfg executes every experiment under cfg and renders it to w in the
+// requested format ("text" or "markdown"). A failing experiment means a
+// paper claim did not reproduce. All experiments submit their grids to one
+// shared worker pool, so cfg.Workers is an exact process-wide concurrency
+// cap and cheap experiments overlap the long ones (E5/E7 no longer
+// serialize the suite). Tables still render progressively in presentation
+// order — each as soon as it and its predecessors are done — and are
+// byte-identical to a sequential run at any worker count.
 func RunAllCfg(w io.Writer, markdown bool, cfg Config) error {
 	return runAll(w, markdown, cfg, All())
 }
@@ -138,14 +133,9 @@ func runAll(w io.Writer, markdown bool, cfg Config, runners []Runner) error {
 	return nil
 }
 
-// RunOne executes a single experiment by ID with the default config.
-func RunOne(id string, w io.Writer, markdown bool) error {
-	return RunOneCfg(id, w, markdown, Config{})
-}
-
-// RunOneCfg is RunOne under an explicit execution config. It also resolves
-// the on-demand Extras() experiments (e.g. CONV), which RunAll deliberately
-// excludes.
+// RunOneCfg executes a single experiment by ID under cfg and renders it
+// like RunAllCfg. It also resolves the on-demand Extras() experiments (e.g.
+// CONV), which RunAllCfg deliberately excludes.
 func RunOneCfg(id string, w io.Writer, markdown bool, cfg Config) error {
 	for _, r := range append(All(), Extras()...) {
 		if r.ID != id {

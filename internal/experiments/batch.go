@@ -43,7 +43,7 @@ func gridBatchRow(grid sweep.Grid, names []string, samples int, programID string
 	laneOf := make([]int, 0, len(indices))
 	for k, i := range indices {
 		point := grid.Point(i / samples)
-		in, err := applyGridPoint(names, point)
+		in, err := GridInstance(names, point)
 		if err != nil {
 			lerrs[k] = fmt.Errorf("point %v: %w", point, err)
 			continue

@@ -14,7 +14,7 @@ import (
 // The CONV experiment measures what the sampler API buys: estimator error
 // versus sample count for each draw source, on one fixed Monte-Carlo
 // estimand. It is run on demand (`-run CONV`) and deliberately excluded
-// from All(), so the recorded RunAll goldens are untouched.
+// from All(), so the recorded RunAllCfg goldens are untouched.
 //
 // Estimand: the expected censored meeting time E[min(T_meet, H)] of
 // Algorithm 4 at the default working point (gridBase), over a uniformly

@@ -255,19 +255,19 @@ func TestA3NoReversePass(t *testing.T) {
 
 func TestRunOneAndRenderers(t *testing.T) {
 	var text, md bytes.Buffer
-	if err := RunOne("E2", &text, false); err != nil {
+	if err := RunOneCfg("E2", &text, false, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(text.String(), "Lemma 2") {
 		t.Error("text render missing source")
 	}
-	if err := RunOne("E2", &md, true); err != nil {
+	if err := RunOneCfg("E2", &md, true, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(md.String(), "## E2") || !strings.Contains(md.String(), "| --- |") {
 		t.Error("markdown render malformed")
 	}
-	if err := RunOne("nope", &text, false); err == nil {
+	if err := RunOneCfg("nope", &text, false, Config{}); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
 }

@@ -17,7 +17,7 @@ import (
 // testdata/golden_runall_seed7.txt and testdata/golden_grid_mc.txt were
 // captured from the interface-based segment representation (the tree at
 // PR 4) and committed. These tests re-render the same workloads — the full
-// RunAll suite and one Monte-Carlo grid — across workers ∈ {1, 8} ×
+// RunAllCfg suite and one Monte-Carlo grid — across workers ∈ {1, 8} ×
 // cache on/off × shard K ∈ {1, 3} × batch kernel on/off and require every
 // byte to match the committed goldens. Unlike the self-consistency tests (which compare two
 // code paths of the same tree), this pins the output across *refactors*: a
@@ -99,7 +99,7 @@ func TestGoldenRunAll(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if buf.String() != want {
-					t.Errorf("%s: RunAll output differs from the committed pre-refactor golden", name)
+					t.Errorf("%s: RunAllCfg output differs from the committed pre-refactor golden", name)
 				}
 			}
 		}

@@ -30,22 +30,6 @@ var gridBase = sim.Instance{
 // parameters appear in the table.
 var gridAxisNames = []string{"v", "tau", "phi", "chi", "d", "r"}
 
-// GridAxisNames returns the instance-parameter axis names a grid sweep (and
-// the serving layer's point queries, which reuse the same mapping) accepts.
-func GridAxisNames() []string {
-	return append([]string{}, gridAxisNames...)
-}
-
-// GridInstance maps named parameter overrides onto the default rendezvous
-// instance: unnamed parameters keep the gridBase working point (v = 1/2,
-// τ = 1, φ = 0, χ = +1, d = (1,0), r = 1/4), named ones are overridden and
-// the result validated. It is the single request→Instance mapping shared by
-// the CLI's -grid sweeps and cmd/rvserved's query endpoints, so both layers
-// agree on defaults and validation.
-func GridInstance(names []string, point []float64) (sim.Instance, error) {
-	return applyGridPoint(names, point)
-}
-
 // GridAlgorithm resolves an algorithm name ("search"/"" for Algorithm 4,
 // "universal" for Algorithm 7) to its cache program identity and trajectory
 // generator.
@@ -71,8 +55,13 @@ func RendezvousHorizon(in sim.Instance) float64 {
 	return horizon
 }
 
-// applyGridPoint returns gridBase with the named parameters overridden.
-func applyGridPoint(names []string, point []float64) (sim.Instance, error) {
+// GridInstance maps named parameter overrides onto the default rendezvous
+// instance: unnamed parameters keep the gridBase working point (v = 1/2,
+// τ = 1, φ = 0, χ = +1, d = (1,0), r = 1/4), named ones are overridden and
+// the result validated. It is the single request→Instance mapping shared by
+// the CLI's -grid sweeps and cmd/rvserved's query endpoints, so both layers
+// agree on defaults and validation.
+func GridInstance(names []string, point []float64) (sim.Instance, error) {
 	in := gridBase
 	for i, name := range names {
 		x := point[i]
@@ -146,7 +135,7 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 			return nil, fmt.Errorf("experiments: axis %q has no values", ax.Name)
 		}
 		// Surface a bad axis name before running anything.
-		if _, err := applyGridPoint([]string{ax.Name}, []float64{ax.Values[0]}); err != nil {
+		if _, err := GridInstance([]string{ax.Name}, []float64{ax.Values[0]}); err != nil {
 			return nil, fmt.Errorf("experiments: axis %q: %w", ax.Name, err)
 		}
 	}
@@ -183,7 +172,7 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 			}, sopt)
 	} else {
 		raw, err = sweep.RunGridSampled(grid, samples, func(point []float64, si int, d sampler.Draws) (gridOutcome, error) {
-			in, err := applyGridPoint(names, point)
+			in, err := GridInstance(names, point)
 			if err != nil {
 				return gridOutcome{}, fmt.Errorf("point %v: %w", point, err)
 			}

@@ -58,7 +58,7 @@ func TestRunGridCfgRejectsBadAxes(t *testing.T) {
 	}
 }
 
-// TestRunAllSharedPoolMatchesSerial: the shared-pool RunAll path renders
+// TestRunAllSharedPoolMatchesSerial: the shared-pool RunAllCfg path renders
 // byte-identically across worker counts and cache configurations on a
 // representative subset of the suite.
 func TestRunAllSharedPoolMatchesSerial(t *testing.T) {
@@ -88,6 +88,6 @@ func TestRunAllSharedPoolMatchesSerial(t *testing.T) {
 		t.Error("shared-pool output differs with a warm cache")
 	}
 	if s := warm.Stats(); s.Hits == 0 {
-		t.Errorf("warm RunAll re-run hit the cache 0 times: %+v", s)
+		t.Errorf("warm RunAllCfg re-run hit the cache 0 times: %+v", s)
 	}
 }

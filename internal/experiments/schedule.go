@@ -16,9 +16,9 @@ import (
 // I(n) = 24(π+1)[(2n−4)2ⁿ+4] and A(n) = 24(π+1)[(3n−4)2ⁿ+4]. Walking the
 // stream costs O(4ⁿ) segments per round n. The measurement used to be one
 // cumulative walk of the trajectory stream —
-// inherently serial, and the long pole of RunAll. It now decomposes into one
-// sweep job per round: job n replays the duration fold of the stream prefix
-// up to round n's wait (algo.UniversalPhaseStart), which reproduces the walk
+// inherently serial, and the long pole of RunAllCfg. It now decomposes into
+// one sweep job per round: job n replays the duration fold of the stream
+// prefix up to round n's wait (algo.UniversalPhaseStart), which reproduces the walk
 // bit-identically (same additions in the same order, pinned by a test in
 // internal/algo) while letting the rounds compute in parallel.
 func E5PhaseScheduleCfg(maxN int, cfg Config) (Table, error) {

@@ -232,14 +232,19 @@ func LoadShards(paths ...string) (*ShardStore, []ShardMeta, error) {
 	return m.Store(), m.Metas(), nil
 }
 
-// readShardFile streams the shard file at path into store and returns its
-// meta line. validate, when non-nil, is called with the meta before any
-// record is folded in — returning an error aborts the read with the store
-// untouched, which is what lets a MergeSet reject an incompatible file
-// without polluting its live store. Damaged record lines are skipped (the
-// merge recomputes those jobs locally).
+// readShardFile reads the shard file at path into store and returns its
+// meta line. validate, when non-nil, is called with the meta line. The
+// records are staged and folded into store only once the whole file has
+// read without error, so a file rejected for any reason — a meta that fails
+// validate, a second meta line, a line over the reader's limit — leaves
+// store untouched, which is what lets a MergeSet reject a file without
+// polluting its live store. Damaged record lines are skipped (the merge
+// recomputes those jobs locally).
 func readShardFile(store *ShardStore, path string, validate func(ShardMeta) error) (*ShardMeta, error) {
-	var meta *ShardMeta
+	var (
+		meta *ShardMeta
+		recs []shardLine
+	)
 	found, err := cache.ReadJSONLines(path, func(data []byte) error {
 		var l shardLine
 		if json.Unmarshal(data, &l) != nil {
@@ -275,9 +280,7 @@ func readShardFile(store *ShardStore, path string, validate func(ShardMeta) erro
 		if l.B == "" || l.V == nil {
 			return nil // damaged or foreign line: skip
 		}
-		store.mu.Lock()
-		store.recs[shardKey{l.B, l.I}] = l.V
-		store.mu.Unlock()
+		recs = append(recs, l)
 		return nil
 	})
 	if err != nil {
@@ -289,6 +292,11 @@ func readShardFile(store *ShardStore, path string, validate func(ShardMeta) erro
 	if meta == nil {
 		return nil, fmt.Errorf("experiments: %s: empty shard file", path)
 	}
+	store.mu.Lock()
+	for _, l := range recs {
+		store.recs[shardKey{l.B, l.I}] = l.V
+	}
+	store.mu.Unlock()
 	return meta, nil
 }
 

@@ -12,9 +12,9 @@ import (
 // covered, and then run the merge from Store without ever having waited for
 // the slowest producer's sibling files. Each Add validates the file's meta
 // against the first one ingested — format, seed, samples, scope, and shard
-// count K must all agree — before folding any records into the live store,
-// so an incompatible file is rejected without corrupting an in-progress
-// merge. LoadShards is the one-shot convenience wrapper over a MergeSet.
+// count K must all agree — and folds a file's records into the live store
+// only once the whole file has read cleanly, so an incompatible or
+// malformed file is rejected without corrupting an in-progress merge. LoadShards is the one-shot convenience wrapper over a MergeSet.
 //
 // A MergeSet is not safe for concurrent use: one goroutine ingests. (The
 // returned store is itself concurrency-safe, as a merge run requires.)

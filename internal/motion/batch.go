@@ -15,9 +15,6 @@ const (
 	// SweepCircular: the mover is circular; contact vs. a static point is
 	// the arcHit arccos.
 	SweepCircular
-	// SweepFallback: everything else; contact runs the conservative
-	// safe-advance iteration per lane.
-	SweepFallback
 )
 
 // StaticSweep evaluates first contact between one mover and many static
@@ -27,9 +24,9 @@ const (
 // at t0, its velocity and squared speed, its angle at t0.
 //
 // The per-lane methods call the closed forms Contact calls, linearHit and
-// arcHit, on the same operands, so for every lane LinearAt, CircularAt and
-// FallbackAt return exactly what Contact(mover, static(target), r, t0, t1,
-// opt) returns.
+// arcHit, on the same operands, so for every lane LinearAt and CircularAt
+// return exactly what Contact(mover, static(target), r, t0, t1, opt)
+// returns.
 type StaticSweep struct {
 	kind SweepKind
 	t0   float64
@@ -44,8 +41,10 @@ type StaticSweep struct {
 }
 
 // Reset captures the mover's current motion for contact queries against
-// static points over the interval starting at absolute time t0. The mover
-// must not be mutated while the sweep is in use.
+// static points over the interval starting at absolute time t0. m must
+// have been filled by Set, which places every raw segment, plain or
+// modulated, as linear or circular motion; a sweep has no kind for any
+// other mover. The mover must not be mutated while the sweep is in use.
 func (s *StaticSweep) Reset(m *Mover, t0 float64) {
 	s.t0, s.m = t0, m
 	switch m.kind {
@@ -59,8 +58,6 @@ func (s *StaticSweep) Reset(m *Mover, t0 float64) {
 	case moverCircular:
 		s.kind = SweepCircular
 		s.theta = m.circ.angle(t0)
-	default:
-		s.kind = SweepFallback
 	}
 }
 
@@ -82,16 +79,4 @@ func (s *StaticSweep) LinearAt(b0 geom.Vec, r, t1 float64) (float64, bool) {
 func (s *StaticSweep) CircularAt(p geom.Vec, r, t1 float64) (float64, bool) {
 	c := &s.m.circ
 	return arcHit(c.Center, c.Radius, c.Omega, s.theta, p, r, s.t0, t1)
-}
-
-// FallbackAt runs SafeAdvance against the static point p within [t0, t1] —
-// the identical generic instantiation Contact uses, so results (and
-// iteration budgets) match bit for bit.
-func (s *StaticSweep) FallbackAt(p geom.Vec, r, t1 float64, opt Options) (float64, bool, error) {
-	if t1 < s.t0 {
-		return 0, false, nil
-	}
-	var st Mover
-	st.SetStatic(p)
-	return SafeAdvance(s.m, &st, r, s.t0, t1, opt)
 }

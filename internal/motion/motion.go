@@ -269,9 +269,9 @@ func forwardDelta(from, to float64) float64 {
 // the gap closes at most at the combined speed bound.
 //
 // It is generic over the motion representation, so one copy of the
-// iteration serves the value-typed hot path (Contact and
-// StaticSweep.FallbackAt, M = *Mover) and callers that supply their own
-// position function, such as the detector ablation.
+// iteration serves the value-typed hot path (Contact, M = *Mover) and
+// callers that supply their own position function, such as the detector
+// ablation.
 func SafeAdvance[M interface {
 	At(t float64) geom.Vec
 	SpeedBound() float64

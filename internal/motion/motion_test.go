@@ -363,6 +363,43 @@ func TestFromSegmentArc(t *testing.T) {
 	}
 }
 
+// TestSetKinds pins what the search walk relies on: Set places every raw
+// segment kind, plain or modulated, as linear or circular motion, so
+// StaticSweep.Reset classifies every mover of a search walk as SweepLinear
+// or SweepCircular.
+func TestSetKinds(t *testing.T) {
+	wait := segment.NewWait(geom.V(1, 2), 5).Seg()
+	line := segment.NewLine(geom.V(0, 0), geom.V(4, 3), 2).Seg()
+	arc := segment.NewArc(geom.V(1, 1), 2, 0.5, -1.5, 1).Seg()
+	for _, tc := range []struct {
+		name  string
+		seg   segment.Seg
+		kind  moverKind
+		sweep SweepKind
+	}{
+		{"wait", wait, moverLinear, SweepLinear},
+		{"dilated wait", wait.Dilated(1.7), moverLinear, SweepLinear},
+		{"line", line, moverLinear, SweepLinear},
+		{"dilated line", line.Dilated(1.7), moverLinear, SweepLinear},
+		{"arc", arc, moverCircular, SweepCircular},
+		{"dilated arc", arc.Dilated(1.7), moverCircular, SweepCircular},
+	} {
+		m := setMover(tc.seg, 3)
+		if m.kind != tc.kind {
+			t.Errorf("%s: Set kind %d, want %d", tc.name, m.kind, tc.kind)
+		}
+		var sw StaticSweep
+		sw.Reset(&m, 3)
+		if sw.Kind() != tc.sweep {
+			t.Errorf("%s: Reset kind %d, want %d", tc.name, sw.Kind(), tc.sweep)
+		}
+		lt := tc.seg.Duration() / 3
+		if got, want := m.At(3+lt), tc.seg.Position(lt); !got.ApproxEqual(want, 1e-9) {
+			t.Errorf("%s: At(3+%v) = %v, want %v", tc.name, lt, got, want)
+		}
+	}
+}
+
 // setFramedMover returns a Mover holding seg placed under f from absStart,
 // and seg's duration under f.
 func setFramedMover(seg segment.Seg, f *segment.Frame, absStart float64) (Mover, float64) {

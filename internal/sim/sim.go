@@ -8,11 +8,14 @@
 // against anything linear, an arc against a waiting robot, and two arcs
 // turning at the same ω — every arc×arc interval of a robot pair with
 // τ = 1, χ = +1, whose relative motion is itself circular (the paper's
-// reduction of rendezvous to search). Only the remaining intervals iterate
-// by conservative safe advancement: arcs with different ω (τ ≠ 1 or
-// χ = −1), an arc against a moving line, and modulated segments. Durations
-// are exact, so measured meeting times are directly comparable with the
-// paper's closed-form analysis.
+// reduction of rendezvous to search). Only the remaining intervals of a
+// robot pair iterate by conservative safe advancement: arcs with different
+// ω (τ ≠ 1 or χ = −1), an arc against a moving line, and modulated
+// segments under a frame. A search target is static, so every search
+// interval is a line or wait against a point (a quadratic) or an arc
+// against a point (an arccos), and the search walk never iterates.
+// Durations are exact, so measured meeting times are directly comparable
+// with the paper's closed-form analysis.
 //
 // There are two walks, one per problem. The search walk, searchWalk, pulls
 // the program's generator in one loop for a vector of lanes, each a static
@@ -107,9 +110,13 @@ type Options struct {
 	// Slack is the contact-detection slack passed to the motion package;
 	// contact is declared at distance ≤ r (+Slack on the conservative
 	// path and the equal-ω arc×arc closed form). Zero selects 1e-9·r.
+	// Only the rendezvous and gather walks read it: Search and SearchBatch
+	// solve every interval in closed form at distance ≤ r. cache.SearchKey still includes it, so search keys
+	// recorded before stay valid.
 	Slack float64
 	// MaxIters bounds conservative detection work per segment interval.
-	// Zero selects a generous default.
+	// Zero selects a generous default. Like Slack, only the rendezvous and
+	// gather walks read it.
 	MaxIters int
 	// Ctx, when non-nil, lets a caller cancel a long walk mid-flight: the
 	// walk loops poll it every ctxStride segment intervals (cheap — one
@@ -393,7 +400,7 @@ func meet(sa, sb *stream, programB trajectory.Source, one bool, r float64, opt O
 		sa.motionAt(t)
 		sb.motionAt(t)
 
-		intervalEnd := math.Min(opt.Horizon, math.Min(sa.end, sb.end))
+		intervalEnd := min(opt.Horizon, sa.end, sb.end)
 		if math.IsInf(sa.end, 1) && math.IsInf(sb.end, 1) {
 			// Both halted: the gap is constant forever.
 			res.Intervals++
@@ -567,22 +574,6 @@ func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results
 				results[i].Intervals++
 				hit, found := sw.CircularAt(ln.Target(i), ln.R[i], tEnd)
 				if found {
-					endLane(&results[i], &odo, &mov, true, hit, ln.Target(i))
-				} else if tEnd >= ln.Horizon[i] {
-					endLane(&results[i], &odo, &mov, false, ln.Horizon[i], ln.Target(i))
-				} else {
-					kept = append(kept, i)
-				}
-			}
-		default:
-			for _, i := range active {
-				tEnd := min(ln.Horizon[i], start)
-				results[i].Intervals++
-				hit, found, err := sw.FallbackAt(ln.Target(i), ln.R[i], tEnd, detectOptions(opt, ln.R[i]))
-				if err != nil {
-					results[i] = Result{}
-					errs[i] = fmt.Errorf("interval [%v, %v]: %w", t, tEnd, err)
-				} else if found {
 					endLane(&results[i], &odo, &mov, true, hit, ln.Target(i))
 				} else if tEnd >= ln.Horizon[i] {
 					endLane(&results[i], &odo, &mov, false, ln.Horizon[i], ln.Target(i))

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -54,7 +53,7 @@ func RunBatchedSampled[T any](n, rowSize int, fn func(indices []int, at func(i i
 
 	// The exchange and monitor apply per lane, inside the chunk.
 	lanes, cuts := plan(n, rowSize, opt.Shard, opt.workers())
-	err = schedule(context.Background(), len(cuts)-1, Shard{}, opt, func(c int) error {
+	err = schedule(len(cuts)-1, Shard{}, opt, func(c int) error {
 		// The lanes to compute are compacted in place: each chunk owns its
 		// stretch of lanes.
 		indices := lanes[cuts[c]:cuts[c]:cuts[c+1]]

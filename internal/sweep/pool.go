@@ -12,9 +12,9 @@ import (
 // A run hands its claim loop to at most min(pool size, owned jobs) workers,
 // one hand-off each, and stops handing off once a worker finds nothing left
 // to claim. A worker stays on one run until that run has no unclaimed index
-// (or has failed or been canceled), then takes the next hand-off. Results
-// are identical on any executor, since job i draws from (BaseSeed, i) and
-// writes only slot i.
+// (or has failed), then takes the next hand-off. Results are identical on
+// any executor, since job i draws from (BaseSeed, i) and writes only slot
+// i.
 //
 // Jobs must not start runs on their own pool: a job waiting for workers
 // that are all busy with jobs like itself deadlocks. The experiment
@@ -60,7 +60,6 @@ func (p *Pool) run(c *claims) {
 		case p.runs <- c:
 			continue
 		case <-c.exited:
-		case <-c.ctx.Done():
 		}
 		c.wg.Done()
 		break

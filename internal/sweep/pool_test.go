@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -120,50 +119,6 @@ func TestPooledRunErrorAborts(t *testing.T) {
 	for i, v := range got {
 		if v != i+1 {
 			t.Fatalf("post-failure batch slot %d = %d", i, v)
-		}
-	}
-}
-
-// TestPooledRunCancellation: context cancellation stops a pooled batch and
-// reports ErrCanceled.
-func TestPooledRunCancellation(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	var executed atomic.Int64
-	_, err := RunSampledContext(ctx, 100_000, func(i int, _ sampler.Draws) (int, error) {
-		if executed.Add(1) == 5 {
-			cancel()
-		}
-		return i, nil
-	}, Options{Pool: p})
-	cancel()
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if executed.Load() == 100_000 {
-		t.Error("pooled run completed despite cancellation")
-	}
-}
-
-// TestPooledRunCancelAfterFeed: when the context ends after the run was
-// handed to the pool, the worker's next claim sees it and leaves job 1
-// unclaimed; that must surface as ErrCanceled, never as success with a
-// zero-valued slot. Repeated so a scheduling-dependent answer would show.
-func TestPooledRunCancelAfterFeed(t *testing.T) {
-	p := NewPool(1)
-	defer p.Close()
-	for iter := 0; iter < 20; iter++ {
-		ctx, cancel := context.WithCancel(context.Background())
-		_, err := RunSampledContext(ctx, 2, func(i int, _ sampler.Draws) (int, error) {
-			if i == 0 {
-				cancel()
-			}
-			return i, nil
-		}, Options{Pool: p})
-		cancel()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("iteration %d: err = %v, want ErrCanceled", iter, err)
 		}
 	}
 }

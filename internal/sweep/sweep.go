@@ -7,10 +7,13 @@
 // i a private draw handle addressed by (Options.BaseSeed, i) — see
 // internal/sampler — never shares mutable state between jobs, and writes
 // result i into slot i of a pre-sized slice. Execution order is therefore
-// free, and one claim loop schedules every run: each worker checks the
-// context, claims the next unclaimed index of the run's Shard from a shared
-// atomic counter and runs it, and the first job error stops every worker.
-// The loop runs in the calling goroutine (Options.Workers 1), on goroutines
+// free, and one claim loop schedules every run: each worker claims the next
+// unclaimed index of the run's Shard from a shared atomic counter and runs
+// it. A run stops early only on a failed job: the first job error stops
+// every worker, and the run reports the lowest failed index. The engine
+// has no cancellation of its own; a job that must be cancellable cancels
+// itself, as the simulations do through sim.Options.Ctx, and fails. The
+// loop runs in the calling goroutine (Options.Workers 1), on goroutines
 // the run starts, or on the long-lived workers of a Pool shared with other
 // runs; the results are the same on each. A Monitor can observe per-job
 // progress and timing.
@@ -22,7 +25,6 @@
 package sweep
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"math/rand"
@@ -89,10 +91,6 @@ func (o Options) sampler() *sampler.Source {
 	return sampler.Default()
 }
 
-// ErrCanceled is wrapped into the error returned when the context ends a
-// run before every job has executed.
-var ErrCanceled = errors.New("sweep: run canceled")
-
 // Seed derives the RNG seed of job index from base; it delegates to
 // sampler.SeedAt, the one splitmix64 derivation the whole suite shares.
 func Seed(base int64, index int) int64 {
@@ -146,14 +144,6 @@ func record[T any](opt Options, i int, v T) {
 // it owns (the other slots stay zero); an opt.Exchange serves recorded
 // jobs and records computed ones, so K sharded runs recombine bit-exactly.
 func RunSampled[T any](n int, fn JobFunc[T], opt Options) ([]T, error) {
-	return RunSampledContext(context.Background(), n, fn, opt)
-}
-
-// RunSampledContext is RunSampled with cancellation: when ctx ends, workers
-// stop claiming new jobs and the context error is reported (wrapped with
-// ErrCanceled) unless a job error — which takes precedence — occurred
-// first. It is the engine every scalar entry point reduces to.
-func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Options) ([]T, error) {
 	if fn == nil {
 		return nil, errors.New("sweep: nil job function")
 	}
@@ -164,7 +154,7 @@ func RunSampledContext[T any](ctx context.Context, n int, fn JobFunc[T], opt Opt
 	src, seed := opt.sampler(), opt.BaseSeed
 	// The exchange serves or records each job and the monitor times it, the
 	// per-lane steps of RunBatchedSampled.
-	err = schedule(ctx, n, opt.Shard, opt, func(i int) (err error) {
+	err = schedule(n, opt.Shard, opt, func(i int) (err error) {
 		start := time.Now()
 		if v, ok := lookup[T](opt, i); ok {
 			results[i] = v
@@ -193,10 +183,9 @@ func newRun[T any](n int, opt Options) ([]T, error) {
 // claims is one run's state in the claim loop. Workers take ordinals from
 // next and run the k-th owned index, so each owned index runs once and
 // indices are claimed in increasing order. A claimed index always runs
-// (stop and ctx are checked before a claim), so every index below a failed
-// one finishes, and the lowest failed index does not depend on scheduling.
+// (stop is checked before a claim), so every index below a failed one
+// finishes, and the lowest failed index does not depend on scheduling.
 type claims struct {
-	ctx   context.Context
 	job   func(i int) error
 	shard Shard
 	owned int64          // owned indices in [0, n)
@@ -212,10 +201,10 @@ type claims struct {
 	exited chan struct{} // closed by the first of them: nothing to hand off
 }
 
-// work is the claim loop. It returns when every owned index is claimed, a
-// job has failed, or ctx has ended.
+// work is the claim loop. It returns when every owned index is claimed or
+// a job has failed.
 func (c *claims) work() {
-	for !c.stop.Load() && c.ctx.Err() == nil {
+	for !c.stop.Load() {
 		k := c.next.Add(1) - 1
 		if k >= c.owned {
 			return
@@ -236,10 +225,9 @@ func (c *claims) work() {
 // schedule runs job(i) for every index in [0, n) the shard owns, in the
 // claim loop: on opt.Pool's workers, in the calling goroutine when
 // opt.Workers resolves to 1, else on min(workers, owned) new goroutines.
-// It returns the lowest-index job failure as a *JobError, else
-// ErrCanceled if ctx ended before every owned index was claimed.
-func schedule(ctx context.Context, n int, shard Shard, opt Options, job func(i int) error) error {
-	c := &claims{ctx: ctx, job: job, shard: shard, owned: int64(shard.CountIn(n))}
+// It returns the lowest-index job failure as a *JobError.
+func schedule(n int, shard Shard, opt Options, job func(i int) error) error {
+	c := &claims{job: job, shard: shard, owned: int64(shard.CountIn(n))}
 	workers := opt.workers()
 	switch {
 	case opt.Pool != nil:
@@ -255,9 +243,6 @@ func schedule(ctx context.Context, n int, shard Shard, opt Options, job func(i i
 	}
 	if c.err != nil {
 		return &JobError{Index: c.failed, Err: c.err}
-	}
-	if c.next.Load() < c.owned {
-		return errors.Join(ErrCanceled, ctx.Err())
 	}
 	return nil
 }

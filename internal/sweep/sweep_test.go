@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -98,7 +97,7 @@ func TestRunPartialFailure(t *testing.T) {
 
 		// The failure must abort the batch: nowhere near all 1000 jobs ran.
 		var executed atomic.Int64
-		c := &claims{ctx: context.Background(), owned: 1000}
+		c := &claims{owned: 1000}
 		c.job = func(i int) error {
 			executed.Add(1)
 			if i == 5 {
@@ -138,47 +137,6 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	}
 	if je.Index != 4 {
 		t.Errorf("reported index %d, want 4 (lowest failed)", je.Index)
-	}
-}
-
-// TestRunContextCancellation: cancelling the context stops the run early
-// and reports ErrCanceled wrapping the context error.
-func TestRunContextCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var executed atomic.Int64
-		_, err := RunSampledContext(ctx, 100_000, func(i int, _ sampler.Draws) (int, error) {
-			if executed.Add(1) == 10 {
-				cancel()
-			}
-			return i, nil
-		}, Options{Workers: workers})
-		cancel()
-		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want wrapped context.Canceled", workers, err)
-		}
-		if n := executed.Load(); n == 100_000 {
-			t.Errorf("workers=%d: run completed despite cancellation", workers)
-		}
-	}
-}
-
-func TestRunContextAlreadyCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var executed atomic.Int64
-	_, err := RunSampledContext(ctx, 50, func(i int, _ sampler.Draws) (int, error) {
-		executed.Add(1)
-		return i, nil
-	}, Options{Workers: 1})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if executed.Load() != 0 {
-		t.Errorf("%d jobs ran under a dead context", executed.Load())
 	}
 }
 
