@@ -20,7 +20,7 @@ FUZZTIME ?= 10s
 # time; without it benchmarks run the default 1s per benchmark.
 BENCHTIME := $(if $(QUICK),100x,1s)
 
-.PHONY: ci lint vet build test race gate batchgate convcheck bench bench-ci benchcheck-history fuzz shardcheck loadcheck chaoscheck profile
+.PHONY: ci lint vet build test race gate batchgate convcheck bench bench-ci benchcheck-history fuzz shardcheck loadcheck chaoscheck profile outputcheck
 
 # loadcheck proves the rvserved serving path under real load: it builds the
 # daemon, boots it on an ephemeral port, drives LOADCLIENTS concurrent
@@ -170,6 +170,14 @@ shardcheck:
 	diff "$$tmp/single.txt" "$$tmp/streamed.txt"; \
 	grep -q "retrying" "$$tmp/straggler.log"; \
 	echo "shard/merge output is byte-identical to the single-process run (incl. streaming merge with a retried straggler)"
+
+# outputcheck byte-compares the stdout and exit status of a fixed list of
+# cmd/experiments and cmd/rvsim invocations between PARENT and the working
+# tree (see scripts/outputcheck.sh). It is not part of ci: CI checks out one
+# commit. Example: `make outputcheck PARENT=HEAD~1`.
+PARENT ?= HEAD
+outputcheck:
+	scripts/outputcheck.sh $(PARENT)
 
 # Short fuzz passes over the property-based targets: grid-spec, shard-spec
 # and sampler-name parsing; τ-decomposition, Lambert W and the round bound

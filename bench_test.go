@@ -409,3 +409,22 @@ func BenchmarkGridBatch(b *testing.B) {
 	}
 	b.ReportMetric(gridBenchLanes, "instances/op")
 }
+
+// benchSweepGrid runs one seeded Monte-Carlo -grid sweep per iteration,
+// serially and uncached, on the batched path or the scalar reference:
+// benchExperiment's Config{} times only the scalar path, while the CLIs,
+// cmd/rvserved and perfbench run the batched one.
+func benchSweepGrid(b *testing.B, batched bool) {
+	specs := []string{"v=0.25:0.75:0.25", "d=1:3:1"}
+	cfg := experiments.Config{Workers: 1, Seed: 1, Samples: 8, Batch: batched}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := experiments.SweepGrid(specs, "search", cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(9*8, "instances/op")
+}
+
+func BenchmarkSweepGridBatch(b *testing.B)  { benchSweepGrid(b, true) }
+func BenchmarkSweepGridScalar(b *testing.B) { benchSweepGrid(b, false) }

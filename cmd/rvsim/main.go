@@ -12,16 +12,16 @@
 //	-chi int      chirality of R′: +1 or -1 (default +1)
 //	-dx, -dy      initial displacement from R to R′ (default 1, 0)
 //	-r float      visibility radius (default 0.25)
-//	-algo string  algorithm: "universal" (Alg. 7) or "search" (Alg. 4)
+//	-algo string  algorithm: "universal" (Alg. 7) or "search" (Alg. 4; also "")
 //	-horizon float  give-up time (default: 4× the paper's bound, or 1e6)
 //
 // With -samples K (K > 1) the single instance becomes a Monte-Carlo sweep:
 // K instances with the orientation φ and the displacement direction drawn
-// uniformly at random (per-instance seeds derived from (-seed, index)), fanned
-// out over -workers goroutines via the internal/sweep engine, reporting the
-// meeting fraction and summary statistics of the meeting times. Rows of
-// samples evaluate through the SoA batch kernel over one recorded program.
-// The sweep is bit-identical for a fixed -seed regardless of -workers.
+// uniformly at random (per-instance seeds derived from (-seed, index)),
+// reporting the meeting fraction and summary statistics of the meeting
+// times. The sweep is experiments.MonteCarlo, the rendezvous sweep behind
+// cmd/experiments' -grid, over -workers goroutines; it is bit-identical for
+// a fixed -seed regardless of -workers.
 //
 //	-samples int  Monte-Carlo instances (default 1 = the single instance)
 //	-seed int     base seed for the Monte-Carlo sweep (default 0)
@@ -54,15 +54,13 @@ import (
 
 	"repro"
 	"repro/internal/analysis"
-	"repro/internal/batch"
 	"repro/internal/cache"
+	"repro/internal/experiments"
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/plot"
 	"repro/internal/sampler"
 	"repro/internal/segment"
-	"repro/internal/sim"
-	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/trajectory"
 )
@@ -131,15 +129,9 @@ func run() (code int) {
 		return 1
 	}
 
-	var mkProgram func() rendezvous.Trajectory
-	var programID string
-	switch *algoArg {
-	case "universal":
-		mkProgram, programID = rendezvous.Universal, "alg7"
-	case "search":
-		mkProgram, programID = rendezvous.CumulativeSearch, "alg4"
-	default:
-		fmt.Fprintf(os.Stderr, "rvsim: unknown algorithm %q\n", *algoArg)
+	programID, mkProgram, err := experiments.GridAlgorithm(*algoArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rvsim:", err)
 		return 1
 	}
 
@@ -147,7 +139,8 @@ func run() (code int) {
 		if *traceOut != "" || *plotOut {
 			fmt.Fprintln(os.Stderr, "rvsim: -trace/-plot apply to single instances only; ignored with -samples > 1")
 		}
-		return runMonteCarlo(memo, programID, mkProgram, in, *samples, *seed, samplerKind, *workers, *horizon)
+		cfg := experiments.Config{Workers: *workers, Seed: *seed, Samples: *samples, Sampler: samplerKind, Cache: memo, Batch: true}
+		return runMonteCarlo(in, *algoArg, *horizon, cfg)
 	}
 	program := mkProgram()
 
@@ -163,10 +156,7 @@ func run() (code int) {
 
 	h := *horizon
 	if h <= 0 {
-		h = 4 * bound
-		if math.IsInf(h, 1) || h <= 0 {
-			h = 1e6
-		}
+		h = experiments.RendezvousHorizon(in)
 	}
 	res, err := memo.Rendezvous(programID, mkProgram, in, rendezvous.Options{Horizon: h})
 	if err != nil {
@@ -211,108 +201,33 @@ func run() (code int) {
 	return 0
 }
 
-// mcInstance derives sample i's randomised instance and horizon from its
-// draw handle: dimension 0 is the orientation φ, dimension 1 the
-// displacement direction (keeping |d|) — the single definition of a
-// sample, which the sweep below and its tests share. The fixed dimension
-// order is what pins the default pseudo stream to the historical
-// rng.Float64() call order (see TestMCInstanceDrawOrder).
-func mcInstance(base rendezvous.Instance, dist float64, d sampler.Draws, horizon float64) (rendezvous.Instance, float64) {
-	in := base
-	in.Attrs.Phi = 2 * math.Pi * d.Float64(0)
-	in.D = geom.Polar(dist, 2*math.Pi*d.Float64(1))
-	h := horizon
-	if h <= 0 {
-		h = 4 * rendezvous.RendezvousTimeBound(in)
-		if math.IsInf(h, 1) || h <= 0 {
-			h = 1e6
-		}
-	}
-	return in, h
-}
-
-// runMonteCarlo runs the Monte-Carlo sweep (monteCarlo) and prints the
-// meeting fraction and summary statistics of the meeting times.
-func runMonteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64) int {
-	results, err := monteCarlo(memo, programID, mkProgram, base, samples, seed, kind, workers, horizon)
+// runMonteCarlo runs the Monte-Carlo sweep (experiments.MonteCarlo) and
+// prints the meeting fraction and summary statistics of the meeting times.
+func runMonteCarlo(base rendezvous.Instance, algoName string, horizon float64, cfg experiments.Config) int {
+	results, err := experiments.MonteCarlo(base, algoName, horizon, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rvsim:", err)
 		return 1
 	}
 	times := make([]float64, 0, len(results))
-	for _, o := range results {
-		if o.met {
-			times = append(times, o.time)
+	for _, t := range results {
+		if !math.IsInf(t, 1) {
+			times = append(times, t)
 		}
 	}
 	fmt.Printf("monte carlo: base attrs=%v |d|=%g r=%g, %d samples, seed %d\n",
-		base.Attrs, base.D.Norm(), base.R, samples, seed)
-	if kind != sampler.Pseudo {
-		fmt.Printf("sampler: %s\n", kind)
+		base.Attrs, base.D.Norm(), base.R, cfg.Samples, cfg.Seed)
+	if cfg.Sampler != sampler.Pseudo {
+		fmt.Printf("sampler: %s\n", cfg.Sampler)
 	}
-	fmt.Printf("met: %d/%d\n", len(times), samples)
+	fmt.Printf("met: %d/%d\n", len(times), cfg.Samples)
 	if len(times) > 0 {
 		fmt.Println("meeting times:", analysis.Summarize(times))
 	}
-	if len(times) < samples {
+	if len(times) < cfg.Samples {
 		return 2
 	}
 	return 0
-}
-
-// outcome is one Monte-Carlo sample's result.
-type outcome struct {
-	met  bool
-	time float64
-}
-
-// monteCarlo fans `samples` randomised variants of the base instance out
-// over the sweep pool and returns each sample's outcome in sample order:
-// each sample redraws the orientation φ and the displacement direction
-// (keeping |d|) from its private per-index draws, so the sweep reproduces
-// exactly for a fixed seed at any worker count. Rows of up to 64 samples
-// (or lane chunks of them) evaluate through one sim.Tape shared by the
-// whole run, so the program is generated once. With a cache (memo
-// non-nil), repeated instances — same seed re-runs via -cachefile in
-// particular — are served without re-simulating.
-func monteCarlo(memo *cache.Cache, programID string, mkProgram func() rendezvous.Trajectory, base rendezvous.Instance, samples int, seed int64, kind sampler.Kind, workers int, horizon float64) ([]outcome, error) {
-	dist := base.D.Norm()
-	// The whole sweep is one estimate, so the sampler block spans all of it:
-	// a QMC kind stratifies the (φ, direction) draws across every sample.
-	sopt := sweep.Options{Workers: workers, BaseSeed: seed, Sampler: sampler.New(kind, samples)}
-	tape := sim.NewTape(mkProgram())
-	defer tape.Close()
-	return sweep.RunBatchedSampled(samples, 64,
-		func(indices []int, at func(i int) sampler.Draws) ([]outcome, error) {
-			out := make([]outcome, len(indices))
-			keys := make([]cache.Key, len(indices))
-			var lanes batch.Lanes
-			laneOf := make([]int, 0, len(indices))
-			phis := make([]float64, len(indices))
-			for k, i := range indices {
-				in, h := mcInstance(base, dist, at(i), horizon)
-				phis[k] = in.Attrs.Phi
-				keys[k] = cache.RendezvousKey(programID, in, rendezvous.Options{Horizon: h})
-				if res, ok := memo.Get(keys[k]); ok {
-					out[k] = outcome{res.Met, res.Time}
-					continue
-				}
-				lanes.AddRendezvous(in.Attrs, in.D, in.R, h)
-				laneOf = append(laneOf, k)
-			}
-			if lanes.Len() > 0 {
-				res, kerrs := tape.Rendezvous(&lanes, sim.Options{})
-				for li, k := range laneOf {
-					if kerrs[li] != nil {
-						return nil, &sweep.LaneError{Lane: k, Err: fmt.Errorf(
-							"sample %d (φ=%.4g): %w", indices[k], phis[k], kerrs[li])}
-					}
-					memo.Put(keys[k], res[li])
-					out[k] = outcome{res[li].Met, res[li].Time}
-				}
-			}
-			return out, nil
-		}, sopt)
 }
 
 // recordTrace samples both robots' global trajectories: the program under

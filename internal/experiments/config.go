@@ -20,10 +20,11 @@ type Config struct {
 	// Seed is the base seed for Monte-Carlo sampling; per-instance seeds
 	// are derived from (Seed, job index).
 	Seed int64
-	// Samples, when > 0, switches the experiments that support it (E1) to
-	// Monte-Carlo sampling with Samples random draws per grid cell instead
-	// of their fixed deterministic sweep, and adds summary-statistic
-	// columns (min/mean/p90/max via internal/analysis).
+	// Samples, when > 0, switches the sweeps that support it (E1 and
+	// SweepGrid) to Monte-Carlo sampling with Samples random draws per grid
+	// cell instead of their fixed deterministic sweep, and adds
+	// summary-statistic columns (min/mean/p90/max via internal/analysis).
+	// It is MonteCarlo's sample count.
 	Samples int
 	// Sampler selects the per-cell draw source for the Monte-Carlo sweeps:
 	// pseudo (the default, bit-identical to the original rand.Rand path) or
@@ -62,16 +63,15 @@ type Config struct {
 	// through here so concurrent sweep requests share one budget. Results
 	// are identical either way.
 	Pool *sweep.Pool
-	// Batch, when true, routes the batch-eligible sweeps — the -grid
-	// rendezvous sweeps and E1's per-cell direction fans — through the SoA
-	// batch kernels (sim.SearchBatch / sim.Tape.Rendezvous via
-	// sweep.RunBatchedSampled), which evaluate a row of lanes, or a chunk
-	// of a split row, per kernel call over one shared program stream (a
-	// -grid sweep shares one sim.Tape across all its chunks). The CLIs and
-	// cmd/rvserved always set it. False selects the scalar per-job path:
-	// the reference the goldens and benchmarks check the batch path
-	// against. Tables are byte-identical either way. Experiments without a
-	// batch kernel ignore it.
+	// Batch, when true, runs the batch-eligible sweeps — SweepGrid behind
+	// the -grid flags and cmd/rvserved's /v1/sweep, MonteCarlo behind
+	// rvsim -samples, and E1's direction fans — on the SoA batch kernels
+	// (sim.Tape.Rendezvous / sim.SearchBatch via sweep.RunBatchedSampled),
+	// one kernel call per row of lanes or chunk of a split row (see
+	// batch.go). The CLIs and cmd/rvserved always set it. False selects the
+	// scalar per-job path: the reference the goldens and perfbench check
+	// the batch path against. Results are byte-identical either way.
+	// Experiments without a batch kernel ignore it.
 	Batch bool
 	// OnBatch, when non-nil, is called once per batch kernel call — once
 	// per row, or per chunk of a row the sweep split among workers — with
@@ -79,10 +79,10 @@ type Config struct {
 	// cmd/rvserved's batch.rows / batch.lanes telemetry. It must be safe
 	// for concurrent use: calls run on the sweep workers.
 	OnBatch func(rows, lanes int)
-	// Ctx, when non-nil, threads a cancellation context into the horizon
-	// walks of the grid sweeps (sim.Options.Ctx): a request deadline on
-	// cmd/rvserved cancels in-flight jobs mid-walk instead of waiting out
-	// their horizons. Results are byte-identical with Ctx nil or live —
+	// Ctx, when non-nil, threads a cancellation context into the walks of
+	// every batch-eligible sweep, on both paths (sim.Options.Ctx): a
+	// request deadline on cmd/rvserved cancels in-flight jobs mid-walk
+	// instead of waiting out their horizons. Results are byte-identical with Ctx nil or live —
 	// cancellation replaces results with an error, never alters them — and
 	// Ctx never enters a cache key.
 	Ctx context.Context

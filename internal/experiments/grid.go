@@ -153,39 +153,24 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 	if cfg.sweepNames == nil {
 		cfg.sweepNames = &batchCounter{prefix: "GRID"}
 	}
-	// The sampler's block is one grid point's sample fan: each cell's
-	// Monte-Carlo estimate gets its own stratified/low-discrepancy draw set.
-	sopt := cfg.sweepOptions()
-	sopt.Sampler = cfg.samplerSource(samples)
-	var raw []gridOutcome
-	if cfg.Batch {
-		// Batched path: every cell of the grid walks the algorithm's raw
-		// program, so rows (one grid point, all its samples) and the lane
-		// chunks of a split row run through the SoA rendezvous kernel over
-		// one tape, generated once per grid. Bytes are identical to the
-		// scalar path below.
-		tape := sim.NewTape(program())
-		defer tape.Close()
-		raw, err = sweep.RunBatchedSampled(jobs, samples,
-			func(indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
-				return gridBatchRow(grid, names, samples, programID, tape, cfg, indices, at)
-			}, sopt)
-	} else {
-		raw, err = sweep.RunGridSampled(grid, samples, func(point []float64, si int, d sampler.Draws) (gridOutcome, error) {
+	// A row and a sampler block are one grid point's sample fan: each
+	// cell's Monte-Carlo estimate gets its own stratified/low-discrepancy
+	// draw set.
+	raw, err := rendezvousSweep(cfg, jobs, samples, samples, programID, program,
+		func(i int, d sampler.Draws) (sim.Instance, float64, error) {
+			point := grid.Point(i / samples)
 			in, err := GridInstance(names, point)
 			if err != nil {
-				return gridOutcome{}, fmt.Errorf("point %v: %w", point, err)
+				return in, 0, fmt.Errorf("point %v: %w", point, err)
 			}
 			if cfg.Samples > 0 {
 				in.D = geom.Polar(in.D.Norm(), 2*math.Pi*d.Float64(0))
 			}
-			res, err := cfg.Cache.Rendezvous(programID, program, in, sim.Options{Horizon: RendezvousHorizon(in), Ctx: cfg.Ctx})
-			if err != nil {
-				return gridOutcome{}, fmt.Errorf("point %v sample %d: %w", point, si, err)
-			}
-			return gridOutcome{Met: res.Met, Time: res.Time}, nil
-		}, sopt)
-	}
+			return in, RendezvousHorizon(in), nil
+		},
+		func(i int, _ sim.Instance, err error) error {
+			return fmt.Errorf("point %v sample %d: %w", grid.Point(i/samples), i%samples, err)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -202,6 +187,57 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 		out.Cells[ci] = GridCell{Point: grid.Point(ci), Met: len(times), Times: times}
 	}
 	return out, nil
+}
+
+// MonteCarlo is the Monte-Carlo sweep of one rendezvous instance:
+// cfg.Samples variants of base under algoName (see GridAlgorithm), each
+// with the orientation φ and the displacement direction (keeping |d|)
+// drawn from its own per-index draws (see mcInstance), so the sweep
+// reproduces exactly for a fixed seed at any worker count. The whole sweep
+// is one estimate, so one sampler block spans it: a QMC kind stratifies
+// the (φ, direction) draws across every sample. A horizon ≤ 0 selects
+// RendezvousHorizon per sample. It returns each sample's meeting time in
+// sample order, +Inf for a sample that did not meet within its horizon.
+func MonteCarlo(base sim.Instance, algoName string, horizon float64, cfg Config) ([]float64, error) {
+	programID, program, err := GridAlgorithm(algoName)
+	if err != nil {
+		return nil, err
+	}
+	dist := base.D.Norm()
+	raw, err := rendezvousSweep(cfg, cfg.Samples, 64, cfg.Samples, programID, program,
+		func(_ int, d sampler.Draws) (sim.Instance, float64, error) {
+			in, h := mcInstance(base, dist, d, horizon)
+			return in, h, nil
+		},
+		func(i int, in sim.Instance, err error) error {
+			return fmt.Errorf("sample %d (φ=%.4g): %w", i, in.Attrs.Phi, err)
+		})
+	if err != nil {
+		return nil, err
+	}
+	times := make([]float64, len(raw))
+	for i, o := range raw {
+		times[i] = math.Inf(1)
+		if o.Met {
+			times[i] = o.Time
+		}
+	}
+	return times, nil
+}
+
+// mcInstance derives a Monte-Carlo sample's instance and horizon from its
+// draw handle: dimension 0 is the orientation φ, dimension 1 the
+// displacement direction (keeping |d| = dist). The fixed dimension order
+// is what pins the default pseudo stream to the historical rng.Float64()
+// call order (see TestMCInstanceDrawOrder).
+func mcInstance(base sim.Instance, dist float64, d sampler.Draws, horizon float64) (sim.Instance, float64) {
+	in := base
+	in.Attrs.Phi = 2 * math.Pi * d.Float64(0)
+	in.D = geom.Polar(dist, 2*math.Pi*d.Float64(1))
+	if horizon <= 0 {
+		horizon = RendezvousHorizon(in)
+	}
+	return in, horizon
 }
 
 // RunGridCfg runs SweepGrid and renders one table for the whole grid: the

@@ -32,10 +32,8 @@ func E1SearchScalingCfg(cfg Config) (Table, error) {
 	if mc {
 		t.Columns = append(t.Columns, "T_mean", "T_p90")
 	}
-	grid := sweep.Grid{
-		sweep.Vals("d", 0.5, 1, 2, 4),
-		sweep.Vals("r", 0.25, 0.0625),
-	}
+	ds, rs := []float64{0.5, 1, 2, 4}, []float64{0.25, 0.0625}
+	grid := sweep.Grid{sweep.Vals("d", ds...), sweep.Vals("r", rs...)}
 	dirs := 8
 	if mc {
 		dirs = cfg.Samples
@@ -44,38 +42,30 @@ func E1SearchScalingCfg(cfg Config) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	// Each cell's direction fan is one sampler block, so a QMC sampler
-	// stratifies the per-cell angle draws independently.
-	sopt := cfg.sweepOptions()
-	sopt.Sampler = cfg.samplerSource(dirs)
-	var times []float64
-	if cfg.Batch {
-		// Batched path: each (d, r) cell's direction fan shares the alg4
-		// program, so the whole row runs through one sim.SearchBatch call.
-		times, err = sweep.RunBatchedSampled(jobs, dirs,
-			func(indices []int, at func(int) sampler.Draws) ([]float64, error) {
-				return e1BatchRow(grid, dirs, mc, cfg, indices, at)
-			}, sopt)
-	} else {
-		times, err = sweep.RunGridSampled(grid, dirs, func(point []float64, k int, d2 sampler.Draws) (float64, error) {
-			d, r := point[0], point[1]
-			angle := 2*math.Pi*float64(k)/8 + 0.1
+	// A row and a sampler block are one cell's direction fan: the batch
+	// kernel walks the fan in one call, and a QMC sampler stratifies each
+	// cell's angle draws independently.
+	times, err := searchSweep(cfg, jobs, dirs, dirs, "alg4", algo.CumulativeSearch,
+		func(i int, d2 sampler.Draws) (geom.Vec, float64, float64) {
+			// grid.Point(i / dirs), without its allocation per job.
+			c := i / dirs
+			d, r := ds[c/len(rs)], rs[c%len(rs)]
+			angle := 2*math.Pi*float64(i%dirs)/8 + 0.1
 			if mc {
 				angle = 2 * math.Pi * d2.Float64(0)
 			}
-			target := geom.Polar(d, angle)
-			bound := bounds.SearchTimeBound(d, r)
-			res, err := cfg.Cache.Search("alg4", algo.CumulativeSearch, target, r,
-				sim.Options{Horizon: 2*bound + 1000})
+			return geom.Polar(d, angle), r, 2*bounds.SearchTimeBound(d, r) + 1000
+		},
+		func(i int, res sim.Result, err error) (float64, error) {
+			if err == nil && res.Met {
+				return res.Time, nil
+			}
+			point := grid.Point(i / dirs)
 			if err != nil {
-				return 0, fmt.Errorf("E1 d=%v r=%v: %w", d, r, err)
+				return 0, fmt.Errorf("E1 d=%v r=%v: %w", point[0], point[1], err)
 			}
-			if !res.Met {
-				return 0, fmt.Errorf("E1 d=%v r=%v dir %d: target not found", d, r, k)
-			}
-			return res.Time, nil
-		}, sopt)
-	}
+			return 0, fmt.Errorf("E1 d=%v r=%v dir %d: target not found", point[0], point[1], i%dirs)
+		})
 	if err != nil {
 		return t, err
 	}
@@ -194,10 +184,11 @@ func E9BaselinesCfg(cfg Config) (Table, error) {
 		{"rings", func(float64) string { return "rings" },
 			func(float64) trajectory.Source { return algo.ExpandingRings() }},
 	}
-	// The strategy index rides as the per-point "sample".
-	cells, err := sweep.RunGridSampled(grid, len(strategies), func(point []float64, si int, _ sampler.Draws) (string, error) {
+	n := len(strategies)
+	cells, err := sweep.RunSampled(grid.Size()*n, func(i int, _ sampler.Draws) (string, error) {
+		point := grid.Point(i / n)
 		d, r := point[0], point[1]
-		s := strategies[si]
+		s := strategies[i%n]
 		target := geom.Polar(d, 0.7)
 		horizon := 4*bounds.SearchTimeBound(d, r) + 2000
 		res, err := cfg.Cache.Search(s.id(r), func() trajectory.Source { return s.src(r) },
@@ -215,7 +206,7 @@ func E9BaselinesCfg(cfg Config) (Table, error) {
 	}
 	for ci := 0; ci < grid.Size(); ci++ {
 		point := grid.Point(ci)
-		row := cells[ci*len(strategies) : (ci+1)*len(strategies)]
+		row := cells[ci*n : (ci+1)*n]
 		t.AddRow(point[0], point[1], row[0], row[1], row[2], row[3])
 	}
 	t.Notes = append(t.Notes,

@@ -5,10 +5,10 @@
 //
 // Execution is governed by Config: worker-pool fan-out, Monte-Carlo
 // sampling, result caching, K-way sharding — and Config.Batch, which routes
-// the batch-eligible sweeps (E1's direction fans and the -grid rendezvous
-// sweeps) through internal/sim's SoA batch kernels so whole grid rows share
-// one generated trajectory stream; with it off they take the scalar
-// reference path. The rendered tables are byte-identical in all
+// the batch-eligible sweeps (E1's direction fans, the -grid rendezvous
+// sweeps and MonteCarlo) through internal/sim's SoA batch kernels so whole
+// rows share one generated trajectory stream; with it off they take the
+// scalar reference path. The rendered tables are byte-identical in all
 // combinations, pinned by the committed goldens in testdata/.
 package experiments
 

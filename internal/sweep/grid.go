@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/sampler"
 )
 
 // Axis is one swept parameter: a name and its ordered values. Experiments
@@ -167,26 +165,4 @@ func (g Grid) Point(i int) []float64 {
 		i /= k
 	}
 	return out
-}
-
-// RunGridSampled evaluates fn at every point of the grid, samples times per
-// point (samples < 1 is treated as 1), through the worker pool; the
-// callback receives the opt.Sampler draw handle of its dense job index.
-// Job order — and therefore result order and per-job draws — is
-// point-major: all samples of point 0, then all samples of point 1, and so
-// on. The flat result slice has length Size()·samples. Samples of one grid
-// point occupy consecutive indices, so a sampler whose block size equals
-// samples stratifies each point's estimate independently.
-func RunGridSampled[T any](g Grid, samples int, fn func(point []float64, sample int, d sampler.Draws) (T, error), opt Options) ([]T, error) {
-	samples = max(samples, 1)
-	n, err := g.Jobs(samples)
-	if err != nil {
-		return nil, err
-	}
-	if fn == nil {
-		return nil, fmt.Errorf("sweep: nil job function")
-	}
-	return RunSampled(n, func(i int, d sampler.Draws) (T, error) {
-		return fn(g.Point(i/samples), i%samples, d)
-	}, opt)
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/sampler"
 )
 
 func TestParseAxisList(t *testing.T) {
@@ -128,37 +126,5 @@ func TestGridJobs(t *testing.T) {
 	big := Axis{Name: "x", Values: make([]float64, 1<<21)}
 	if _, err := (Grid{big, big}).Jobs(1); err == nil {
 		t.Error("over-cap grid accepted")
-	}
-	if _, err := RunGridSampled(g, 1<<61, func([]float64, int, sampler.Draws) (int, error) { return 0, nil }, Options{}); err == nil {
-		t.Error("RunGridSampled accepted 2⁶¹ samples per point")
-	}
-}
-
-func TestRunGridDeterministicSampling(t *testing.T) {
-	g, err := ParseGrid("v=0.25,0.5", "phi=0:1:0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const samples = 3
-	job := func(point []float64, sample int, d sampler.Draws) ([2]float64, error) {
-		return [2]float64{point[0] + point[1], d.Float64(0) * float64(sample+1)}, nil
-	}
-	ref, err := RunGridSampled(g, samples, job, Options{Workers: 1, BaseSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != g.Size()*samples {
-		t.Fatalf("got %d results, want %d", len(ref), g.Size()*samples)
-	}
-	par, err := RunGridSampled(g, samples, job, Options{Workers: 8, BaseSeed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, par) {
-		t.Error("grid sampling not bit-identical across worker counts")
-	}
-	// Point-major order: jobs [0, samples) all evaluate point 0.
-	if ref[0][0] != ref[1][0] || ref[0][0] != ref[2][0] {
-		t.Error("samples of one point disagree on the deterministic part")
 	}
 }

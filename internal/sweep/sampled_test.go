@@ -73,33 +73,6 @@ func TestRunAdapterMatchesRunSampledPseudo(t *testing.T) {
 	}
 }
 
-// TestRunGridSampledMatchesScalar: RunGridSampled agrees with a hand-rolled
-// RunSampled over the flattened index space, for a QMC kind (so dimension
-// addressing, not just the pseudo stream, is exercised).
-func TestRunGridSampledMatchesScalar(t *testing.T) {
-	g := Grid{Vals("x", 0.1, 0.2, 0.3), Vals("y", 1, 2)}
-	const samples = 8
-	src := sampler.New(sampler.Stratified, samples)
-	got, err := RunGridSampled(g, samples, func(point []float64, sample int, d sampler.Draws) (float64, error) {
-		return point[0]*point[1] + d.Float64(0), nil
-	}, Options{BaseSeed: 5, Sampler: src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := RunSampled(g.Size()*samples, func(i int, d sampler.Draws) (float64, error) {
-		p := g.Point(i / samples)
-		return p[0]*p[1] + d.Float64(0), nil
-	}, Options{BaseSeed: 5, Sampler: src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: grid %v != scalar %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestRunBatchedSampledMatchesScalar: the batched accessor hands out the
 // same draw handles as the scalar path for every sampler kind and any row
 // size, including rows that straddle block boundaries.

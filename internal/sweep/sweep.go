@@ -18,10 +18,13 @@
 // runs; the results are the same on each. A Monitor can observe per-job
 // progress and timing.
 //
-// The entry points (RunSampled, RunGridSampled, RunBatchedSampled) hand
-// each job a sampler.Draws whose kind is chosen by Options.Sampler. Every
-// draw is a pure function of (seed, index, dimension), so any sampler
-// splits across a K-way Shard fleet and recombines byte-identically.
+// There are two entry points, one per job kind: RunSampled runs one job
+// per index, and RunBatchedSampled runs rows of jobs per call, the shape
+// of the SoA batch kernels. Both hand each job a sampler.Draws whose kind
+// is chosen by Options.Sampler. Every draw is a pure function of (seed,
+// index, dimension), so any sampler splits across a K-way Shard fleet and
+// recombines byte-identically. A grid sweep runs over the dense indices
+// of Grid.Jobs and decodes its point with Grid.Point.
 package sweep
 
 import (
