@@ -172,9 +172,9 @@ shardcheck:
 	echo "shard/merge output is byte-identical to the single-process run (incl. streaming merge with a retried straggler)"
 
 # outputcheck byte-compares the stdout and exit status of a fixed list of
-# cmd/experiments and cmd/rvsim invocations between PARENT and the working
-# tree (see scripts/outputcheck.sh). It is not part of ci: CI checks out one
-# commit. Example: `make outputcheck PARENT=HEAD~1`.
+# cmd/experiments, cmd/rvsim and cmd/gathersim invocations between PARENT
+# and the working tree (see scripts/outputcheck.sh). It is not part of ci:
+# CI checks out one commit. Example: `make outputcheck PARENT=HEAD~1`.
 PARENT ?= HEAD
 outputcheck:
 	scripts/outputcheck.sh $(PARENT)

@@ -153,15 +153,25 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 	if cfg.sweepNames == nil {
 		cfg.sweepNames = &batchCounter{prefix: "GRID"}
 	}
+	// Each cell's point and instance, or its error, resolved once for all
+	// of its samples.
+	points := make([][]float64, grid.Size())
+	insts := make([]sim.Instance, len(points))
+	errs := make([]error, len(points))
+	for ci := range points {
+		points[ci] = grid.Point(ci)
+		if insts[ci], errs[ci] = GridInstance(names, points[ci]); errs[ci] != nil {
+			errs[ci] = fmt.Errorf("point %v: %w", points[ci], errs[ci])
+		}
+	}
 	// A row and a sampler block are one grid point's sample fan: each
 	// cell's Monte-Carlo estimate gets its own stratified/low-discrepancy
 	// draw set.
 	raw, err := rendezvousSweep(cfg, jobs, samples, samples, programID, program,
 		func(i int, d sampler.Draws) (sim.Instance, float64, error) {
-			point := grid.Point(i / samples)
-			in, err := GridInstance(names, point)
-			if err != nil {
-				return in, 0, fmt.Errorf("point %v: %w", point, err)
+			in := insts[i/samples]
+			if err := errs[i/samples]; err != nil {
+				return in, 0, err
 			}
 			if cfg.Samples > 0 {
 				in.D = geom.Polar(in.D.Norm(), 2*math.Pi*d.Float64(0))
@@ -169,7 +179,7 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 			return in, RendezvousHorizon(in), nil
 		},
 		func(i int, _ sim.Instance, err error) error {
-			return fmt.Errorf("point %v sample %d: %w", grid.Point(i/samples), i%samples, err)
+			return fmt.Errorf("point %v sample %d: %w", points[i/samples], i%samples, err)
 		})
 	if err != nil {
 		return nil, err
@@ -177,14 +187,14 @@ func SweepGrid(specs []string, algoName string, cfg Config) (*GridResult, error)
 
 	out := &GridResult{Axes: names, Algorithm: programID, Points: grid.Size(), Samples: samples, Sampler: cfg.Sampler.String()}
 	out.Cells = make([]GridCell, grid.Size())
-	for ci := 0; ci < grid.Size(); ci++ {
+	for ci, point := range points {
 		times := make([]float64, 0, samples)
 		for _, o := range raw[ci*samples : (ci+1)*samples] {
 			if o.Met {
 				times = append(times, o.Time)
 			}
 		}
-		out.Cells[ci] = GridCell{Point: grid.Point(ci), Met: len(times), Times: times}
+		out.Cells[ci] = GridCell{Point: point, Met: len(times), Times: times}
 	}
 	return out, nil
 }

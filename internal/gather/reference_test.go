@@ -219,6 +219,22 @@ func TestGatherMixedClocksMatchesReference(t *testing.T) {
 	}
 }
 
+// TestGatherModulatedMatchesReference pins a speed-modulated program under
+// mixed clocks to the reference walk: a modulated segment lasts
+// (payload·τ)·mod under a frame (segment.Frame), not (payload·mod)·τ, and
+// the two differ in the last bit of this instance's gathering time.
+func TestGatherModulatedMatchesReference(t *testing.T) {
+	in := randomInstance(21, 3)
+	for i, tau := range []float64{0.7, 1.1, 0.9} {
+		in.Robots[i].Attrs.Tau = tau
+	}
+	program := trajectory.ModulateSpeed(algo.CumulativeSearch(), []float64{0.7, 1.3, 0.9})
+	res := checkMatchesReference(t, program, in, Options{Horizon: 150})
+	if !res.Gathered {
+		t.Fatalf("no gathering by the horizon, want one at t ≈ 4.2333")
+	}
+}
+
 // TestGatherFiniteProgramMatchesReference: a finite program ends before the
 // horizon, so the walk leaves through the all-halted branch — with the
 // parked robots apart, gathered, and (empty program) all parked at the
@@ -258,14 +274,14 @@ func TestGatherFiniteProgramMatchesReference(t *testing.T) {
 }
 
 // TestGatherAllocGate pins the allocation count of E10's "3 robots,
-// distinct speeds" instance: the gathering walk shares one cursor among the
-// three robots and recycles its stream batches, so the count stays flat in
-// the horizon. Measured: 66 (~165k before the shared-clock walk). The
-// ceiling adds one allocation for each of the run's 7 cursors (3 pairs × 2
-// and the gathering walk): under the race detector sync.Pool drops a random
-// quarter of its puts, so a cursor may reallocate its pooled first window.
+// distinct speeds" instance at horizon 2e4: the three pair walks and the
+// gathering walk, which pulls the program through one stream for the
+// three robots' shared clock, allocate per walk and not per segment, so
+// the count stays flat in the horizon. Measured: 16, with or without the
+// race detector (~165k before the shared-clock walk). The ceiling leaves
+// two for toolchain drift.
 func TestGatherAllocGate(t *testing.T) {
-	const ceiling = 66 + 7
+	const ceiling = 16 + 2
 	in := Instance{
 		Robots: []Robot{
 			robot(1, 1, 0, frame.CCW, 0, 0),

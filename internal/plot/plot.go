@@ -1,7 +1,7 @@
 // Package plot renders sampled traces as ASCII charts for terminal
 // inspection: robot tracks in the plane and pairwise gap-versus-time. It is
 // the terminal stand-in for the figures a plotting pipeline would produce
-// from the CSV/JSON exports of internal/trace.
+// from the CSV export of internal/trace.
 package plot
 
 import (

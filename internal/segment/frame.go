@@ -116,7 +116,13 @@ func (f *Frame) Twin(g *Frame) bool {
 		math.Float64bits(a.B) == math.Float64bits(b.B) &&
 		math.Float64bits(a.C) == math.Float64bits(b.C) &&
 		math.Float64bits(a.D) == math.Float64bits(b.D) &&
-		math.Float64bits(f.tau) == math.Float64bits(g.tau)
+		f.SameClock(g)
+}
+
+// SameClock reports whether f and g run on one clock, their τ equal as
+// math.Float64bits, so they give a raw segment bit-equal durations.
+func (f *Frame) SameClock(g *Frame) bool {
+	return math.Float64bits(f.tau) == math.Float64bits(g.tau)
 }
 
 // Norm returns ‖M‖₂, the factor the frame scales lengths by.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/batch"
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/segment"
 	"repro/internal/trajectory"
@@ -72,6 +73,16 @@ func TestFirstMeetingCanceledMidWalk(t *testing.T) {
 	}
 	if plain != ctxed {
 		t.Fatalf("live context changed the result: %+v != %+v", ctxed, plain)
+	}
+}
+
+// TestFirstGatheringCanceledMidWalk: the gathering walk polls Ctx on the
+// pair walks' stride, so it too stops at the 512th interval.
+func TestFirstGatheringCanceledMidWalk(t *testing.T) {
+	frames := []segment.Frame{referenceFrame, frame.Reference().Frame(geom.V(10, 0))}
+	_, _, _, err := FirstGathering(ticker(geom.Zero), frames, 0.25, Options{Horizon: 1e6, Ctx: &countCtx{failAt: 3}})
+	if !errors.Is(err, ErrCanceled) || !strings.Contains(err.Error(), "after 512 intervals") {
+		t.Fatalf("err = %v, want ErrCanceled after 512 intervals", err)
 	}
 }
 

@@ -17,19 +17,24 @@
 // Durations are exact, so measured meeting times are directly comparable
 // with the paper's closed-form analysis.
 //
-// There are two walks, one per problem. The search walk, searchWalk, pulls
-// the program's generator in one loop for a vector of lanes, each a static
-// target: one stream against static targets needs no merge and no second
-// Mover. Search runs it on one lane held on its stack, SearchBatch on a
-// whole batch. The rendezvous walk, meet, merges two streams and is
+// There are three walks, one per problem. The search walk, searchWalk,
+// pulls the program's generator in one loop for a vector of lanes, each a
+// static target: one stream against static targets needs no merge and no
+// second Mover. Search runs it on one lane held on its stack, SearchBatch
+// on a whole batch. The rendezvous walk, meet, merges two streams and is
 // the one loop behind FirstMeetingFramed, FirstMeetingShared (and so
-// Rendezvous) and every lane of the batched rendezvous kernel. A stream
-// pulls value-typed segments either from its own trajectory.Cursor — the
-// program's generator state, pulled directly, each segment read in the
-// generator's storage with its raw duration and length — or, on a batch
-// lane, from a Tape of raw segments shared by every lane that reads it. No
-// stream generates a segment twice or recomputes a duration its generator
-// supplied. Both walks are allocation-free per
+// Rendezvous) and every lane of the batched rendezvous kernel. The
+// gathering walk, FirstGathering, merges one stream per distinct clock and
+// places each stream's segments under the frame of every robot on that
+// clock. Both merged walks place a program on the time axis through one
+// type, stream: start times as a running sum of durations, durations under
+// the frame's clock, zero-duration segments skipped, and a parked final
+// position. A stream pulls value-typed segments either from its own
+// trajectory.Cursor — the program's generator state, pulled directly, each
+// segment read in the generator's storage with its raw duration and length
+// — or, on a batch lane, from a Tape of raw segments shared by every lane
+// that reads it. No stream generates a segment twice or recomputes a
+// duration its generator supplied. Every walk is allocation-free per
 // segment, and a walk's allocations do not grow with its length; the
 // per-segment motions live in caller-owned motion.Mover storage.
 //
@@ -109,14 +114,16 @@ type Options struct {
 	Horizon float64
 	// Slack is the contact-detection slack passed to the motion package;
 	// contact is declared at distance ≤ r (+Slack on the conservative
-	// path and the equal-ω arc×arc closed form). Zero selects 1e-9·r.
-	// Only the rendezvous and gather walks read it: Search and SearchBatch
-	// solve every interval in closed form at distance ≤ r. cache.SearchKey still includes it, so search keys
-	// recorded before stay valid.
+	// path and the equal-ω arc×arc closed form), and gathering at a
+	// diameter ≤ r + Slack. Zero selects 1e-9·r. The rendezvous walk
+	// (FirstMeetingFramed, FirstMeetingShared, RendezvousBatch) and the
+	// gathering walk (FirstGathering) read it; Search and SearchBatch
+	// solve every interval in closed form at distance ≤ r.
+	// cache.SearchKey still includes it, so search keys recorded before
+	// stay valid.
 	Slack float64
 	// MaxIters bounds conservative detection work per segment interval.
-	// Zero selects a generous default. Like Slack, only the rendezvous and
-	// gather walks read it.
+	// Zero selects a generous default. Only the rendezvous walk reads it.
 	MaxIters int
 	// Ctx, when non-nil, lets a caller cancel a long walk mid-flight: the
 	// walk loops poll it every ctxStride segment intervals (cheap — one
@@ -198,9 +205,11 @@ func detectOptions(opt Options, r float64) motion.Options {
 	return mopt
 }
 
-// stream is one robot's half of the merged two-source walk: the source of
-// its segments, the current segment placed on the absolute time axis, the
-// odometer, and the reusable motion storage.
+// stream is one robot's half of the merged two-source walk, or one clock
+// of the gathering walk: the source of its segments, the current segment
+// placed on the absolute time axis, the odometer, and the reusable motion
+// storage. The gathering walk reads only the placed segment and places it
+// under each of its robots' frames itself.
 //
 // The segments come from the stream's own cursor, which hands out each one
 // with its raw duration and length in its generator's storage, or, on a
@@ -211,19 +220,18 @@ func detectOptions(opt Options, r float64) motion.Options {
 // applied at placement: durations and lengths go through the Frame and the
 // motion through Mover.SetFramed.
 type stream struct {
-	cur      trajectory.Cursor
-	tp       *Tape        // the shared tape, when the stream replays one
-	n        int          // segments pulled; the index of the next tape segment
-	seg      *segment.Seg // the current segment (raw, local), read in place
-	fr       segment.Frame
-	segDur   float64 // its global duration: the pulled raw one, placed
-	segLen   float64 // its global path length: the pulled raw one, placed
-	start    float64 // absolute start time of the current segment
-	has      bool
-	finalPos geom.Vec
-	odo      odometer
-	mov      motion.Mover
-	end      float64 // absolute end of the current motion (+Inf when halted)
+	cur    trajectory.Cursor
+	tp     *Tape        // the shared tape, when the stream replays one
+	n      int          // segments pulled; the index of the next tape segment
+	seg    *segment.Seg // the current segment (raw, local), read in place
+	fr     segment.Frame
+	segDur float64 // its global duration: the pulled raw one, placed
+	segLen float64 // its global path length: the pulled raw one, placed
+	start  float64 // absolute start time of the current segment
+	has    bool
+	odo    odometer
+	mov    motion.Mover
+	end    float64 // absolute end of the current motion (+Inf when halted)
 }
 
 // set aims the stream under fr, clearing all walk state, without pulling:
@@ -250,13 +258,7 @@ func (s *stream) next() {
 		s.start += s.segDur
 	}
 	if !s.pull() {
-		// The stream is exhausted: only now is the final position needed
-		// (End() costs a sincos for arcs, so it is not computed per
-		// segment). The current segment is still the last one.
-		if s.has {
-			_, s.finalPos = s.fr.Endpoints(s.seg)
-		}
-		s.has = false
+		s.has = false // the current segment is still the last one
 		return
 	}
 	// A modulated segment is placed from its payload: its dilation applies
@@ -300,20 +302,26 @@ func (s *stream) pull() bool {
 	return true
 }
 
-// motionAt positions the stream's motion at absolute time t: it advances
-// past segments ending at or before t (zero-duration segments never
-// surface), refreshes the odometer, and fills the Mover. Past the end of a
-// finite source the mover is static forever (end = +Inf).
-func (s *stream) motionAt(t float64) {
-	advanced := false
+// advanceTo moves the stream past the segments ending at or before t, so
+// zero-duration segments never surface, and reports whether it moved.
+func (s *stream) advanceTo(t float64) (advanced bool) {
 	for s.has && s.start+s.segDur <= t {
 		s.next()
 		advanced = true
 	}
+	return advanced
+}
+
+// motionAt positions the stream's motion at absolute time t: it advances
+// to the segment containing t, refreshes the odometer, and fills the
+// Mover. Past the end of a finite source the mover is static forever
+// (end = +Inf).
+func (s *stream) motionAt(t float64) {
+	advanced := s.advanceTo(t)
 	if !s.has {
 		s.odo.halt()
 		if advanced || s.end != math.Inf(1) {
-			s.mov.SetStatic(s.finalPos)
+			s.mov.SetStatic(s.parkedAt(&s.fr))
 			s.end = math.Inf(1)
 		}
 		return
@@ -323,6 +331,17 @@ func (s *stream) motionAt(t float64) {
 		s.mov.SetFramed(s.seg, &s.fr, s.start, s.segDur)
 		s.end = s.start + s.segDur
 	}
+}
+
+// parkedAt returns where a robot that has run the stream's whole program
+// under fr parks: the end of its last segment, or the global origin for an
+// empty program. Walks ask for it once the stream has ended, not per
+// segment: End costs an arc a sincos.
+func (s *stream) parkedAt(fr *segment.Frame) (p geom.Vec) {
+	if s.n > 0 {
+		_, p = fr.Endpoints(s.seg)
+	}
+	return p
 }
 
 // close releases the stream's cursor.

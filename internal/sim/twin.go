@@ -81,9 +81,7 @@ func twinWalk(sa, sb *stream, res *Result, rs float64, opt Options) (t float64, 
 				return t, false, err
 			}
 		}
-		for sa.has && sa.start+sa.segDur <= t {
-			sa.next()
-		}
+		sa.advanceTo(t)
 		if !sa.has || sa.seg.Modulated() || !(sa.seg.Reach() < rmax) {
 			return t, false, nil
 		}

@@ -1,7 +1,7 @@
 // Package trace samples simulated trajectories into tabular time series for
 // plotting and post-hoc analysis (the figures a systems reader would want:
-// robot tracks, pairwise gap over time, phase annotations). Output formats
-// are CSV and JSON, written with the standard library.
+// robot tracks, pairwise gap over time, phase annotations). The output
+// format is CSV, written with the standard library.
 //
 // Sampling is for *presentation only* — the simulator itself never samples;
 // contact detection is exact (see internal/motion).
@@ -9,7 +9,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -23,14 +22,14 @@ import (
 
 // Sample is one time point: every robot's position.
 type Sample struct {
-	T         float64    `json:"t"`
-	Positions []geom.Vec `json:"positions"`
+	T         float64
+	Positions []geom.Vec
 }
 
 // Trace is a sampled multi-robot time series.
 type Trace struct {
-	Names   []string `json:"names"`
-	Samples []Sample `json:"samples"`
+	Names   []string
+	Samples []Sample
 }
 
 // MaxSamples caps the number of samples Record takes: a step that would
@@ -81,22 +80,6 @@ func (tr *Trace) Gap(i, j int) ([]float64, error) {
 	return gaps, nil
 }
 
-// MinGap returns the sample with the smallest distance between robots i
-// and j.
-func (tr *Trace) MinGap(i, j int) (t, gap float64, err error) {
-	gaps, err := tr.Gap(i, j)
-	if err != nil {
-		return 0, 0, err
-	}
-	best := 0
-	for k, g := range gaps {
-		if g < gaps[best] {
-			best = k
-		}
-	}
-	return tr.Samples[best].T, gaps[best], nil
-}
-
 // WriteCSV writes the trace as CSV with header
 // t,<name>_x,<name>_y,... and one row per sample.
 func (tr *Trace) WriteCSV(w io.Writer) error {
@@ -122,26 +105,4 @@ func (tr *Trace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON writes the trace as indented JSON.
-func (tr *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tr)
-}
-
-// ReadJSON parses a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (*Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	for i, s := range tr.Samples {
-		if len(s.Positions) != len(tr.Names) {
-			return nil, fmt.Errorf("trace: sample %d has %d positions for %d names",
-				i, len(s.Positions), len(tr.Names))
-		}
-	}
-	return &tr, nil
 }

@@ -90,9 +90,9 @@ func TestRecordRejectsUnboundedSampling(t *testing.T) {
 	}
 }
 
-func TestGapAndMinGap(t *testing.T) {
+func TestGap(t *testing.T) {
 	srcs, frames, names := twoRobotSources()
-	tr, err := Record(srcs, frames, names, 50, 0.01)
+	tr, err := Record(srcs, frames, names, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +102,6 @@ func TestGapAndMinGap(t *testing.T) {
 	}
 	if math.Abs(gaps[0]-1) > 1e-12 {
 		t.Errorf("initial gap %v, want 1", gaps[0])
-	}
-	tm, gap, err := tr.MinGap(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The robots (v=0.5 vs 1) approach below the initial distance at some
-	// point within 50 time units (rendezvous happens around t=41).
-	if gap >= 1 {
-		t.Errorf("min gap %v at t=%v, want < 1", gap, tm)
 	}
 	if _, err := tr.Gap(0, 5); err == nil {
 		t.Error("out-of-range index accepted")
@@ -142,50 +133,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if records[1][0] != "0" || records[1][3] != "1" {
 		t.Errorf("first data row wrong: %v", records[1])
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	srcs, frames, names := twoRobotSources()
-	tr, err := Record(srcs, frames, names, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	encoded := buf.String()
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Samples) != len(tr.Samples) || len(back.Names) != 2 {
-		t.Fatalf("round trip lost data: %d samples, %d names",
-			len(back.Samples), len(back.Names))
-	}
-	for i := range tr.Samples {
-		if back.Samples[i].T != tr.Samples[i].T {
-			t.Errorf("sample %d time %v != %v", i, back.Samples[i].T, tr.Samples[i].T)
-		}
-		for j := range tr.Names {
-			if !back.Samples[i].Positions[j].ApproxEqual(tr.Samples[i].Positions[j], 1e-12) {
-				t.Errorf("sample %d robot %d position mismatch", i, j)
-			}
-		}
-	}
-	// Lower-case field names per the json tags.
-	if !strings.Contains(encoded, `"x"`) || !strings.Contains(encoded, `"names"`) {
-		t.Error("json output missing tagged fields")
-	}
-}
-
-func TestReadJSONRejectsCorrupt(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{")); err == nil {
-		t.Error("truncated json accepted")
-	}
-	bad := `{"names":["a","b"],"samples":[{"t":0,"positions":[{"x":0,"y":0}]}]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
-		t.Error("inconsistent sample width accepted")
 	}
 }

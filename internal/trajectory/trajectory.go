@@ -7,11 +7,12 @@
 // generator's own storage, with its raw duration and path length, so a
 // walk never recomputes them and never boxes or copies a segment it does
 // not keep.
-// Pulling is the native form: Cursor, the simulator's merged two-stream
-// walk, the batch tape, the gathering walk and Path all pull generators
-// directly, one segment at a time, with no buffering, no re-generation and
-// no goroutine. Source.All is the push view for range loops, and FromSeq
-// adapts a push closure (an iter.Seq) through iter.Pull.
+// Pulling is the native form: Cursor, Path and the simulator's walkers —
+// the search walk, the streams of the rendezvous walk and its twin walk,
+// the batch tape and the gathering walk's one stream per clock — all pull
+// generators directly, one segment at a time, with no buffering, no
+// re-generation and no goroutine. Source.All is the push view for range
+// loops, and FromSeq adapts a push closure (an iter.Seq) through iter.Pull.
 //
 // A Source is a program in its own frame and clock. A robot's frame is not
 // applied to the stream: walks place each raw segment under the robot's

@@ -4,12 +4,13 @@
 #   scripts/outputcheck.sh PARENT
 #
 # Exports PARENT (any git revision, e.g. HEAD) into a temporary directory
-# with `git archive`, as scripts/benchpair.sh does, and builds cmd/experiments
-# and cmd/rvsim from it and from the current checkout, uncommitted changes
-# included. Then it runs each invocation below on both builds and compares
-# stdout and exit status, printing SAME or DIFF per invocation. It exits
-# non-zero when any invocation differs. The temporary directory is removed
-# on exit. It is not a CI step: CI checks out a single commit.
+# with `git archive`, as scripts/benchpair.sh does, and builds
+# cmd/experiments, cmd/rvsim and cmd/gathersim from it and from the current
+# checkout, uncommitted changes included. Then it runs each invocation below
+# on both builds and compares stdout and exit status, printing SAME or DIFF
+# per invocation. It exits non-zero when any invocation differs. The
+# temporary directory is removed on exit. It is not a CI step: CI checks out
+# a single commit.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -26,7 +27,7 @@ git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
 for side in parent change; do
 	src=$tmp/parent
 	[[ $side == change ]] && src=$root
-	for cmd in experiments rvsim; do
+	for cmd in experiments rvsim gathersim; do
 		(cd "$src" && go build -o "$tmp/bin/$side-$cmd" "./cmd/$cmd")
 	done
 done
@@ -39,11 +40,14 @@ invocations=(
 	"experiments -run E1 -samples 5 -seed 2"
 	"experiments -run E1 -samples 7 -sampler sobol -workers 1"
 	"experiments -run E9"
+	"experiments -run E10"
 	"rvsim"
 	"rvsim -tau 1.5 -chi -1 -algo search"
 	"rvsim -samples 40 -seed 3"
 	"rvsim -samples 9 -sampler sobol -algo search -chi -1"
 	"rvsim -samples 8 -v 1 -chi -1 -horizon 3e4 -algo search"
+	"gathersim"
+	"gathersim -robot 1,1,0,1,0,0 -robot 0.5,2,0,1,0.3,0 -robot 0.75,1,1,-1,0,0.3 -horizon 200"
 )
 
 diffs=0
