@@ -19,6 +19,7 @@ import (
 	"repro/internal/batch"
 	"repro/internal/cache"
 	"repro/internal/experiments"
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/sampler"
@@ -335,6 +336,20 @@ func BenchmarkFirstContactConservative(b *testing.B) {
 		if _, found, err := motion.SafeAdvance(x, y, 2.1, 0, 60, opt); !found || err != nil {
 			b.Fatal("no contact")
 		}
+	}
+}
+
+// BenchmarkSetFramedArc measures placement, the per-segment cost of every
+// framed walk: one motion.Mover.SetFramed of a raw arc under a robot's
+// similarity frame with v, τ ≠ 1, φ ≠ 0 and χ = −1, its duration placed by
+// segment.Frame.Duration as the walks place it.
+func BenchmarkSetFramedArc(b *testing.B) {
+	arc := segment.NewArc(geom.V(0.5, 0), 1, 0.3, 2.5, 1).Seg()
+	fr := frame.Attributes{V: 0.7, Tau: 1.3, Phi: 0.9, Chi: frame.CW}.Frame(geom.V(1, -2))
+	raw, _ := arc.DurationAndLength()
+	var m motion.Mover
+	for b.Loop() {
+		m.SetFramed(&arc, &fr, 0, fr.Duration(&arc, raw))
 	}
 }
 

@@ -21,7 +21,8 @@ func TestSearchRoundNoWaitDuration(t *testing.T) {
 }
 
 func TestSearchRoundNoWaitHasNoWaits(t *testing.T) {
-	for s := range SearchRoundNoWait(2).All() {
+	cur := trajectory.NewCursor(SearchRoundNoWait(2))
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if s.Kind() == segment.KindWait {
 			t.Fatal("SearchRoundNoWait emitted a wait")
 		}
@@ -32,7 +33,8 @@ func TestUniversalNoRevSchedule(t *testing.T) {
 	// Round n still lasts exactly 4·S(n): wait 2S + sweep S + wait S.
 	var elapsed float64
 	n := 1
-	for s := range UniversalNoRev().All() {
+	cur := trajectory.NewCursor(UniversalNoRev())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		elapsed += s.Duration()
 		if n == 3 {
 			break
@@ -56,7 +58,8 @@ func TestUniversalNoRevSchedule(t *testing.T) {
 
 func TestUniversalNoInactiveHasNoLongWaits(t *testing.T) {
 	var checked int
-	for s := range UniversalNoInactive().All() {
+	cur := trajectory.NewCursor(UniversalNoInactive())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if w, ok := s.AsWait(); ok && w.At == geom.Zero {
 			// Only the intra-round FinalWait waits are allowed, never the
 			// 2S(n) inactive phases.
@@ -75,7 +78,6 @@ func TestUniversalNoInactiveHasNoLongWaits(t *testing.T) {
 
 func TestStayNeverMoves(t *testing.T) {
 	p := trajectory.NewPath(Stay(), nil)
-	defer p.Close()
 	for _, tt := range []float64{0, 1, 1e6} {
 		if got := p.Position(tt); got != geom.Zero {
 			t.Errorf("Stay at t=%v: %v", tt, got)

@@ -98,7 +98,6 @@ func checkGenMatchesFrozen(t *testing.T, c genCase, limit, copyAt int) {
 	next, stop := iter.Pull(c.frozen)
 	defer stop()
 	g := c.pull.Start()
-	defer trajectory.Stop(g)
 	var (
 		copied  *gen
 		after   []segment.Seg // the original's segments after the copy

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/trajectory"
 )
 
 // TestUniversalPhaseStartMatchesStreamWalk pins the replay contract: the
@@ -17,7 +18,8 @@ func TestUniversalPhaseStartMatchesStreamWalk(t *testing.T) {
 	wantA := make([]float64, maxN+1)
 	elapsed := 0.0
 	n := 1
-	for seg := range Universal().All() {
+	cur := trajectory.NewCursor(Universal())
+	for seg, ok := cur.Next(); ok; seg, ok = cur.Next() {
 		if w, ok := seg.AsWait(); ok && w.At == geom.Zero && w.Time == 2*SearchAllDuration(n) {
 			wantI[n] = elapsed
 			wantA[n] = elapsed + w.Time

@@ -47,7 +47,7 @@ func TestSearchCircleDuration(t *testing.T) {
 }
 
 func TestSearchCircleShape(t *testing.T) {
-	segs := trajectory.Collect(SearchCircle(2))
+	segs, gap := testutil.Segments(SearchCircle(2))
 	if len(segs) != 3 {
 		t.Fatalf("SearchCircle has %d segments, want 3", len(segs))
 	}
@@ -61,7 +61,7 @@ func TestSearchCircleShape(t *testing.T) {
 	if arc.Radius != 2 || math.Abs(arc.Sweep-2*math.Pi) > 1e-12 {
 		t.Errorf("arc radius/sweep = %v/%v, want 2/2π", arc.Radius, arc.Sweep)
 	}
-	if gap, _ := trajectory.CheckContinuity(SearchCircle(2)); gap > 1e-12 {
+	if gap > 1e-12 {
 		t.Errorf("continuity gap = %v", gap)
 	}
 }
@@ -84,7 +84,8 @@ func TestSearchAnnulusCoversRadii(t *testing.T) {
 	// Every radius in [δ1, δ2] must be within ρ of some traversed circle.
 	d1, d2, rho := 0.5, 1.0, 0.0625
 	var circles []float64
-	for s := range SearchAnnulus(d1, d2, rho).All() {
+	cur := trajectory.NewCursor(SearchAnnulus(d1, d2, rho))
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if arc, ok := s.AsArc(); ok {
 			circles = append(circles, arc.Radius)
 		}
@@ -124,7 +125,7 @@ func TestSearchRoundDuration(t *testing.T) {
 }
 
 func TestSearchRoundEndsAtOriginWithWait(t *testing.T) {
-	segs := trajectory.Collect(SearchRound(2))
+	segs, gap := testutil.Segments(SearchRound(2))
 	last, ok := segs[len(segs)-1].AsWait()
 	if !ok {
 		t.Fatalf("last segment is %T, want Wait", segs[len(segs)-1])
@@ -133,7 +134,7 @@ func TestSearchRoundEndsAtOriginWithWait(t *testing.T) {
 		t.Errorf("final wait at %v, want origin", last.At)
 	}
 	relClose(t, "final wait", last.Time, FinalWait(2))
-	if gap, _ := trajectory.CheckContinuity(SearchRound(2)); gap > 1e-12 {
+	if gap > 1e-12 {
 		t.Errorf("continuity gap = %v", gap)
 	}
 }
@@ -155,7 +156,8 @@ func TestCumulativeSearchIsInfiniteAndContinuous(t *testing.T) {
 		prevEnd geom.Vec
 		first   = true
 	)
-	for s := range CumulativeSearch().All() {
+	cur := trajectory.NewCursor(CumulativeSearch())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if !first && s.Start().Dist(prevEnd) > 1e-12 {
 			t.Fatalf("discontinuity at segment %d", n)
 		}
@@ -186,7 +188,8 @@ func TestSearchAllRevIsReversedOrder(t *testing.T) {
 	// The first arc of SearchAllRev(n) must belong to Search(n): its radius
 	// is δ(0,n) = 2^(−n); the first arc of SearchAll(n) has radius 2^(−1).
 	firstArcRadius := func(src trajectory.Source) float64 {
-		for s := range src.All() {
+		cur := trajectory.NewCursor(src)
+		for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 			if arc, ok := s.AsArc(); ok {
 				return arc.Radius
 			}
@@ -211,7 +214,8 @@ func TestUniversalRoundStructure(t *testing.T) {
 	)
 	wantRounds := 3
 	next := 1
-	for s := range Universal().All() {
+	cur := trajectory.NewCursor(Universal())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if w, ok := s.AsWait(); ok && w.Time == 2*SearchAllDuration(next) && w.At == geom.Zero {
 			boundary = append(boundary, elapsed)
 			next++
@@ -237,7 +241,8 @@ func TestBaselinesAreInfinite(t *testing.T) {
 		"expanding-rings":  ExpandingRings(),
 	} {
 		n := 0
-		for range src.All() {
+		cur := trajectory.NewCursor(src)
+		for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 			n++
 			if n >= 50 {
 				break
@@ -246,7 +251,7 @@ func TestBaselinesAreInfinite(t *testing.T) {
 		if n != 50 {
 			t.Errorf("%s: consumed %d segments, want 50", name, n)
 		}
-		if gap, _ := trajectory.CheckContinuity(trajectory.Truncate(src, 1e3)); gap > 1e-12 {
+		if _, gap := testutil.Segments(trajectory.Truncate(src, 1e3)); gap > 1e-12 {
 			t.Errorf("%s: continuity gap %v", name, gap)
 		}
 	}
@@ -254,7 +259,8 @@ func TestBaselinesAreInfinite(t *testing.T) {
 
 func TestKnownVisibilityRadii(t *testing.T) {
 	var radii []float64
-	for s := range KnownVisibilitySearch(0.5).All() {
+	cur := trajectory.NewCursor(KnownVisibilitySearch(0.5))
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if arc, ok := s.AsArc(); ok {
 			radii = append(radii, arc.Radius)
 			if len(radii) == 4 {
@@ -272,7 +278,8 @@ func TestKnownVisibilityRadii(t *testing.T) {
 
 func TestExpandingRingsRadii(t *testing.T) {
 	var radii []float64
-	for s := range ExpandingRings().All() {
+	cur := trajectory.NewCursor(ExpandingRings())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		if arc, ok := s.AsArc(); ok {
 			radii = append(radii, arc.Radius)
 			if len(radii) == 5 {
@@ -292,7 +299,6 @@ func TestExpandingRingsRadii(t *testing.T) {
 // 2^63 no longer fits an int64: every radius stays positive and doubles.
 func TestExpandingRingsPastRing64(t *testing.T) {
 	cur := trajectory.NewCursor(ExpandingRings())
-	defer cur.Close()
 	prev := 0.5
 	rings := 0
 	for cur.Consumed() < 3*70 {

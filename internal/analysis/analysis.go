@@ -18,6 +18,11 @@ import (
 // path traced by seg. Lines, waits, and arcs are closed-form; a speed
 // modulation changes when the path is traced, not where, so it is ignored.
 func DistanceToSegment(p geom.Vec, seg segment.Seg) float64 {
+	return distanceToSegment(p, &seg)
+}
+
+// distanceToSegment is DistanceToSegment on the segment in place.
+func distanceToSegment(p geom.Vec, seg *segment.Seg) float64 {
 	switch seg.Kind() {
 	case segment.KindWait:
 		w, _ := seg.AsWait()
@@ -96,18 +101,6 @@ func normAngle(a float64) float64 {
 	return a
 }
 
-// DistanceToPath returns the exact minimum distance from p to a finite
-// trajectory.
-func DistanceToPath(p geom.Vec, src trajectory.Source) float64 {
-	d := math.Inf(1)
-	for seg := range src.All() {
-		if dd := DistanceToSegment(p, seg); dd < d {
-			d = dd
-		}
-	}
-	return d
-}
-
 // CoverageReport summarises how well a trajectory covers a target region at
 // a required granularity.
 type CoverageReport struct {
@@ -125,32 +118,52 @@ type CoverageReport struct {
 func (c CoverageReport) FullyCovered() bool { return c.Covered == c.Queries }
 
 // CoverAnnulus probes a polar grid over the annulus [rIn, rOut] and checks
-// each point is within rho of the trajectory produced by src. radial and
-// angular set the grid resolution (≥ 1 and ≥ 3 respectively). The source
-// function is re-invoked per probe, so it must be replayable (all algorithm
-// constructors are).
-func CoverAnnulus(src func() trajectory.Source, rIn, rOut, rho float64, radial, angular int) (CoverageReport, error) {
+// each point is within rho of src, a finite program. radial and angular set
+// the grid resolution (≥ 1 and ≥ 3 respectively). It reads src once: each
+// segment, pulled once, is folded into every probe's running minimum
+// distance, so each probe's distance is the exact minimum over the
+// program's segments (+Inf for an empty program).
+func CoverAnnulus(src trajectory.Source, rIn, rOut, rho float64, radial, angular int) (CoverageReport, error) {
 	if rOut <= rIn || rIn < 0 || rho <= 0 {
 		return CoverageReport{}, errors.New("analysis: need 0 ≤ rIn < rOut and rho > 0")
 	}
 	if radial < 1 || angular < 3 {
 		return CoverageReport{}, errors.New("analysis: grid too coarse")
 	}
-	var rep CoverageReport
+	type probe struct {
+		p geom.Vec
+		d float64 // the distance to the segments pulled so far
+	}
+	probes := make([]probe, 0, (radial+1)*angular)
 	for i := 0; i <= radial; i++ {
 		radius := rIn + (rOut-rIn)*float64(i)/float64(radial)
 		for j := range angular {
 			angle := 2 * math.Pi * float64(j) / float64(angular)
-			p := geom.Polar(radius, angle)
-			d := DistanceToPath(p, src())
-			rep.Queries++
-			if d <= rho {
-				rep.Covered++
+			probes = append(probes, probe{p: geom.Polar(radius, angle), d: math.Inf(1)})
+		}
+	}
+	var cur trajectory.Cursor
+	cur.Init(src)
+	for {
+		seg, _, _, ok := cur.Pull()
+		if !ok {
+			break
+		}
+		for i := range probes {
+			if dd := distanceToSegment(probes[i].p, seg); dd < probes[i].d {
+				probes[i].d = dd
 			}
-			if d > rep.WorstGap {
-				rep.WorstGap = d
-				rep.WorstPoint = p
-			}
+		}
+	}
+	var rep CoverageReport
+	for _, pr := range probes {
+		rep.Queries++
+		if pr.d <= rho {
+			rep.Covered++
+		}
+		if pr.d > rep.WorstGap {
+			rep.WorstGap = pr.d
+			rep.WorstPoint = pr.p
 		}
 	}
 	return rep, nil

@@ -139,72 +139,130 @@ func TestDistanceToTransformed(t *testing.T) {
 	}
 }
 
-func TestDistanceToPath(t *testing.T) {
-	src := algo.SearchCircle(1) // out to (1,0), unit circle, back
-	// The origin lies on the path.
-	if got := DistanceToPath(geom.Zero, src); got > 1e-12 {
-		t.Errorf("origin dist = %v, want 0", got)
+// coverReference is CoverAnnulus computed probe by probe: each probe takes
+// the minimum DistanceToSegment over a fresh run of src, the way
+// CoverAnnulus worked before it folded one pass into every probe.
+func coverReference(src trajectory.Source, rIn, rOut, rho float64, radial, angular int) CoverageReport {
+	var rep CoverageReport
+	for i := 0; i <= radial; i++ {
+		radius := rIn + (rOut-rIn)*float64(i)/float64(radial)
+		for j := range angular {
+			p := geom.Polar(radius, 2*math.Pi*float64(j)/float64(angular))
+			d := math.Inf(1)
+			cur := trajectory.NewCursor(src)
+			for seg, ok := cur.Next(); ok; seg, ok = cur.Next() {
+				if dd := DistanceToSegment(p, seg); dd < d {
+					d = dd
+				}
+			}
+			rep.Queries++
+			if d <= rho {
+				rep.Covered++
+			}
+			if d > rep.WorstGap {
+				rep.WorstGap = d
+				rep.WorstPoint = p
+			}
+		}
 	}
-	// A point 2 away from the circle.
-	if got := DistanceToPath(geom.V(3, 0), algo.SearchCircle(1)); math.Abs(got-2) > 1e-12 {
-		t.Errorf("dist = %v, want 2", got)
-	}
+	return rep
 }
 
-// TestSearchAnnulusCoverage is the empirical Lemma 1: SearchAnnulus brings
-// the robot within ρ of every annulus point.
-func TestSearchAnnulusCoverage(t *testing.T) {
-	d1, d2, rho := 0.5, 1.0, 0.0625
-	rep, err := CoverAnnulus(func() trajectory.Source {
-		return algo.SearchAnnulus(d1, d2, rho)
-	}, d1, d2, rho, 12, 24)
+// coverChecked runs CoverAnnulus and fails unless its report equals
+// coverReference's: the counts exactly, the worst gap and its point as
+// math.Float64bits.
+func coverChecked(t *testing.T, src trajectory.Source, rIn, rOut, rho float64, radial, angular int) CoverageReport {
+	t.Helper()
+	rep, err := CoverAnnulus(src, rIn, rOut, rho, radial, angular)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.FullyCovered() {
-		t.Errorf("annulus not covered: %d/%d, worst gap %v at %v",
-			rep.Covered, rep.Queries, rep.WorstGap, rep.WorstPoint)
+	want := coverReference(src, rIn, rOut, rho, radial, angular)
+	bits := func(r CoverageReport) [3]uint64 {
+		return [3]uint64{math.Float64bits(r.WorstGap), math.Float64bits(r.WorstPoint.X), math.Float64bits(r.WorstPoint.Y)}
+	}
+	if rep.Queries != want.Queries || rep.Covered != want.Covered || bits(rep) != bits(want) {
+		t.Fatalf("one pass %+v, per-probe reference %+v", rep, want)
+	}
+	return rep
+}
+
+// TestSearchAnnulusCoverage is the empirical Lemma 1: SearchAnnulus brings
+// the robot within ρ of every annulus point, also under a speed modulation,
+// which changes when the path is traced but not where.
+func TestSearchAnnulusCoverage(t *testing.T) {
+	d1, d2, rho := 0.5, 1.0, 0.0625
+	for name, src := range map[string]trajectory.Source{
+		"plain":     algo.SearchAnnulus(d1, d2, rho),
+		"modulated": trajectory.ModulateSpeed(algo.SearchAnnulus(d1, d2, rho), []float64{2, 0.5}),
+	} {
+		rep := coverChecked(t, src, d1, d2, rho, 12, 24)
+		if !rep.FullyCovered() {
+			t.Errorf("%s: annulus not covered: %d/%d, worst gap %v at %v",
+				name, rep.Covered, rep.Queries, rep.WorstGap, rep.WorstPoint)
+		}
 	}
 }
 
 // TestSearchRoundCoverage checks each sub-round of Search(k) covers its
-// designed annulus at its designed granularity (the invariant Lemma 1 uses).
+// designed annulus at its designed granularity (the invariant Lemma 1 uses),
+// on this test's grid and on E12's.
 func TestSearchRoundCoverage(t *testing.T) {
 	for k := 1; k <= 3; k++ {
 		for j := 0; j <= 2*k-1; j++ {
 			delta, rho := algo.RoundAnnulus(j, k)
-			rep, err := CoverAnnulus(func() trajectory.Source {
-				return algo.SearchRound(k)
-			}, delta, 2*delta, rho, 8, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !rep.FullyCovered() {
-				t.Errorf("k=%d j=%d: annulus [%v, %v] at ρ=%v not covered (worst %v)",
-					k, j, delta, 2*delta, rho, rep.WorstGap)
+			for _, grid := range [][2]int{{8, 16}, {10, 20}} {
+				rep := coverChecked(t, algo.SearchRound(k), delta, 2*delta, rho, grid[0], grid[1])
+				if !rep.FullyCovered() {
+					t.Errorf("k=%d j=%d grid %v: annulus [%v, %v] at ρ=%v not covered (worst %v)",
+						k, j, grid, delta, 2*delta, rho, rep.WorstGap)
+				}
 			}
 		}
 	}
 }
 
+// TestDistanceToPath checks the distance from a probe to a whole program:
+// SearchCircle(1)'s path runs through the origin and passes 2 from (3, 0),
+// so at ρ ≈ 0 the probes at radius 0 are covered, those at radius 3 are not.
+func TestDistanceToPath(t *testing.T) {
+	rep := coverChecked(t, algo.SearchCircle(1), 0, 3, 1e-12, 1, 8)
+	if rep.Covered != 8 || math.Abs(rep.WorstGap-2) > 1e-12 {
+		t.Errorf("covered %d of %d, worst gap %v; want 8 covered, worst gap 2", rep.Covered, rep.Queries, rep.WorstGap)
+	}
+}
+
 func TestCoverAnnulusDetectsGaps(t *testing.T) {
 	// A single circle cannot cover a wide annulus at fine granularity.
-	rep, err := CoverAnnulus(func() trajectory.Source {
-		return algo.SearchCircle(1)
-	}, 0.5, 2, 0.01, 10, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := coverChecked(t, algo.SearchCircle(1), 0.5, 2, 0.01, 10, 16)
 	if rep.FullyCovered() {
 		t.Error("gap not detected")
 	}
 	if rep.WorstGap < 0.4 {
 		t.Errorf("worst gap %v suspiciously small", rep.WorstGap)
 	}
+
+	// An empty program covers nothing: every probe is at +Inf, and the
+	// first one is the worst.
+	rep = coverChecked(t, trajectory.FromSlice(nil), 0.5, 1, 0.1, 2, 4)
+	if rep.Covered != 0 || rep.Queries != 12 || !math.IsInf(rep.WorstGap, 1) || rep.WorstPoint != geom.Polar(0.5, 0) {
+		t.Errorf("empty program: %+v, want 0 of 12 covered at +Inf from (0.5, 0)", rep)
+	}
+
+	// A robot waiting at the origin is exactly 2 from the outer probes at
+	// angles 0 and π: of probes at an equal worst gap the first one wins.
+	wait := segment.NewWait(geom.Zero, 1).Seg()
+	if a, b := DistanceToSegment(geom.Polar(2, 0), wait), DistanceToSegment(geom.Polar(2, math.Pi), wait); a != b {
+		t.Fatalf("no tie: %v vs %v", a, b)
+	}
+	rep = coverChecked(t, trajectory.FromSlice([]segment.Seg{wait}), 1, 2, 0.5, 1, 4)
+	if rep.WorstGap != 2 || rep.WorstPoint != geom.Polar(2, 0) {
+		t.Errorf("tie: worst gap %v at %v, want 2 at (2, 0)", rep.WorstGap, rep.WorstPoint)
+	}
 }
 
 func TestCoverAnnulusValidation(t *testing.T) {
-	src := func() trajectory.Source { return algo.SearchCircle(1) }
+	src := algo.SearchCircle(1)
 	if _, err := CoverAnnulus(src, 1, 0.5, 0.1, 4, 8); err == nil {
 		t.Error("inverted radii accepted")
 	}

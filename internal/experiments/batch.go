@@ -55,7 +55,6 @@ func rendezvousSweep(cfg Config, n, rowSize, block int, programID string, progra
 		}, sopt)
 	}
 	tape := sim.NewTape(program())
-	defer tape.Close()
 	return sweep.RunBatchedSampled(n, rowSize, func(indices []int, at func(int) sampler.Draws) ([]gridOutcome, error) {
 		out := make([]gridOutcome, len(indices))
 		keys := make([]cache.Key, len(indices))

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/geom"
 	"repro/internal/sim"
-	"repro/internal/trajectory"
 )
 
 // E12CoverageCfg verifies the geometric invariant behind Lemma 1: sub-round
@@ -29,9 +28,7 @@ func E12CoverageCfg(cfg Config) (Table, error) {
 		for j := 0; j <= 2*k-1; j++ {
 			jobs = append(jobs, func() ([]any, error) {
 				delta, rho := algo.RoundAnnulus(j, k)
-				rep, err := analysis.CoverAnnulus(func() trajectory.Source {
-					return algo.SearchRound(k)
-				}, delta, 2*delta, rho, 10, 20)
+				rep, err := analysis.CoverAnnulus(algo.SearchRound(k), delta, 2*delta, rho, 10, 20)
 				if err != nil {
 					return nil, fmt.Errorf("E12 k=%d j=%d: %w", k, j, err)
 				}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/geom"
+	"repro/internal/testutil"
 	"repro/internal/trajectory"
 )
 
@@ -44,7 +45,8 @@ func TestReferenceIsIdentity(t *testing.T) {
 	}
 	fr := ref.Frame(geom.Zero)
 	var got float64
-	for s := range algo.SearchCircle(2).All() {
+	cur := trajectory.NewCursor(algo.SearchCircle(2))
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		d, _ := fr.DurationAndLength(&s)
 		got += d
 	}
@@ -57,8 +59,9 @@ func TestReferenceIsIdentity(t *testing.T) {
 // "move distance 3 along local +x" program.
 func TestApplySemantics(t *testing.T) {
 	a := Attributes{V: 0.5, Tau: 4, Phi: math.Pi / 2, Chi: CCW}
-	local := trajectory.FromSlice(trajectory.Collect(algo.SearchCircle(3))[:1]) // just the outbound line
-	segs := trajectory.Collect(local)
+	circle, _ := testutil.Segments(algo.SearchCircle(3))
+	local := trajectory.FromSlice(circle[:1]) // just the outbound line
+	segs, _ := testutil.Segments(local)
 	if len(segs) != 1 {
 		t.Fatalf("got %d segments", len(segs))
 	}
@@ -157,10 +160,8 @@ func TestFrameCompositionAgainstDirectFormula(t *testing.T) {
 	origin := geom.V(3, -4)
 
 	local := trajectory.NewPath(algo.SearchRound(2), nil)
-	defer local.Close()
 	fr := a.Frame(origin)
 	global := trajectory.NewPath(algo.SearchRound(2), &fr)
-	defer global.Close()
 
 	m := a.Affine(origin)
 	for i := 0; i <= 200; i++ {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/geom"
 	"repro/internal/segment"
+	"repro/internal/trajectory"
 )
 
 // phaseBoundaries walks Algorithm 7 placed under a robot's frame and returns the global times at which the first maxN inactive phases
@@ -20,7 +21,8 @@ func phaseBoundaries(t *testing.T, a Attributes, maxN int) []float64 {
 		n          = 1
 	)
 	fr := a.Frame(geom.Zero)
-	for s := range algo.Universal().All() {
+	cur := trajectory.NewCursor(algo.Universal())
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		dur, _ := fr.DurationAndLength(&s)
 		want := 2 * algo.SearchAllDuration(n) * a.Tau
 		if isWait(s) && math.Abs(dur-want) <= 1e-9*want {

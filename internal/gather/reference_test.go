@@ -71,7 +71,6 @@ func referenceDiameterDrop(program trajectory.Source, in Instance, opt Options) 
 		walkers[i].cur.Init(program)
 		walkers[i].fr = r.Attrs.Frame(r.Origin)
 		walkers[i].advance()
-		defer walkers[i].cur.Close()
 	}
 	slack := opt.Slack
 	if slack <= 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/testutil"
 	"repro/internal/trajectory"
 )
 
@@ -28,10 +29,10 @@ func TestZigZagRoundDurations(t *testing.T) {
 }
 
 func TestZigZagContinuity(t *testing.T) {
-	if gap, n := trajectory.CheckContinuity(trajectory.Truncate(ZigZag(), 1000)); gap > 1e-12 || n == 0 {
-		t.Errorf("gap=%v n=%d", gap, n)
+	if segs, gap := testutil.Segments(trajectory.Truncate(ZigZag(), 1000)); gap > 1e-12 || len(segs) == 0 {
+		t.Errorf("gap=%v n=%d", gap, len(segs))
 	}
-	if gap, _ := trajectory.CheckContinuity(trajectory.Truncate(Universal(), 2000)); gap > 1e-12 {
+	if _, gap := testutil.Segments(trajectory.Truncate(Universal(), 2000)); gap > 1e-12 {
 		t.Errorf("Universal gap=%v", gap)
 	}
 }

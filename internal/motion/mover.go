@@ -62,7 +62,7 @@ func (m *Mover) Set(seg *segment.Seg, absStart, dur float64) {
 //     must not change while the Mover is in use.
 //
 // dur must equal the duration under the frame, f.DurationAndLength; walks
-// over a local program compute it once per segment.
+// over a local program place it once per segment, with f.Duration.
 func (m *Mover) SetFramed(raw *segment.Seg, f *segment.Frame, absStart, dur float64) {
 	if !raw.Modulated() {
 		switch raw.Kind() {

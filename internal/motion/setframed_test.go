@@ -57,11 +57,10 @@ func requireFrozenSeg(t *testing.T, label string, seg *segment.Seg, f *segment.F
 	start, end, speed := seg.Start(), seg.End(), seg.MaxSpeed()
 	pos, arc := seg.Position, func(d float64) (segment.ArcGeometry, bool) { return segment.ArcAtDur(seg, d) }
 	if f != nil {
+		d, l := f.Duration(seg, dur), length*f.Norm() // placed from the raw values
 		dur, length = f.DurationAndLength(seg)
-		if !seg.Modulated() {
-			if d, l := f.Scale(seg.DurationAndLength()); math.Float64bits(d) != math.Float64bits(dur) || math.Float64bits(l) != math.Float64bits(length) {
-				t.Fatalf("%s: Scale gives %v, %v; DurationAndLength %v, %v", label, d, l, dur, length)
-			}
+		if math.Float64bits(d) != math.Float64bits(dur) || math.Float64bits(l) != math.Float64bits(length) {
+			t.Fatalf("%s: Duration and Norm give %v, %v; DurationAndLength %v, %v", label, d, l, dur, length)
 		}
 		start, end = f.Endpoints(seg)
 		speed = f.MaxSpeed(seg)
@@ -97,7 +96,7 @@ func requireFrozenSeg(t *testing.T, label string, seg *segment.Seg, f *segment.F
 }
 
 // FuzzSetFramedMatchesSet differentially checks the placement of raw
-// segments — segment.Frame's Scale, Position, Start, End, MaxSpeed and
+// segments — segment.Frame's Duration, Position, Start, End, MaxSpeed and
 // ArcAtDur, and Mover.SetFramed's linear, circular and fallback dispatch —
 // against the frozen framed-segment arithmetic and Mover.Set it replaced
 // (frozen_test.go): the two must agree bit for bit. The same raw segment's

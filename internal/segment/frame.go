@@ -11,10 +11,9 @@ import (
 // of the paper's local→global shift, fixed by the robot's attributes for a
 // whole walk. Segments stay in their program's own frame; a walk places
 // each one under the robot's Frame (motion.Mover.SetFramed for motions,
-// DurationAndLength or Scale for durations and lengths, Position and
-// Endpoints for points), so no
-// framed segment is ever built. The per-map constants are computed once, at
-// construction:
+// DurationAndLength or Duration and Norm for durations and lengths,
+// Position and Endpoints for points), so no framed segment is ever built.
+// The per-map constants are computed once, at construction:
 //
 //   - ‖M‖₂, the factor lengths and speed bounds scale by;
 //   - the arc-placement constants of ArcAtDur: whether M is a similarity,
@@ -56,11 +55,19 @@ func (f *Frame) DurationAndLength(s *Seg) (dur, length float64) {
 	return dur, length * f.opNorm
 }
 
-// Scale is DurationAndLength for an unmodulated segment whose raw duration
-// and length (Seg.DurationAndLength) a walk has already computed: dur·τ and
-// length·‖M‖.
-func (f *Frame) Scale(dur, length float64) (float64, float64) {
-	return dur * f.tau, length * f.opNorm
+// Duration places a pulled segment's duration: raw is s's raw duration
+// (Seg.DurationAndLength), and the result is s's duration under the frame,
+// bit for bit DurationAndLength's. That is raw·τ, or, for a modulated
+// segment, whose dilation applies outside the frame's clock, the payload's
+// (d·τ)·mod. A raw length places as length·‖M‖ (Norm) in either case. It
+// is the one placement rule of the walks and of trajectory.Path, and small
+// enough to inline.
+func (f *Frame) Duration(s *Seg, raw float64) float64 {
+	if s.mod != 0 {
+		raw, _ = f.DurationAndLength(s)
+		return raw
+	}
+	return raw * f.tau
 }
 
 // Position returns the position of s under the frame at time t after its

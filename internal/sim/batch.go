@@ -23,7 +23,7 @@ import (
 //     one Tape of raw segments with the raw duration/length the generator
 //     supplied, and each lane's frame constants are computed once per lane
 //     (segment.Frame): a lane places raw tape segments under its frame
-//     (Frame.Scale, Mover.SetFramed). Generation and trig amortize across
+//     (Frame.Duration, Mover.SetFramed). Generation and trig amortize across
 //     the batch. RendezvousBatch reads a private tape; Tape.Rendezvous
 //     reads a tape shared by several calls, which may run on several
 //     goroutines at once, so a sweep's lane chunks share one recording of
@@ -55,7 +55,7 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 // chunk of a sweep: the program is generated once per tape, straight into
 // the tape's pages, with each segment's raw duration and length as its
 // generator supplies them — the quantities every lane's framed walk
-// rescales with two multiplications (segment.Frame.Scale).
+// places with two multiplications (segment.Frame.Duration and Norm).
 //
 // A tape records at most tapeLen segments (6.3 MB), so its memory is
 // bounded whatever the horizon. A lane that walks past them starts its own
@@ -70,8 +70,7 @@ func SearchBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([]Res
 // later segment records more from the tape's one cursor under a mutex.
 // Every lane's walk is a pure function of the program and the lane, so
 // results are bit-identical to the scalar walks whatever the order and
-// interleaving of the readers. Close the tape once, after every reader has
-// returned.
+// interleaving of the readers.
 type Tape struct {
 	n     atomic.Int64 // published segments; entries below n never change
 	mu    sync.Mutex   // serializes recording: cur, done, pages, entries past n
@@ -111,9 +110,6 @@ func (tp *Tape) init(program trajectory.Source) {
 	tp.src = program
 	tp.cur.Init(program)
 }
-
-// Close stops the tape's cursor. No reader may be in flight.
-func (tp *Tape) Close() { tp.cur.Close() }
 
 // tapeSlot locates segment i < tapeLen: its page and the offset in that
 // page. Page p > 0 starts at segment 2^(p+5) and holds as many segments.
@@ -180,7 +176,6 @@ func RendezvousBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([
 		st lanePair
 	}
 	w.tp.init(program)
-	defer w.tp.Close()
 	return w.tp.meet(ln, opt, &w.st)
 }
 
@@ -189,12 +184,9 @@ func RendezvousBatch(program trajectory.Source, ln *batch.Lanes, opt Options) ([
 type lanePair struct{ sa, sb stream }
 
 // meet walks every lane of ln through meet over the tape, with st as the
-// walk state, and closes any cursor st's streams started past the tape.
-// Both robots of a lane run the tape's one program, so meet may take the
-// twin walk.
+// walk state. Both robots of a lane run the tape's one program, so meet may
+// take the twin walk.
 func (tp *Tape) meet(ln *batch.Lanes, opt Options, st *lanePair) ([]Result, []error) {
-	defer st.sa.close()
-	defer st.sb.close()
 	n := ln.Len()
 	results := make([]Result, n)
 	errs := make([]error, n)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/batch"
 	"repro/internal/frame"
 	"repro/internal/geom"
-	"repro/internal/segment"
 	"repro/internal/trajectory"
 )
 
@@ -42,7 +41,7 @@ func searchPrograms() map[string]func() trajectory.Source {
 		"alg4":      algo.CumulativeSearch,
 		"truncated": func() trajectory.Source { return trajectory.Truncate(algo.CumulativeSearch(), 40) },
 		"circle":    func() trajectory.Source { return algo.SearchCircle(1.5) },
-		"empty":     func() trajectory.Source { return trajectory.FromSeq(func(func(segment.Seg) bool) {}) },
+		"empty":     func() trajectory.Source { return trajectory.FromSlice(nil) },
 	}
 }
 
@@ -275,7 +274,6 @@ func FuzzBatchMatchesScalar(f *testing.F) {
 		}
 		split := int(mode/3) % (len(lanes) + 1)
 		tp := NewTape(mk())
-		defer tp.Close()
 		got, errs := walkChunks(tp, lanes, []int{split}, func(int) Options { return Options{} })
 		requireLanesMatch(t, "shared tape", mk, lanes, got, errs, func(int) context.Context { return nil })
 	})

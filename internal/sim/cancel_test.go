@@ -18,13 +18,8 @@ import (
 // ticker is an infinite source of unit Wait segments at a fixed position:
 // one merged interval per time unit, so interval counts are exact.
 func ticker(at geom.Vec) trajectory.Source {
-	return trajectory.FromSeq(func(yield func(segment.Seg) bool) {
-		for {
-			if !yield((segment.Wait{At: at, Time: 1}).Seg()) {
-				return
-			}
-		}
-	})
+	wait := trajectory.FromSlice([]segment.Seg{(segment.Wait{At: at, Time: 1}).Seg()})
+	return trajectory.Repeat(func(int) trajectory.Source { return wait })
 }
 
 // countCtx is a deterministic context: Err fails on its failAt-th call.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/segment"
+	"repro/internal/testutil"
 	"repro/internal/trajectory"
 )
 
@@ -39,7 +40,7 @@ func corpusProgram(name string, horizon float64) trajectory.Source {
 	case "alg7":
 		return algo.Universal()
 	case "finite":
-		prefix := trajectory.Collect(trajectory.Truncate(algo.CumulativeSearch(), horizon/8))
+		prefix, _ := testutil.Segments(trajectory.Truncate(algo.CumulativeSearch(), horizon/8))
 		half := len(prefix) / 2
 		return trajectory.FromSlice(slices.Insert(prefix, half, segment.Wait{At: prefix[half].Start()}.Seg()))
 	}

@@ -27,7 +27,6 @@ func FirstGathering(program trajectory.Source, frames []segment.Frame, r float64
 		return 0, false, 0, ErrBadOptions
 	}
 	w := gatherWalk{streams: make([]stream, 0, len(frames)), bodies: make([]gatherBody, len(frames))}
-	defer w.close()
 	for i := range frames {
 		k := 0
 		for k < len(w.streams) && !w.streams[k].fr.SameClock(&frames[i]) {
@@ -88,12 +87,6 @@ type gatherBody struct {
 	mov   motion.Mover
 	speed float64
 	pos   geom.Vec
-}
-
-func (w *gatherWalk) close() {
-	for k := range w.streams {
-		w.streams[k].close()
-	}
 }
 
 // advance moves every stream to the segment containing now, places the

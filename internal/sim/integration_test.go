@@ -60,8 +60,6 @@ func TestFirstMeetingAgainstDenseSampling(t *testing.T) {
 				break
 			}
 		}
-		pa.Close()
-		pb.Close()
 	}
 }
 
@@ -88,6 +86,5 @@ func TestSearchAgainstDenseSampling(t *testing.T) {
 				break
 			}
 		}
-		p.Close()
 	}
 }

@@ -43,13 +43,13 @@
 // and RendezvousAsymmetric (through FirstMeetingFramed) pull each robot's
 // *local* program and place every raw segment under the robot's
 // segment.Frame, whose constants — operator norm, similarity verdict,
-// scale, handedness — are computed once. Durations and lengths go through
-// Frame.DurationAndLength (Frame.Scale on precomputed raw values) and
-// motions through motion.Mover.SetFramed. Fault and speed-modulation
-// combinators (trajectory.CutAt, ModulateSpeed, ...) act on the local
-// program, in the robot's own clock; a modulation's dilation stays outside
-// the frame (see segment.Frame). The placement arithmetic is pinned against
-// a frozen copy of the framed segments it replaced
+// scale, handedness — are computed once. Durations go through
+// Frame.Duration on the raw values the generator supplied, lengths through
+// Frame.Norm, and motions through motion.Mover.SetFramed. Fault and
+// speed-modulation combinators (trajectory.CutAt, ModulateSpeed, ...) act
+// on the local program, in the robot's own clock; a modulation's dilation
+// stays outside the frame (see segment.Frame). The placement arithmetic is
+// pinned against a frozen copy of the framed segments it replaced
 // (motion.FuzzSetFramedMatchesSet), and whole walks against Results
 // recorded from that composed path (TestRendezvousMatchesComposedCorpus).
 //
@@ -236,9 +236,8 @@ type stream struct {
 
 // set aims the stream under fr, clearing all walk state, without pulling:
 // begin starts it. When tp is not nil the stream reads tp instead of a
-// cursor of its own. set closes the cursor a previous walk started.
+// cursor of its own.
 func (s *stream) set(tp *Tape, fr *segment.Frame) {
-	s.close()
 	*s = stream{tp: tp, fr: *fr}
 }
 
@@ -261,13 +260,8 @@ func (s *stream) next() {
 		s.has = false // the current segment is still the last one
 		return
 	}
-	// A modulated segment is placed from its payload: its dilation applies
-	// outside the frame's clock.
-	if s.seg.Modulated() {
-		s.segDur, s.segLen = s.fr.DurationAndLength(s.seg)
-	} else {
-		s.segDur, s.segLen = s.fr.Scale(s.segDur, s.segLen)
-	}
+	s.segDur = s.fr.Duration(s.seg, s.segDur)
+	s.segLen *= s.fr.Norm()
 	s.has = true
 }
 
@@ -344,9 +338,6 @@ func (s *stream) parkedAt(fr *segment.Frame) (p geom.Vec) {
 	return p
 }
 
-// close releases the stream's cursor.
-func (s *stream) close() { s.cur.Close() }
-
 // FirstMeetingFramed simulates the local programs programA and programB
 // placed under the frames fa and fb from time 0, and returns the first time
 // the robots' distance is at most r. Programs may be finite (the robot
@@ -383,9 +374,7 @@ func firstMeeting(programA trajectory.Source, fa *segment.Frame, programB trajec
 	var w struct{ sa, sb stream }
 	w.sa.set(nil, fa)
 	w.sa.begin(programA)
-	defer w.sa.close()
 	w.sb.set(nil, fb)
-	defer w.sb.close()
 	return meet(&w.sa, &w.sb, programB, one, r, opt)
 }
 
@@ -544,7 +533,6 @@ func searchWalk(program trajectory.Source, ln *batch.Lanes, opt Options, results
 		t, start float64
 	)
 	cur.Init(program)
-	defer cur.Close()
 	for segs := 0; len(active) > 0; segs++ {
 		next, dur, plen, ok := cur.Pull()
 		if !ok {

@@ -294,12 +294,9 @@ func TestRelativeTrajectoryMatchesTCirc(t *testing.T) {
 	attrs := frame.Attributes{V: v, Tau: 1, Phi: phi, Chi: chi}
 
 	ra := trajectory.NewPath(algo.CumulativeSearch(), &referenceFrame)
-	defer ra.Close()
 	fb := attrs.Frame(d)
 	rb := trajectory.NewPath(algo.CumulativeSearch(), &fb)
-	defer rb.Close()
 	local := trajectory.NewPath(algo.CumulativeSearch(), nil)
-	defer local.Close()
 
 	tcirc := geom.EquivalentSearchMatrix(v, phi, int(chi))
 	for i := 1; i <= 100; i++ {

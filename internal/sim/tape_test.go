@@ -99,7 +99,6 @@ func TestTapeConcurrentLanes(t *testing.T) {
 	t.Run("heavy row", func(t *testing.T) {
 		lanes := heavyRowLanes(16)
 		tp := NewTape(algo.CumulativeSearch())
-		defer tp.Close()
 		got, errs := walkChunks(tp, lanes, []int{4, 7, 12}, plain)
 		private, privErrs := RendezvousBatch(algo.CumulativeSearch(), lanesOf(lanes), Options{})
 		for k := range lanes {
@@ -118,7 +117,6 @@ func TestTapeConcurrentLanes(t *testing.T) {
 		mk := func() trajectory.Source { return trajectory.Truncate(algo.CumulativeSearch(), 300) }
 		lanes := heavyRowLanes(12)
 		tp := NewTape(mk())
-		defer tp.Close()
 		got, errs := walkChunks(tp, lanes, []int{3, 6, 9}, plain)
 		if !tp.done || !slices.ContainsFunc(got, func(r Result) bool { return !r.Met }) {
 			t.Fatal("the program did not run out under the walks")
@@ -144,7 +142,6 @@ func TestTapeConcurrentLanes(t *testing.T) {
 			return nil
 		}
 		tp := NewTape(algo.CumulativeSearch())
-		defer tp.Close()
 		got, errs := walkChunks(tp, lanes, []int{4, 8}, optOf)
 		for k := range lanes {
 			if ctxOf(k) != nil && !errors.Is(errs[k], ErrCanceled) {
@@ -197,7 +194,6 @@ func TestTapePages(t *testing.T) {
 			geom.Polar(1, 2*math.Pi*float64(k)/64), 0.25, 1e3)
 	}
 	tp := NewTape(algo.CumulativeSearch())
-	defer tp.Close()
 	res, errs := tp.Rendezvous(&ln, Options{})
 	for k := range res {
 		if errs[k] != nil || !res[k].Met || res[k].Intervals > 1<<tapeShift {
@@ -211,7 +207,6 @@ func TestTapePages(t *testing.T) {
 	// A long row records no more than twice what it reads.
 	lanes := heavyRowLanes(2)
 	long := NewTape(algo.CumulativeSearch())
-	defer long.Close()
 	long.Rendezvous(lanesOf(lanes), Options{})
 	recorded := 0
 	for _, c := range long.pageCaps() {
@@ -239,7 +234,6 @@ func TestTapeOutrunLanes(t *testing.T) {
 			tapeLane{Instance{Attrs: frame.Attributes{V: 1, Tau: 1, Phi: phi, Chi: frame.CW}, D: geom.Polar(dist, phi/2), R: 0.25}, horizon})
 	}
 	tp := NewTape(algo.CumulativeSearch())
-	defer tp.Close()
 	got, errs := walkChunks(tp, lanes, []int{len(lanes) / 2}, func(int) Options { return Options{} })
 	for k, r := range got {
 		if errs[k] != nil || r.Met || r.Intervals <= tapeLen {

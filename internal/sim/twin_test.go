@@ -9,6 +9,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/segment"
+	"repro/internal/testutil"
 	"repro/internal/trajectory"
 )
 
@@ -25,7 +26,7 @@ func twinProgram(kind uint8, horizon float64) trajectory.Source {
 	case 2:
 		return trajectory.Truncate(algo.CumulativeSearch(), horizon/2+1)
 	default:
-		prefix := trajectory.Collect(trajectory.Truncate(algo.CumulativeSearch(), horizon/4))
+		prefix, _ := testutil.Segments(trajectory.Truncate(algo.CumulativeSearch(), horizon/4))
 		return trajectory.Concat(trajectory.FromSlice(prefix),
 			trajectory.ModulateSpeed(algo.CumulativeSearch(), []float64{0.8, 1.25}))
 	}
@@ -135,7 +136,6 @@ func FuzzTwinMatchesFullWalk(f *testing.F) {
 			ln.AddRendezvous(frame.Attributes{V: v, Tau: tau, Phi: phi, Chi: chi}, d, r, math.Min(horizon, 300))
 			ln.AddRendezvous(frame.Reference(), d.Scale(1.5), r, horizon/2)
 			tp := NewTape(mk())
-			defer tp.Close()
 			got, errs := tp.Rendezvous(&ln, opt)
 			for i := range got {
 				in := Instance{Attrs: ln.Attrs(i), D: ln.Target(i), R: ln.R[i]}
@@ -182,7 +182,6 @@ func TestTwinWalkHandsOver(t *testing.T) {
 		sb.set(nil, &twin)
 		var res Result
 		_, done, err := twinWalk(&sa, &sb, &res, c.r+detectOptions(c.opt, c.r).Slack, c.opt)
-		sa.close()
 		if err != nil || done != c.wantDone || res.Intervals < c.minTwin {
 			t.Errorf("%s: done %v after %d intervals, err %v; want done %v after at least %d",
 				c.name, done, res.Intervals, err, c.wantDone, c.minTwin)

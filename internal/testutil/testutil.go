@@ -1,12 +1,16 @@
-// Package testutil holds the float-comparison helpers shared by the test
-// suites. Exact closed forms are compared to simulated values all over this
-// repo, and every package had grown its own ad-hoc |got−want| ≤ ε check;
-// this package fixes one hybrid tolerance scheme for all of them.
+// Package testutil holds the helpers shared by the test suites. Exact
+// closed forms are compared to simulated values all over this repo, and
+// every package had grown its own ad-hoc |got−want| ≤ ε check; this package
+// fixes one hybrid tolerance scheme for all of them. Segments reads a
+// finite program for the tests that inspect it segment by segment.
 package testutil
 
 import (
 	"math"
 	"testing"
+
+	"repro/internal/segment"
+	"repro/internal/trajectory"
 )
 
 // AbsTolerance is the absolute tolerance used below which two floats are
@@ -57,5 +61,25 @@ func ApproxMsg(t testing.TB, got, want float64, label string) {
 	t.Helper()
 	if !CloseEnough(got, want) {
 		t.Errorf("%s = %v, want %v (diff %g)", label, got, want, math.Abs(got-want))
+	}
+}
+
+// Segments pulls a finite program to its end through a trajectory.Cursor
+// and returns its segments and the largest distance between a segment's
+// end and the next one's start: 0, up to round-off, for a continuous
+// program.
+func Segments(src trajectory.Source) (segs []segment.Seg, maxGap float64) {
+	cur := trajectory.NewCursor(src)
+	for {
+		seg, ok := cur.Next()
+		if !ok {
+			return segs, maxGap
+		}
+		if n := len(segs); n > 0 {
+			if gap := seg.Start().Dist(segs[n-1].End()); gap > maxGap {
+				maxGap = gap
+			}
+		}
+		segs = append(segs, seg)
 	}
 }

@@ -3,6 +3,10 @@ package testutil
 import (
 	"math"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/segment"
+	"repro/internal/trajectory"
 )
 
 func TestCloseEnough(t *testing.T) {
@@ -57,4 +61,21 @@ func TestApproxPasses(t *testing.T) {
 	// Approx on a passing pair must not fail the test.
 	Approx(t, 1.0, 1.0+1e-8)
 	ApproxMsg(t, 0.0, 1e-10, "near zero")
+}
+
+func TestSegments(t *testing.T) {
+	line := func(x0, y0, x1, y1 float64) segment.Seg {
+		return segment.UnitLine(geom.V(x0, y0), geom.V(x1, y1)).Seg()
+	}
+	good := []segment.Seg{line(0, 0, 1, 0), line(1, 0, 1, 1)}
+	if segs, gap := Segments(trajectory.FromSlice(good)); gap != 0 || len(segs) != 2 || segs[0] != good[0] || segs[1] != good[1] {
+		t.Errorf("good: gap=%v segments %v, want 0 and %v", gap, segs, good)
+	}
+	bad := trajectory.FromSlice([]segment.Seg{line(0, 0, 1, 0), line(2, 0, 3, 0)})
+	if _, gap := Segments(bad); math.Abs(gap-1) > 1e-12 {
+		t.Errorf("bad: gap=%v, want 1", gap)
+	}
+	if segs, gap := Segments(trajectory.FromSlice(nil)); len(segs) != 0 || gap != 0 {
+		t.Errorf("empty: %d segments, gap %v", len(segs), gap)
+	}
 }

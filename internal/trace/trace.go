@@ -53,7 +53,6 @@ func Record(programs []trajectory.Source, frames []segment.Frame, names []string
 	paths := make([]*trajectory.Path, len(programs))
 	for i, program := range programs {
 		paths[i] = trajectory.NewPath(program, &frames[i])
-		defer paths[i].Close()
 	}
 	n := int(math.Ceil(until/step)) + 1
 	tr := &Trace{Names: append([]string(nil), names...), Samples: make([]Sample, 0, n)}

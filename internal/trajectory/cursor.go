@@ -7,8 +7,7 @@ import "repro/internal/segment"
 // each segment; Pull returns the generator's own, with its raw duration and
 // length, which is what the walks use.
 //
-// Close stops the generator (see Stop); it is safe to call more than once,
-// and the cursor reports exhaustion after it.
+// Close marks the cursor exhausted; it is safe to call more than once.
 type Cursor struct {
 	g        Gen
 	consumed int
@@ -55,11 +54,7 @@ func (c *Cursor) Pull() (seg *segment.Seg, dur, length float64, ok bool) {
 // Consumed returns the number of segments handed out so far.
 func (c *Cursor) Consumed() int { return c.consumed }
 
-// Close stops the cursor's generator.
-func (c *Cursor) Close() {
-	if c.g != nil {
-		Stop(c.g)
-		c.g = nil
-	}
-	c.done = true
-}
+// Close marks the cursor exhausted: every later Pull reports false. A
+// generator holds no resource, so a cursor that is simply dropped needs no
+// Close.
+func (c *Cursor) Close() { c.done = true }

@@ -9,22 +9,6 @@ import (
 	"repro/internal/segment"
 )
 
-// counting returns an infinite push source of unit lines whose i-th
-// segment runs from (i,0) to (i+1,0), adapted by FromSeq, and counters of
-// generator invocations and returns.
-func counting(invocations, returns *int) Source {
-	return FromSeq(func(yield func(segment.Seg) bool) {
-		*invocations++
-		defer func() { *returns++ }()
-		for i := 0; ; i++ {
-			from := geom.V(float64(i), 0)
-			if !yield(segment.UnitLine(from, from.Add(geom.V(1, 0))).Seg()) {
-				return
-			}
-		}
-	})
-}
-
 func TestCursorOrderAndExhaustion(t *testing.T) {
 	segs := []segment.Seg{
 		segment.UnitLine(geom.Zero, geom.V(1, 0)).Seg(),
@@ -32,7 +16,6 @@ func TestCursorOrderAndExhaustion(t *testing.T) {
 		segment.UnitLine(geom.V(1, 0), geom.V(1, 1)).Seg(),
 	}
 	c := NewCursor(FromSlice(segs))
-	defer c.Close()
 	for i, want := range segs {
 		got, ok := c.Next()
 		if !ok || got != want {
@@ -50,8 +33,8 @@ func TestCursorOrderAndExhaustion(t *testing.T) {
 	}
 }
 
-// countingGen is a pull-native infinite generator of the unit lines that
-// counting yields.
+// countingGen is an infinite generator of unit lines whose i-th segment
+// runs from (i,0) to (i+1,0); i counts the segments it has generated.
 type countingGen struct {
 	i   int
 	seg segment.Seg
@@ -65,7 +48,7 @@ func (g *countingGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
 	return &g.seg, dur, length, true
 }
 
-// TestCursorRestartSkip drives a cursor over a pull-native generator far
+// TestCursorRestartSkip drives a cursor over a counting generator far
 // past a few hundred segments: it hands out exactly the generator's
 // sequence, in order, with no duplicates or gaps, from one start of the
 // source (the cursor never restarts it and skips a consumed prefix). A
@@ -74,7 +57,6 @@ func TestCursorRestartSkip(t *testing.T) {
 	starts := 0
 	src := New(func() Gen { starts++; return &countingGen{} })
 	c := NewCursor(src)
-	defer c.Close()
 	const n = 4*8192 + 7
 	for i := 0; i < n; i++ {
 		seg, ok := c.Next()
@@ -92,7 +74,6 @@ func TestCursorRestartSkip(t *testing.T) {
 		t.Errorf("Consumed = %d, want %d", c.Consumed(), n)
 	}
 	again := NewCursor(src)
-	defer again.Close()
 	if seg, ok := again.Next(); !ok || seg.Start() != geom.Zero {
 		t.Errorf("second cursor: ok=%v, first segment starts at %v, want origin", ok, seg.Start())
 	}
@@ -101,14 +82,11 @@ func TestCursorRestartSkip(t *testing.T) {
 	}
 }
 
-// TestCursorStreamingEscape walks a push closure far through FromSeq's
-// adapter, the one cursor path that streams from a coroutine: the cursor
-// hands out the exact sequence with its durations and lengths from one
-// invocation of the closure, and Close mid-stream unwinds the closure
-// before it returns.
+// TestCursorStreamingEscape walks a counting generator far: the cursor
+// hands out the exact sequence with its durations and lengths, and Close
+// mid-stream marks the cursor exhausted.
 func TestCursorStreamingEscape(t *testing.T) {
-	invocations, returns := 0, 0
-	c := NewCursor(counting(&invocations, &returns))
+	c := NewCursor(New(func() Gen { return &countingGen{} }))
 	const n = 2*8192 + 123
 	for i := 0; i < n; i++ {
 		seg, dur, length, ok := c.Pull()
@@ -122,13 +100,7 @@ func TestCursorStreamingEscape(t *testing.T) {
 			t.Fatalf("segment %d: pulled (%v, %v), DurationAndLength (%v, %v)", i, dur, length, d, l)
 		}
 	}
-	if invocations != 1 || returns != 0 {
-		t.Errorf("closure invoked %d times and returned %d times, want 1 and 0", invocations, returns)
-	}
 	c.Close()
-	if returns != 1 {
-		t.Error("Close did not unwind the push closure")
-	}
 	if _, ok := c.Next(); ok {
 		t.Error("Next after Close reported a segment")
 	}
@@ -145,7 +117,6 @@ func TestCursorFiniteAcrossRefills(t *testing.T) {
 		segs[i] = segment.UnitLine(from, from.Add(geom.V(1, 0))).Seg()
 	}
 	c := NewCursor(FromSlice(segs))
-	defer c.Close()
 	for i := 0; i < n; i++ {
 		seg, ok := c.Next()
 		if !ok || seg != segs[i] {
@@ -160,17 +131,15 @@ func TestCursorFiniteAcrossRefills(t *testing.T) {
 // TestCursorEmptySource: an empty source is exhausted immediately.
 func TestCursorEmptySource(t *testing.T) {
 	c := NewCursor(FromSlice(nil))
-	defer c.Close()
 	if _, ok := c.Next(); ok {
 		t.Error("empty source reported a segment")
 	}
 }
 
-// walkAndClose pulls n segments from a fresh cursor over an infinite push
-// source and closes it mid-stream.
+// walkAndClose pulls n segments from a fresh cursor over an infinite
+// counting generator and closes it mid-stream.
 func walkAndClose(t *testing.T, n int) {
-	invocations, returns := 0, 0
-	c := NewCursor(counting(&invocations, &returns))
+	c := NewCursor(New(func() Gen { return &countingGen{} }))
 	for i := range n {
 		if _, ok := c.Next(); !ok {
 			t.Fatalf("Next %d: exhausted", i)
@@ -180,7 +149,7 @@ func walkAndClose(t *testing.T, n int) {
 }
 
 // TestCursorAllocsIndependentOfLength: a cursor allocates nothing per
-// segment, even over FromSeq's pull coroutine, so a 2×10⁵-segment and a
+// segment, so a 2×10⁵-segment and a
 // 5×10⁵-segment walk allocate the same number of objects. Each walk ends
 // with a Close in the middle of the stream. The count is the fewest over
 // several walks, with the collector off.

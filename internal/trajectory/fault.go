@@ -22,12 +22,12 @@ import (
 // crash fault. A non-positive t pins the robot at its starting position (it
 // crashed before moving).
 func CutAt(src Source, t float64) Source {
-	return New(func() Gen { return &cutGen{inner: inner{src.Start()}, t: t} })
+	return New(func() Gen { return &cutGen{in: src.Start(), t: t} })
 }
 
 // cutGen is CutAt's generator.
 type cutGen struct {
-	inner
+	in         Gen // src's generator
 	t, elapsed float64
 	done       bool
 	seg        segment.Seg
@@ -62,13 +62,13 @@ func DelayStart(src Source, delay float64) Source {
 	if delay <= 0 {
 		return src
 	}
-	return New(func() Gen { return &delayGen{inner: inner{src.Start()}, delay: delay} })
+	return New(func() Gen { return &delayGen{in: src.Start(), delay: delay} })
 }
 
 // delayGen is DelayStart's generator: it pulls the first segment to place
 // the wait, and holds it until the wait has been handed out.
 type delayGen struct {
-	inner
+	in         Gen // src's generator
 	delay      float64
 	state      int // 0: before the wait, 1: holding first, 2: passing through, 3: ended
 	wait       segment.Seg
@@ -108,14 +108,14 @@ func FreezeDuring(src Source, from, to float64) Source {
 	if to <= from {
 		return src
 	}
-	return New(func() Gen { return &freezeGen{inner: inner{src.Start()}, from: from, to: to} })
+	return New(func() Gen { return &freezeGen{in: src.Start(), from: from, to: to} })
 }
 
 // freezeGen is FreezeDuring's generator. When the segment straddling from
 // arrives it hands out the part before from (if any), the outage wait and
 // the remainder from its own storage.
 type freezeGen struct {
-	inner
+	in                Gen // src's generator
 	from, to, elapsed float64
 	frozen            bool
 	parts             [3]segment.Seg // before from, the outage, the remainder

@@ -24,7 +24,6 @@ func TestCutAtExactDuration(t *testing.T) {
 	// A crash before moving pins the robot at its start, not at the origin.
 	earlyCrash := CutAt(FromSlice([]segment.Seg{line(5, 5, 6, 5)}), -1)
 	p := NewPath(earlyCrash, nil)
-	defer p.Close()
 	if got := p.Position(100); got != geom.V(5, 5) {
 		t.Errorf("crash-at-start position = %v, want (5,5)", got)
 	}
@@ -39,9 +38,7 @@ func TestCutAtPositionsMatch(t *testing.T) {
 	}
 	cut := 3.3
 	full := NewPath(src(), nil)
-	defer full.Close()
 	cutp := NewPath(CutAt(src(), cut), nil)
-	defer cutp.Close()
 	for _, tt := range []float64{0, 1, 2.5, 3.3} {
 		if !cutp.Position(tt).ApproxEqual(full.Position(tt), 1e-12) {
 			t.Errorf("position diverges at t=%v before the cut", tt)
@@ -69,7 +66,6 @@ func TestCutAtInfinite(t *testing.T) {
 func TestDelayStart(t *testing.T) {
 	src := func() Source { return FromSlice([]segment.Seg{line(1, 1, 2, 1)}) }
 	delayed := NewPath(DelayStart(src(), 3), nil)
-	defer delayed.Close()
 	if got := delayed.Position(2); got != geom.V(1, 1) {
 		t.Errorf("during delay at %v, want (1,1)", got)
 	}
@@ -91,7 +87,6 @@ func TestFreezeDuring(t *testing.T) {
 		return FromSlice([]segment.Seg{line(0, 0, 4, 0)}) // [0, 4]
 	}
 	frozen := NewPath(FreezeDuring(src(), 1, 3), nil)
-	defer frozen.Close()
 
 	tests := []struct {
 		t    float64
@@ -125,7 +120,6 @@ func TestFreezeDuringArc(t *testing.T) {
 	}
 	freezeAt := math.Pi / 2 // quarter way round, at (0, 1)
 	frozen := NewPath(FreezeDuring(src(), freezeAt, freezeAt+5), nil)
-	defer frozen.Close()
 	at := frozen.Position(freezeAt + 2.5)
 	if !at.ApproxEqual(geom.V(0, 1), 1e-9) {
 		t.Errorf("frozen at %v, want (0,1)", at)
@@ -135,7 +129,7 @@ func TestFreezeDuringArc(t *testing.T) {
 	if !resumed.ApproxEqual(geom.V(-1, 0), 1e-9) {
 		t.Errorf("resumed at %v, want (-1,0)", resumed)
 	}
-	if gap, _ := CheckContinuity(FreezeDuring(src(), freezeAt, freezeAt+5)); gap > 1e-12 {
+	if _, gap := collect(FreezeDuring(src(), freezeAt, freezeAt+5)); gap > 1e-12 {
 		t.Errorf("continuity gap %v after freeze", gap)
 	}
 }

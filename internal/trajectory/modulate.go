@@ -26,13 +26,13 @@ func ModulateSpeed(src Source, factors []float64) Source {
 			panic(fmt.Sprintf("trajectory: ModulateSpeed with non-positive factor %v", f))
 		}
 	}
-	return New(func() Gen { return &modulateGen{inner: inner{src.Start()}, factors: factors} })
+	return New(func() Gen { return &modulateGen{in: src.Start(), factors: factors} })
 }
 
 // modulateGen is ModulateSpeed's generator. A dilation m multiplies the
 // pulled duration exactly as Seg.Duration applies it.
 type modulateGen struct {
-	inner
+	in      Gen // src's generator
 	factors []float64
 	i       int
 	seg     segment.Seg

@@ -22,12 +22,11 @@ func TestModulateSpeedDurations(t *testing.T) {
 		t.Errorf("modulated duration = %v, want 5", d)
 	}
 	// Geometry is unchanged and continuous.
-	if gap, n := CheckContinuity(ModulateSpeed(src(), []float64{2, 0.5})); gap > 1e-12 || n != 3 {
-		t.Errorf("gap=%v n=%d", gap, n)
+	if segs, gap := collect(ModulateSpeed(src(), []float64{2, 0.5})); gap > 1e-12 || len(segs) != 3 {
+		t.Errorf("gap=%v n=%d", gap, len(segs))
 	}
 	// First segment now takes 0.5: position at t=0.25 is (0.5, 0).
 	p := NewPath(ModulateSpeed(src(), []float64{2, 0.5}), nil)
-	defer p.Close()
 	if got := p.Position(0.25); !got.ApproxEqual(geom.V(0.5, 0), 1e-12) {
 		t.Errorf("Position(0.25) = %v, want (0.5, 0)", got)
 	}
@@ -55,7 +54,7 @@ func TestModulateSpeedPanicsOnBadFactor(t *testing.T) {
 
 func TestModulateSpeedMaxSpeed(t *testing.T) {
 	src := FromSlice([]segment.Seg{line(0, 0, 1, 0)})
-	segs := Collect(ModulateSpeed(src, []float64{2.5}))
+	segs, _ := collect(ModulateSpeed(src, []float64{2.5}))
 	if got := segs[0].MaxSpeed(); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("modulated MaxSpeed = %v, want 2.5", got)
 	}

@@ -14,17 +14,16 @@ type timed struct {
 // Path consumes a Source lazily and answers position queries at absolute
 // times. Segments are cached as they are pulled, so queries may be made in
 // any order; the cache grows only as far forward as the largest time
-// queried. Call Close when done to release the underlying cursor.
+// queried.
 //
 // A Path places its source under a robot's frame: each raw segment's
 // duration and every position go through the frame, so the path is the
 // robot's global trajectory.
 type Path struct {
-	cur       Cursor
-	fr        *segment.Frame
-	segs      []timed
-	total     float64 // end time of last cached segment
-	exhausted bool
+	cur   Cursor
+	fr    *segment.Frame
+	segs  []timed
+	total float64 // end time of last cached segment
 }
 
 // NewPath starts consuming src, placed under the frame fr (nil: the
@@ -40,30 +39,15 @@ func NewPath(src Source, fr *segment.Frame) *Path {
 	return p
 }
 
-// Close releases the underlying cursor. The Path remains usable for
-// queries within the already-cached prefix.
-func (p *Path) Close() {
-	if !p.exhausted {
-		p.exhausted = true
-		p.cur.Close()
-	}
-}
-
 // extendTo pulls segments until the cached timeline covers time t or the
 // source is exhausted.
 func (p *Path) extendTo(t float64) {
-	for !p.exhausted && p.total <= t {
-		seg, d, l, ok := p.cur.Pull()
+	for p.total <= t {
+		seg, d, _, ok := p.cur.Pull()
 		if !ok {
-			p.exhausted = true
-			p.cur.Close()
-			return
+			return // the cursor stays exhausted
 		}
-		if seg.Modulated() {
-			d, _ = p.fr.DurationAndLength(seg)
-		} else {
-			d, _ = p.fr.Scale(d, l)
-		}
+		d = p.fr.Duration(seg, d)
 		p.segs = append(p.segs, timed{seg: *seg, start: p.total, end: p.total + d})
 		p.total += d
 	}

@@ -7,12 +7,12 @@
 // generator's own storage, with its raw duration and path length, so a
 // walk never recomputes them and never boxes or copies a segment it does
 // not keep.
-// Pulling is the native form: Cursor, Path and the simulator's walkers —
-// the search walk, the streams of the rendezvous walk and its twin walk,
-// the batch tape and the gathering walk's one stream per clock — all pull
-// generators directly, one segment at a time, with no buffering, no
-// re-generation and no goroutine. Source.All is the push view for range
-// loops, and FromSeq adapts a push closure (an iter.Seq) through iter.Pull.
+// Pulling is the only way to read a program: Cursor, Path and the
+// simulator's walkers — the search walk, the streams of the rendezvous walk
+// and its twin walk, the batch tape and the gathering walk's one stream per
+// clock — all pull generators directly, one segment at a time, with no
+// buffering, no re-generation and no goroutine. A generator holds no
+// resource, so a reader that stops early simply drops it.
 //
 // A Source is a program in its own frame and clock. A robot's frame is not
 // applied to the stream: walks place each raw segment under the robot's
@@ -23,8 +23,6 @@
 package trajectory
 
 import (
-	"iter"
-
 	"repro/internal/geom"
 	"repro/internal/segment"
 )
@@ -35,25 +33,16 @@ import (
 // program is exhausted, and stays false. The segment belongs to the
 // generator and must not be modified. It stays valid until the next call
 // that reports ok, so after the end a walk can still read the last one.
-//
-// A generator that holds resources (FromSeq's pull coroutine) also has a
-// Stop method; Stop(g) calls it, and every generator that pulls another
-// forwards it.
+// A generator is plain loop state: it holds no resource, and a reader may
+// drop it at any point.
 type Gen interface {
 	Next() (seg *segment.Seg, dur, length float64, ok bool)
 }
 
-// Stop releases g's resources, if it holds any. g must not be used after.
-func Stop(g Gen) {
-	if s, ok := g.(interface{ Stop() }); ok {
-		s.Stop()
-	}
-}
-
 // Source is a lazy, possibly infinite program: a reusable description that
 // starts independent generators over the same segment sequence. Each
-// segment is assumed to start where the previous one ended (continuity);
-// CheckContinuity verifies this for tests. The zero Source is empty.
+// segment is assumed to start where the previous one ended (continuity).
+// The zero Source is empty.
 type Source struct {
 	start func() Gen
 }
@@ -69,48 +58,6 @@ func (s Source) Start() Gen {
 	}
 	return s.start()
 }
-
-// All returns the push view of the program, for range loops.
-func (s Source) All() iter.Seq[segment.Seg] {
-	return func(yield func(segment.Seg) bool) {
-		g := s.Start()
-		defer Stop(g)
-		for {
-			if seg, _, _, ok := g.Next(); !ok || !yield(*seg) {
-				return
-			}
-		}
-	}
-}
-
-// FromSeq adapts a push closure into a Source: each generator runs seq once
-// through iter.Pull, so seq must yield the same segments every time it is
-// invoked. Durations and lengths come from Seg.DurationAndLength.
-func FromSeq(seq iter.Seq[segment.Seg]) Source {
-	return New(func() Gen {
-		next, stop := iter.Pull(seq)
-		return &pullGen{next: next, stop: stop}
-	})
-}
-
-// pullGen is FromSeq's generator over an iter.Pull coroutine.
-type pullGen struct {
-	next func() (segment.Seg, bool)
-	stop func()
-	seg  segment.Seg
-}
-
-func (g *pullGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
-	s, ok := g.next()
-	if !ok {
-		return nil, 0, 0, false
-	}
-	g.seg = s
-	dur, length = g.seg.DurationAndLength()
-	return &g.seg, dur, length, true
-}
-
-func (g *pullGen) Stop() { g.stop() }
 
 // FromSlice returns a finite Source yielding the given segments in order.
 func FromSlice(segs []segment.Seg) Source {
@@ -133,16 +80,6 @@ func (g *sliceGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
 	return seg, dur, length, true
 }
 
-// inner is embedded by every generator that pulls another one: it holds
-// the generator pulled now and forwards Stop to it.
-type inner struct{ in Gen }
-
-func (w *inner) Stop() {
-	if w.in != nil {
-		Stop(w.in)
-	}
-}
-
 // Concat returns a Source yielding all segments of each source in turn.
 func Concat(sources ...Source) Source {
 	return New(func() Gen { return &concatGen{sources: sources} })
@@ -150,7 +87,7 @@ func Concat(sources ...Source) Source {
 
 // concatGen is Concat's generator; in pulls sources[next-1].
 type concatGen struct {
-	inner
+	in      Gen
 	sources []Source
 	next    int
 }
@@ -161,7 +98,6 @@ func (g *concatGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
 			if seg, dur, length, ok = g.in.Next(); ok {
 				return seg, dur, length, true
 			}
-			Stop(g.in)
 			g.in = nil
 		}
 		if g.next == len(g.sources) {
@@ -181,7 +117,7 @@ func Repeat(gen func(round int) Source) Source {
 
 // repeatGen is Repeat's generator; in pulls gen(round).
 type repeatGen struct {
-	inner
+	in    Gen
 	gen   func(round int) Source
 	round int
 }
@@ -192,7 +128,6 @@ func (g *repeatGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
 			if seg, dur, length, ok = g.in.Next(); ok {
 				return seg, dur, length, true
 			}
-			Stop(g.in)
 		}
 		g.round++
 		g.in = g.gen(g.round).Start()
@@ -203,12 +138,12 @@ func (g *repeatGen) Next() (seg *segment.Seg, dur, length float64, ok bool) {
 // maxDuration; the final segment is yielded whole (not cut), so the total
 // duration may overshoot by at most one segment.
 func Truncate(src Source, maxDuration float64) Source {
-	return New(func() Gen { return &truncateGen{inner: inner{src.Start()}, max: maxDuration} })
+	return New(func() Gen { return &truncateGen{in: src.Start(), max: maxDuration} })
 }
 
 // truncateGen is Truncate's generator.
 type truncateGen struct {
-	inner
+	in           Gen // src's generator
 	elapsed, max float64
 	done         bool
 }
@@ -250,7 +185,6 @@ func PathLength(src Source) float64 {
 // totals sums the durations and path lengths src's generator supplies.
 func totals(src Source) (dur, length float64) {
 	g := src.Start()
-	defer Stop(g)
 	for {
 		_, d, l, ok := g.Next()
 		if !ok {
@@ -259,32 +193,4 @@ func totals(src Source) (dur, length float64) {
 		dur += d
 		length += l
 	}
-}
-
-// Collect materialises a finite source into a slice.
-func Collect(src Source) []segment.Seg {
-	var segs []segment.Seg
-	for s := range src.All() {
-		segs = append(segs, s)
-	}
-	return segs
-}
-
-// CheckContinuity returns the largest positional gap between consecutive
-// segments of a finite source, and the total number of segments. A correct
-// trajectory has gap 0 up to round-off.
-func CheckContinuity(src Source) (maxGap float64, n int) {
-	first := true
-	var prevEnd geom.Vec
-	for s := range src.All() {
-		if !first {
-			if gap := s.Start().Dist(prevEnd); gap > maxGap {
-				maxGap = gap
-			}
-		}
-		prevEnd = s.End()
-		first = false
-		n++
-	}
-	return maxGap, n
 }

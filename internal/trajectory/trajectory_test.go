@@ -12,11 +12,28 @@ func line(x0, y0, x1, y1 float64) segment.Seg {
 	return segment.UnitLine(geom.V(x0, y0), geom.V(x1, y1)).Seg()
 }
 
+// collect pulls a finite source to its end through a Cursor and returns
+// its segments and the largest distance between a segment's end and the
+// next one's start (testutil.Segments, which this package's tests cannot
+// import).
+func collect(src Source) (segs []segment.Seg, maxGap float64) {
+	cur := NewCursor(src)
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
+		if n := len(segs); n > 0 {
+			if gap := s.Start().Dist(segs[n-1].End()); gap > maxGap {
+				maxGap = gap
+			}
+		}
+		segs = append(segs, s)
+	}
+	return segs, maxGap
+}
+
 func TestFromSliceAndCollect(t *testing.T) {
 	segs := []segment.Seg{line(0, 0, 1, 0), line(1, 0, 1, 1)}
-	got := Collect(FromSlice(segs))
+	got, _ := collect(FromSlice(segs))
 	if len(got) != 2 {
-		t.Fatalf("Collect returned %d segments, want 2", len(got))
+		t.Fatalf("collect returned %d segments, want 2", len(got))
 	}
 	for i := range segs {
 		if got[i] != segs[i] {
@@ -28,8 +45,8 @@ func TestFromSliceAndCollect(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := FromSlice([]segment.Seg{line(0, 0, 1, 0)})
 	b := FromSlice([]segment.Seg{line(1, 0, 2, 0), line(2, 0, 3, 0)})
-	if n := len(Collect(Concat(a, b))); n != 3 {
-		t.Errorf("Concat yielded %d segments, want 3", n)
+	if segs, _ := collect(Concat(a, b)); len(segs) != 3 {
+		t.Errorf("Concat yielded %d segments, want 3", len(segs))
 	}
 	if d := Duration(Concat(a, b)); math.Abs(d-3) > 1e-12 {
 		t.Errorf("Duration = %v, want 3", d)
@@ -39,7 +56,8 @@ func TestConcat(t *testing.T) {
 func TestConcatEarlyStop(t *testing.T) {
 	a := FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 2, 0)})
 	var n int
-	for range Concat(a, a).All() {
+	cur := NewCursor(Concat(a, a))
+	for _, ok := cur.Next(); ok; _, ok = cur.Next() {
 		n++
 		if n == 3 {
 			break
@@ -55,7 +73,8 @@ func TestRepeatIsInfinite(t *testing.T) {
 		return FromSlice([]segment.Seg{segment.NewWait(geom.Zero, float64(round)).Seg()})
 	})
 	var rounds []float64
-	for s := range src.All() {
+	cur := NewCursor(src)
+	for s, ok := cur.Next(); ok; s, ok = cur.Next() {
 		rounds = append(rounds, s.Duration())
 		if len(rounds) == 5 {
 			break
@@ -76,7 +95,6 @@ func TestTransform(t *testing.T) {
 	m := geom.Affine{M: geom.Rotation(math.Pi / 2).Scale(0.5), T: geom.V(1, 1)}
 	fr := segment.NewFrame(m, 2)
 	p := NewPath(src, &fr)
-	defer p.Close()
 	if got := p.Position(0); !got.ApproxEqual(geom.V(1, 1), 1e-12) {
 		t.Errorf("Start = %v, want (1,1)", got)
 	}
@@ -103,7 +121,7 @@ func TestTruncate(t *testing.T) {
 	src := Repeat(func(int) Source {
 		return FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 0, 0)})
 	})
-	segs := Collect(Truncate(src, 5))
+	segs, _ := collect(Truncate(src, 5))
 	if len(segs) != 5 {
 		t.Errorf("Truncate yielded %d segments, want 5", len(segs))
 	}
@@ -127,24 +145,12 @@ func TestDurationAndPathLength(t *testing.T) {
 	}
 }
 
-func TestCheckContinuity(t *testing.T) {
-	good := FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 1, 1)})
-	if gap, n := CheckContinuity(good); gap != 0 || n != 2 {
-		t.Errorf("good: gap=%v n=%d, want 0, 2", gap, n)
-	}
-	bad := FromSlice([]segment.Seg{line(0, 0, 1, 0), line(2, 0, 3, 0)})
-	if gap, _ := CheckContinuity(bad); math.Abs(gap-1) > 1e-12 {
-		t.Errorf("bad: gap=%v, want 1", gap)
-	}
-}
-
 func TestPathPosition(t *testing.T) {
 	p := NewPath(FromSlice([]segment.Seg{
 		line(0, 0, 2, 0),                       // t in [0,2]
 		segment.NewWait(geom.V(2, 0), 1).Seg(), // t in [2,3]
 		line(2, 0, 2, 2),                       // t in [3,5]
 	}), nil)
-	defer p.Close()
 
 	tests := []struct {
 		t    float64
@@ -169,7 +175,6 @@ func TestPathPosition(t *testing.T) {
 
 func TestPathBackwardQueries(t *testing.T) {
 	p := NewPath(FromSlice([]segment.Seg{line(0, 0, 1, 0), line(1, 0, 2, 0)}), nil)
-	defer p.Close()
 	if got := p.Position(1.5); !got.ApproxEqual(geom.V(1.5, 0), 1e-12) {
 		t.Errorf("forward query = %v", got)
 	}
@@ -180,30 +185,18 @@ func TestPathBackwardQueries(t *testing.T) {
 }
 
 func TestPathLazyConsumption(t *testing.T) {
-	pulled := 0
-	src := FromSeq(func(yield func(segment.Seg) bool) {
-		for i := 0; ; i++ {
-			pulled++
-			from := geom.V(float64(i), 0)
-			to := geom.V(float64(i+1), 0)
-			if !yield(segment.UnitLine(from, to).Seg()) {
-				return
-			}
-		}
-	})
-	p := NewPath(src, nil)
-	defer p.Close()
+	g := &countingGen{}
+	p := NewPath(New(func() Gen { return g }), nil)
 	p.Position(2.5)
 	// The path pulls exactly the segments up to the queried time: [0,1),
 	// [1,2) and [2,3).
-	if pulled != 3 {
-		t.Errorf("pulled %d segments for a query at t=2.5, want 3", pulled)
+	if g.i != 3 {
+		t.Errorf("pulled %d segments for a query at t=2.5, want 3", g.i)
 	}
 }
 
 func TestPathEmptySource(t *testing.T) {
 	p := NewPath(FromSlice(nil), nil)
-	defer p.Close()
 	if got := p.Position(1); got != geom.Zero {
 		t.Errorf("empty path Position = %v, want origin", got)
 	}
@@ -211,7 +204,6 @@ func TestPathEmptySource(t *testing.T) {
 
 func TestStationary(t *testing.T) {
 	p := NewPath(Stationary(geom.V(4, 2)), nil)
-	defer p.Close()
 	for _, tt := range []float64{0, 1, 1e9} {
 		if got := p.Position(tt); got != geom.V(4, 2) {
 			t.Errorf("Position(%v) = %v, want (4,2)", tt, got)

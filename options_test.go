@@ -58,7 +58,6 @@ func TestNaNHorizonAndRadiusRejected(t *testing.T) {
 			"sim.RendezvousBatch":      func() error { return laneErr(sim.RendezvousBatch(prog, lanes(tc.horizon, tc.r), sim.Options{})) },
 			"sim.Tape.Rendezvous": func() error {
 				tp := sim.NewTape(prog)
-				defer tp.Close()
 				return laneErr(tp.Rendezvous(lanes(tc.horizon, tc.r), sim.Options{}))
 			},
 			"gather.Simulate": func() error {

@@ -81,9 +81,7 @@ func Reference() Attributes { return frame.Reference() }
 // motion segments in the robot's own reference frame. A simulation starts a
 // fresh generator from it for each robot and pulls segments one at a time
 // (see trajectory.Source); the algorithms here are written as pull
-// generators. A program written as a push closure over segments,
-// func(yield func(segment.Seg) bool), becomes a Trajectory through
-// trajectory.FromSeq, which runs the closure under iter.Pull.
+// generators.
 type Trajectory = trajectory.Source
 
 // Instance describes one rendezvous instance: R′'s attributes, the initial

@@ -8,9 +8,10 @@
 # cmd/experiments, cmd/rvsim and cmd/gathersim from it and from the current
 # checkout, uncommitted changes included. Then it runs each invocation below
 # on both builds and compares stdout and exit status, printing SAME or DIFF
-# per invocation. It exits non-zero when any invocation differs. The
-# temporary directory is removed on exit. It is not a CI step: CI checks out
-# a single commit.
+# per invocation. The two `rvsim -plot` invocations print the charts that
+# trace.Record samples through trajectory.Path. It exits non-zero when any
+# invocation differs. The temporary directory is removed on exit. It is not
+# a CI step: CI checks out a single commit.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -43,6 +44,8 @@ invocations=(
 	"experiments -run E10"
 	"rvsim"
 	"rvsim -tau 1.5 -chi -1 -algo search"
+	"rvsim -plot"
+	"rvsim -tau 1.5 -chi -1 -algo search -plot"
 	"rvsim -samples 40 -seed 3"
 	"rvsim -samples 9 -sampler sobol -algo search -chi -1"
 	"rvsim -samples 8 -v 1 -chi -1 -horizon 3e4 -algo search"
